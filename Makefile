@@ -1,4 +1,4 @@
-.PHONY: all build test lint check bench bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
+.PHONY: all build test lint check bench bench-fastpath bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
 
 all: build
 
@@ -21,6 +21,12 @@ check: lint
 
 bench:
 	dune exec bench/main.exe
+
+# The trap fast-path artifact: every Figure 3 / Table 7 run with the
+# verdict cache on and off, cycle totals straight from the interpreter
+# plus per-run registry snapshots (EXPERIMENTS.md).
+bench-fastpath:
+	dune exec bench/main.exe -- --json BENCH_trap_fastpath.json
 
 # The tiered-ablation artifact: off / prefilter-only / tiered on all
 # three workloads plus the per-attack tier split (EXPERIMENTS.md).
