@@ -17,66 +17,12 @@ let ptr = Sil.Types.Ptr Sil.Types.I64
 
 (* --- the refinement law -------------------------------------------- *)
 
-(* A small random program: one frozen and one mutated global, a helper
-   whose parameter summary the generator can keep constant or kill, and
-   a main whose entry / branch arms / join are filled with
-   generator-chosen statements over four locals (constant sets, copies,
-   arithmetic, global loads, helper calls, address-taking).  Folding
-   branches, address-taken pinning and joined summaries all arise from
-   the codes. *)
-let random_prog (codes : int list) =
-  let pb = B.program () in
-  B.global pb "g0" i64 (Sil.Prog.Word 11L);
-  B.global pb "g1" i64 (Sil.Prog.Word 3L);
-  let fb = B.func pb "helper" ~params:[ ("a", i64) ] in
-  let t = B.local fb "t" i64 in
-  B.binop fb t Sil.Instr.Add (Var (B.param fb 0)) (const 1);
-  B.ret fb (Some (Var t));
-  B.seal fb;
-  let fb = B.func pb "main" ~params:[] in
-  let vs = Array.init 4 (fun i -> B.local fb (Printf.sprintf "v%d" i) i64) in
-  let pa = B.local fb "pa" ptr in
-  let emit code =
-    let dst = vs.((code / 8) mod 4) in
-    let src = vs.((code / 32) mod 4) in
-    match code mod 8 with
-    | 0 -> B.set fb dst (const ((code / 16) mod 5))
-    | 1 -> B.set fb dst (Var src)
-    | 2 -> B.binop fb dst Sil.Instr.Add (Var src) (const ((code / 64) mod 3))
-    | 3 -> B.set fb dst (Global "g0")
-    | 4 -> B.set fb dst (Global "g1")
-    | 5 -> B.call fb ~dst "helper" [ const ((code / 16) mod 7) ]
-    | 6 -> B.call fb ~dst "helper" [ Var src ]
-    | _ -> B.addr_of fb pa (Sil.Place.Lvar dst)
-  in
-  let seg k = List.filteri (fun i _ -> i mod 4 = k) codes in
-  List.iter emit (seg 0);
-  let cond =
-    match codes with
-    | c :: _ when c mod 3 = 0 -> const (c mod 2)
-    | c :: _ -> Var vs.(c mod 4)
-    | [] -> const 0
-  in
-  B.branch fb cond "then" "else";
-  B.block fb "then";
-  List.iter emit (seg 1);
-  B.jump fb "join";
-  B.block fb "else";
-  List.iter emit (seg 2);
-  B.jump fb "join";
-  B.block fb "join";
-  List.iter emit (seg 3);
-  B.store fb (Sil.Place.Lglobal "g1") (Var vs.(0));
-  B.halt fb;
-  B.seal fb;
-  B.build pb ~entry:"main"
-
 let prop_sccp_refines_constprop =
   QCheck.Test.make ~count:150
     ~name:"SCCP refines plain constprop (a Known is never lost, only gained)"
     QCheck.(small_list (int_range 0 1024))
     (fun codes ->
-      let prog = random_prog codes in
+      let prog = Testlib.random_prog codes in
       let cp = Cp.analyze prog in
       let sccp = Sccp.analyze prog in
       List.for_all
