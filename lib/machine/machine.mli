@@ -33,18 +33,18 @@ val fault_to_string : fault -> string
 
 type outcome = Exited of int64 | Faulted of fault
 
-(** Execution position within a frame ([cindex] may equal the block's
-    instruction count, denoting the terminator). *)
-type cursor = { cblock : string; cindex : int }
-
-(** A live stack frame.  [ffunc] is mutable because a corrupted return
+(** A live stack frame.  Its cursor is ([fblock], [findex]): a block of
+    the layout's code image and an instruction index, where the block's
+    instruction count denotes its terminator.  [ffunc] names the
+    function that block belongs to; both change when a corrupted return
     token pivots the frame to another function (ROP semantics). *)
-type frame = {
+type frame = private {
   mutable ffunc : string;
+  mutable fblock : int;
+  mutable findex : int;
   frame_base : int64;
   ret_slot : int64;  (** address of the return-address word; 0 for entry *)
-  fdst : Sil.Operand.var option;
-  mutable cursor : cursor;
+  fdst : int;  (** offset of the caller's slot receiving the return value, or -1 *)
   mutable in_flight_args : int64 array;
       (** evaluated arguments of the call this frame has in flight *)
   mutable in_flight_callsite : int64;
