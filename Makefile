@@ -1,4 +1,4 @@
-.PHONY: all build test lint check bench bench-fastpath bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
+.PHONY: all build test lint check bench bench-fastpath bench-parallel bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
 
 all: build
 
@@ -27,6 +27,11 @@ bench:
 # plus per-run registry snapshots (EXPERIMENTS.md).
 bench-fastpath:
 	dune exec bench/main.exe -- --json BENCH_trap_fastpath.json
+
+# The sharded-monitor artifact: 8 NGINX tracees over 1/2/4/8 shards,
+# modelled fields only, so regeneration is byte-identical (EXPERIMENTS.md).
+bench-parallel:
+	dune exec bench/main.exe -- --json-parallel BENCH_parallel_monitor.json
 
 # The tiered-ablation artifact: off / prefilter-only / tiered on all
 # three workloads plus the per-attack tier split (EXPERIMENTS.md).

@@ -6,8 +6,10 @@
    its owning shard.  The headline is the *modelled* makespan traps/sec:
    modelled cycles are the repo's performance currency, and in the
    sharded deployment every shard owns a core, so the makespan is the
-   heaviest shard's cycle sum.  Host wall clock is recorded too but is
-   informational — CI containers pin us to however few cores they like.
+   heaviest shard's cycle sum.  The artifact records modelled fields
+   only, so it regenerates byte-identically; host wall clock belongs to
+   the `bastion run --shards N` summary, which prints it (CI containers
+   pin us to however few cores they like).
 
    Every shard count must reproduce the serial reference byte for byte
    (per-tracee cycles, traps, syscalls, metric); the `matches_serial`
@@ -70,7 +72,6 @@ let record ~(serial : D.measurement array) ~tracees app shards : J.t =
       ( "modelled_traps_per_sec",
         J.Num (traps_per_sec ~traps:total_traps ~cycles:m.D.mm_makespan_cycles)
       );
-      ("wall_seconds", J.Num m.D.mm_wall_seconds);
       ("matches_serial", J.Bool matches);
       ( "per_tracee_cycles",
         J.List
@@ -110,7 +111,6 @@ let document ?(smoke = false) () : J.t =
       ("app", J.Str "NGINX");
       ("smoke", J.Bool smoke);
       ("tracees", J.Num (float_of_int tracees));
-      ("host_domains_recommended", J.Num (float_of_int (Domain.recommended_domain_count ())));
       ( "serial",
         J.Obj
           [
