@@ -198,6 +198,202 @@ let test_ai_requires_traced_callsite () =
     (Testlib.is_monitor_kill ~context:"argument-integrity")
     "argument-integrity"
 
+(* --- every Argument-Integrity denial, pinned ------------------------------ *)
+
+(* One case per [Deny] raise site of the AI context (the callsite check,
+   its per-slot paths, the extended-contents check, the frame-slot and
+   global sweeps), each reached on {!fixture} through the public API:
+   metadata records written into the protected bundle before launch,
+   and pokes into tracee memory, a frame's spilled call arguments or the
+   session's shadow table, made at a chosen program point or just
+   before a chosen trap is judged.  Each case pins the exact denial and
+   the machine's cycle total when the run is killed. *)
+type ai_case = {
+  ac_name : string;
+  ac_contexts : Bastion.Monitor.contexts;
+  ac_meta : Bastion.Api.protected -> unit;  (** metadata written before launch *)
+  ac_arm : Bastion.Api.protected -> Bastion.Api.session -> unit;
+  ac_detail : string;
+  ac_cycles : int;
+}
+
+let ai_only = { Bastion.Monitor.ct = false; cf = false; ai = true }
+
+let callsite_meta (p : Bastion.Api.protected) ~func ~callee =
+  List.find
+    (fun (cm : Bastion.Instrument.callsite_meta) ->
+      String.equal cm.cm_loc.func func && String.equal cm.cm_callee callee)
+    p.inst.callsites
+
+let cs_id p ~func ~callee = (callsite_meta p ~func ~callee).cm_id
+
+(* Run [f] just before the first trap is judged. *)
+let before_first_trap (s : Bastion.Api.session) f =
+  match s.process.tracer_hook with
+  | None -> Alcotest.fail "no tracer hook"
+  | Some hook ->
+    let armed = ref true in
+    s.process.tracer_hook <-
+      Some
+        (fun p ~sysno ~args ->
+          if !armed then begin
+            armed := false;
+            f s.machine
+          end;
+          hook p ~sysno ~args)
+
+let helper_var (m : Machine.t) var =
+  match Machine.local_address m ~func:"helper" ~var with
+  | Some a -> a
+  | None -> Alcotest.failf "helper has no live %s" var
+
+(* Return from helper straight onto do_exec's execve call instruction:
+   main's frame re-executes that call without the bindings made before
+   it, and with main's words in do_exec's slots. *)
+let rop_into_execve (p : Bastion.Api.protected) (s : Bastion.Api.session) =
+  let execve =
+    Machine.instr_address s.machine (callsite_meta p ~func:"do_exec" ~callee:"execve").cm_loc
+  in
+  poke_at s.machine "helper" (fun m ->
+      match Machine.frames m with
+      | frame :: _ -> Machine.poke m frame.ret_slot execve
+      | [] -> ())
+
+let no_meta (_ : Bastion.Api.protected) = ()
+
+let ai_cases =
+  let all = Bastion.Monitor.all_contexts in
+  let mprotect p = cs_id p ~func:"helper" ~callee:"mprotect" in
+  let shadow (s : Bastion.Api.session) = s.runtime.shadow in
+  [
+    { ac_name = "dead site"; ac_contexts = all;
+      ac_meta = (fun p -> Hashtbl.replace p.dead_sites (mprotect p) ());
+      ac_arm = (fun _ _ -> ());
+      ac_detail = "syscall invoked at a callsite no benign execution reaches";
+      ac_cycles = 7251 };
+    { ac_name = "untraced callsite"; ac_contexts = ai_only; ac_meta = no_meta;
+      ac_arm =
+        (fun _ s ->
+          poke_at s.machine "main" (fun m ->
+              Machine.poke m (Machine.global_address m "g_fp")
+                (Machine.function_address m "mprotect")));
+      ac_detail = "syscall arguments are untraced at this callsite"; ac_cycles = 15031 };
+    { ac_name = "constant corrupted"; ac_contexts = all; ac_meta = no_meta;
+      ac_arm =
+        (fun _ s ->
+          before_first_trap s (fun m ->
+              match Machine.frames m with
+              | frame :: _ -> frame.in_flight_args.(0) <- 0x1000L
+              | [] -> ()));
+      ac_detail = "constant argument 0 of mprotect corrupted"; ac_cycles = 7257 };
+    { ac_name = "corrupted, pre-resolved path"; ac_contexts = all;
+      ac_meta = (fun p -> Hashtbl.replace p.pre_resolved (mprotect p) [ (2, 1L) ]);
+      ac_arm =
+        (fun _ s ->
+          poke_at s.machine "helper" (fun m ->
+              Machine.poke m (Machine.global_address m "g_prot") 7L));
+      ac_detail = "argument 2 of mprotect corrupted (expected 1, got 7)"; ac_cycles = 7285 };
+    { ac_name = "corrupted, per-caller path"; ac_contexts = all;
+      ac_meta =
+        (fun p ->
+          (* main calls helper directly with 4096, then through g_fp
+             with 64: one admissible value per caller. *)
+          let by_index =
+            List.sort
+              (fun (a : Bastion.Instrument.callsite_meta) b ->
+                Int.compare a.cm_loc.index b.cm_loc.index)
+              (List.filter
+                 (fun (cm : Bastion.Instrument.callsite_meta) ->
+                   String.equal cm.cm_loc.func "main" && String.equal cm.cm_callee "helper")
+                 p.inst.callsites)
+          in
+          match by_index with
+          | [ direct; indirect ] ->
+            Hashtbl.replace p.pre_resolved_ctx (mprotect p)
+              [ (1, direct.cm_id, 4096L); (1, indirect.cm_id, 64L) ]
+          | _ -> Alcotest.fail "main should call helper twice");
+      ac_arm =
+        (fun _ s -> poke_at s.machine "helper" (fun m -> Machine.poke m (helper_var m "len") 5L));
+      ac_detail = "argument 1 of mprotect corrupted (expected 4096, got 5)"; ac_cycles = 7263 };
+    { ac_name = "corrupted, cheap path"; ac_contexts = all;
+      ac_meta = (fun p -> Hashtbl.replace p.slot_ranks (mprotect p) [ (2, false) ]);
+      ac_arm =
+        (fun _ s ->
+          before_first_trap s (fun m ->
+              Bastion.Shadow_memory.set_shadow (shadow s) ~addr:(helper_var m "prot")
+                ~value:99L));
+      ac_detail = "argument 2 of mprotect corrupted (expected 99, got 1)"; ac_cycles = 7293 };
+    { ac_name = "untraced, cheap path"; ac_contexts = ai_only;
+      ac_meta =
+        (fun p ->
+          Hashtbl.replace p.slot_ranks (cs_id p ~func:"do_exec" ~callee:"execve") [ (0, false) ]);
+      ac_arm = rop_into_execve;
+      ac_detail = "argument 0 of execve is untraced"; ac_cycles = 15573 };
+    { ac_name = "never bound, full path"; ac_contexts = ai_only; ac_meta = no_meta;
+      ac_arm = rop_into_execve;
+      ac_detail = "argument 0 of execve was never bound"; ac_cycles = 15573 };
+    { ac_name = "untraced, full path"; ac_contexts = all; ac_meta = no_meta;
+      ac_arm =
+        (fun p s ->
+          before_first_trap s (fun m ->
+              Bastion.Shadow_memory.set_binding (shadow s) ~id:(mprotect p) ~pos:2
+                ~addr:(Machine.alloc_heap m 1)));
+      ac_detail = "argument 2 of mprotect is untraced"; ac_cycles = 7301 };
+    { ac_name = "corrupted, full path"; ac_contexts = all; ac_meta = no_meta;
+      ac_arm =
+        (fun _ s ->
+          before_first_trap s (fun m ->
+              Bastion.Shadow_memory.set_shadow (shadow s) ~addr:(helper_var m "prot")
+                ~value:99L));
+      ac_detail = "argument 2 of mprotect corrupted (expected 99, got 1)"; ac_cycles = 7301 };
+    { ac_name = "extended contents corrupted"; ac_contexts = all; ac_meta = no_meta;
+      ac_arm =
+        (fun _ s ->
+          poke_at s.machine "do_exec" (fun m ->
+              let buf = Machine.global_address m "g_buf" in
+              Attacks.Primitives.plant_string m buf "/bin/sh";
+              Machine.poke m (Machine.global_address m "g_path") buf));
+      ac_detail = "extended argument contents corrupted"; ac_cycles = 25323 };
+    { ac_name = "extended contents untraced"; ac_contexts = all; ac_meta = no_meta;
+      ac_arm =
+        (fun _ s ->
+          poke_at s.machine "do_exec" (fun m ->
+              let buf = Machine.alloc_heap m 8 in
+              Attacks.Primitives.plant_string m buf "/bin/sh";
+              Machine.poke m (Machine.global_address m "g_path") buf));
+      ac_detail = "extended argument contents untraced"; ac_cycles = 25323 };
+    { ac_name = "sensitive variable corrupted"; ac_contexts = all; ac_meta = no_meta;
+      ac_arm = (fun _ s -> before_first_trap s (fun m -> Machine.poke m (helper_var m "prot") 7L));
+      ac_detail = "sensitive variable at helper+1 corrupted"; ac_cycles = 7315 };
+    { ac_name = "sensitive global corrupted"; ac_contexts = all; ac_meta = no_meta;
+      ac_arm =
+        (fun _ s ->
+          before_first_trap s (fun m -> Machine.poke m (Machine.global_address m "g_prot") 7L));
+      ac_detail = "sensitive global g_prot corrupted"; ac_cycles = 7880 };
+  ]
+
+let test_ai_denials () =
+  List.iter
+    (fun c ->
+      let p = Bastion.Api.protect (fixture ()) in
+      c.ac_meta p;
+      let s =
+        Bastion.Api.launch
+          ~monitor_config:{ Bastion.Monitor.default_config with contexts = c.ac_contexts }
+          p ()
+      in
+      c.ac_arm p s;
+      ignore (Machine.run s.machine);
+      match Bastion.Monitor.denials s.monitor with
+      | [ d ] ->
+        Alcotest.(check (pair string string))
+          (c.ac_name ^ ": denial")
+          ("argument-integrity", c.ac_detail) (d.d_context, d.d_detail);
+        Alcotest.(check int) (c.ac_name ^ ": cycles at the denial") c.ac_cycles
+          s.machine.stats.cycles
+      | ds -> Alcotest.failf "%s: expected one denial, got %d" c.ac_name (List.length ds))
+    ai_cases
+
 (* --- the §11.1 adaptive attacker ------------------------------------------ *)
 
 (* Perfect mimicry is harmless: an attacker who writes the *expected*
@@ -309,6 +505,7 @@ let suites =
           test_ai_allows_legit_rodata_path;
         Alcotest.test_case "AI requires traced callsite" `Quick
           test_ai_requires_traced_callsite;
+        Alcotest.test_case "every AI denial, pinned" `Quick test_ai_denials;
         Alcotest.test_case "adaptive mimicry is harmless (§11.1)" `Quick
           test_adaptive_mimicry_is_harmless;
         Alcotest.test_case "partial mimicry caught (§11.1)" `Quick

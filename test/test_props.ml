@@ -64,6 +64,79 @@ let prop_shadow_insert_roundtrip =
       && Bastion.Shadow_memory.insert_probe_count shadow
          >= Bastion.Shadow_memory.insert_count shadow)
 
+(* The shadow table against its boxed reference ([Testlib.Shadow_ref]):
+   after every insert or lookup the two agree on the value found, the
+   probes that lookup took, the insert-probe total, the entry count and
+   the capacity.  Keys come from a per-case pool over the whole int64
+   range: each address possibly with bit 63 flipped (negative keys and
+   bit-63 twins), binding keys, and runs of consecutive words that
+   crowd one probe run.  Values are often 0, which is a legal shadow
+   value.  Some pools hold thousands of keys, so the table grows
+   several times mid-sequence. *)
+type shadow_op = Sput of int64 * int64 | Sget of int64
+
+let gen_shadow_ops =
+  let open QCheck.Gen in
+  let value = frequency [ (1, return 0L); (3, int64) ] in
+  let binding =
+    map2 (fun id pos -> Bastion.Shadow_memory.binding_key ~id ~pos) (int_range 0 5000)
+      (int_range 0 15)
+  in
+  let run =
+    map2 (fun base n -> List.init n (Machine.Memory.addr_add base)) int64 (int_range 1 6000)
+  in
+  frequency
+    [
+      (4, pair (list_size (int_range 1 12) (oneof [ int64; binding ])) (int_range 0 80));
+      ( 1,
+        pair
+          (map3
+             (fun r bs ks -> r @ bs @ ks)
+             run (list_size (int_range 0 400) binding) (list_size (int_range 0 200) int64))
+          (int_range 2000 14000) );
+    ]
+  >>= fun (pool, n) ->
+  let pool = Array.of_list pool in
+  let key =
+    map2 (fun k flip -> if flip then Int64.logxor k Int64.min_int else k) (oneofa pool) bool
+  in
+  list_repeat n
+    (frequency
+       [ (3, map2 (fun k v -> Sput (k, v)) key value); (2, map (fun k -> Sget k) key) ])
+
+let print_shadow_op = function
+  | Sput (k, v) -> Printf.sprintf "insert %Lx %Ld" k v
+  | Sget k -> Printf.sprintf "lookup %Lx" k
+
+let prop_shadow_reference =
+  QCheck.Test.make ~count:60 ~name:"shadow table matches its boxed reference, probe for probe"
+    (QCheck.make ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops)) gen_shadow_ops)
+    (fun ops ->
+      let module S = Bastion.Shadow_memory in
+      let module R = Testlib.Shadow_ref in
+      let t = S.create () and r = R.create () in
+      List.iteri
+        (fun i op ->
+          let fail what =
+            QCheck.Test.fail_reportf "op %d (%s): %s differs from the reference" i
+              (print_shadow_op op) what
+          in
+          (match op with
+          | Sput (k, v) -> S.insert t k v; R.insert r k v
+          | Sget k ->
+            let before = S.probe_count t in
+            let found = S.find t k in
+            let want, probes = R.find_probes r k in
+            if found <> want then fail "the value found";
+            if S.probe_count t - before <> probes then fail "the lookup's probe count");
+          if S.insert_probe_count t <> r.insert_probes then fail "the insert-probe total";
+          if S.capacity t <> R.capacity r then fail "the capacity";
+          if S.entry_count t <> r.count then fail "the entry count";
+          if S.insert_count t <> r.inserts || S.lookup_count t <> r.lookups then
+            fail "an operation count")
+        ops;
+      true)
+
 let prop_binding_key_injective =
   QCheck.Test.make ~count:500 ~name:"binding_key injective over valid (id,pos)"
     QCheck.(
@@ -282,6 +355,7 @@ let suites =
           prop_shadow_model;
           prop_shadow_growth;
           prop_shadow_insert_roundtrip;
+          prop_shadow_reference;
           prop_binding_key_injective;
           prop_binding_keys_disjoint;
           prop_memory_roundtrip;
