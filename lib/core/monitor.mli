@@ -44,17 +44,22 @@ type denial = { d_sysno : int; d_context : string; d_detail : string }
     {!live_source} reads the stopped tracee over ptrace; the replay
     engine substitutes a source handing back *recorded* inputs (which
     charge identical modelled costs via [Ptrace.inject_*]), so the same
-    verification code re-judges a trace offline. *)
+    verification code re-judges a trace offline.  [span_words] is the
+    per-function slot-span length {!Ptrace.snapshot} takes. *)
 type trap_source = {
   ts_regs : Ptrace.t -> Ptrace.regs;
-  ts_snapshot :
-    Ptrace.t -> slot_span:(string -> (int * int) option) -> Ptrace.snapshot;
+  ts_snapshot : Ptrace.t -> span_words:int array -> Ptrace.snapshot;
 }
 
 val live_source : trap_source
 
+(** The deployed metadata decoded once, at {!create}, into arrays the
+    per-trap checks index by code point and by function. *)
+type image
+
 type t = {
   meta : Metadata.t;
+  image : image;
   runtime : Runtime.t;
   config : config;
   machine : Machine.t;

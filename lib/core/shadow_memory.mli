@@ -19,9 +19,27 @@ val capacity : t -> int
 (** Insert or update an entry (grows the table as needed). *)
 val insert : t -> int64 -> int64 -> unit
 
-(** Lookup returning the value and the number of probes taken. *)
-val find_probes : t -> int64 -> int64 option * int
+(** {2 Slot lookups}
 
+    What the monitor's per-trap checks use: a lookup returns the slot
+    holding its key, or -1, without allocating; {!last_probes} is the
+    number of slots it examined and {!value} reads the slot. *)
+
+(** [find_at t base off]: the slot holding the key [base + 8 off] (a
+    word address; [off] = 0 for any other key), or -1. *)
+val find_at : t -> int64 -> int -> int
+
+(** [find_bound t i]: the slot keyed by the value of slot [i] (the
+    shadow copy of the address a binding slot holds), or -1. *)
+val find_bound : t -> int -> int
+
+(** The value held in a slot a lookup returned. *)
+val value : t -> int -> int64
+
+(** Slots examined by the most recent lookup (or insert). *)
+val last_probes : t -> int
+
+(** The value of a key, if present (counts as a lookup). *)
 val find : t -> int64 -> int64 option
 
 val set_shadow : t -> addr:int64 -> value:int64 -> unit

@@ -47,6 +47,23 @@ let read t addr =
   let i = find t.cells t.mask addr (home t.mask addr) in
   if i < 0 then 0L else value t.cells i
 
+(* [find] for the address [base + 8 off], computed here rather than by
+   the caller so that it is never boxed to cross a call. *)
+let find_at t base off =
+  let a = Int64.add base (Int64.mul 8L (Int64.of_int off)) in
+  let cells = t.cells and mask = t.mask in
+  let i = ref (home mask a) in
+  while not (Int64.equal (value cells !i) 0L || Int64.equal (key cells !i) a) do
+    i := (!i + 1) land mask
+  done;
+  if Int64.equal (value cells !i) 0L then -1 else !i
+
+(** The word at [base + 8 off].  Inlined, so a caller that only
+    compares the word never boxes it. *)
+let[@inline] read_at t base off =
+  let i = find_at t base off in
+  if i < 0 then 0L else value t.cells i
+
 let grow t =
   let old = t.cells and slots = t.mask + 1 in
   t.cells <- Bytes.make (32 * slots) '\000';

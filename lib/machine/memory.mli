@@ -8,6 +8,10 @@ type t
 val create : unit -> t
 val read : t -> int64 -> int64
 
+(** [read_at t base off] is [read t (addr_add base off)]; it allocates
+    nothing, so checks that compare words one at a time use it. *)
+val read_at : t -> int64 -> int -> int64
+
 (** Writing zero unmaps the word. *)
 val write : t -> int64 -> int64 -> unit
 

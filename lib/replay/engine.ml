@@ -271,13 +271,15 @@ let compare_event st ~line (recorded : Event.t) (fresh : Event.t) =
     chk "phases" spans_str recorded.ev_spans fresh.ev_spans
   end
 
-let snapshot_of_input (i : Event.input) : Ptrace.snapshot =
+let snapshot_of_input (tracer : Ptrace.t) (i : Event.input) : Ptrace.snapshot =
+  let layout = tracer.machine.Machine.layout in
   {
     Ptrace.sn_frames =
       List.map
         (fun (f : Event.frame) ->
           {
             Ptrace.fv_func = f.f_func;
+            fv_fidx = Option.value ~default:(-1) (Machine.Layout.find_func layout f.f_func);
             fv_callsite = f.f_callsite;
             fv_args = Array.copy f.f_args;
             fv_ret_token = f.f_ret;
@@ -285,10 +287,11 @@ let snapshot_of_input (i : Event.input) : Ptrace.snapshot =
           })
         i.in_frames;
     sn_slots =
-      List.map
-        (fun (s : Event.slot_read) ->
-          (s.sr_base, { Ptrace.sl_lo = s.sr_lo; sl_span = Array.copy s.sr_span }))
-        i.in_slots;
+      Some
+        (List.map
+           (fun (s : Event.slot_read) ->
+             (s.sr_base, { Ptrace.sl_lo = s.sr_lo; sl_span = Array.copy s.sr_span }))
+           i.in_slots);
     sn_calls = 0;  (* recomputed from the shape by [inject_snapshot] *)
   }
 
@@ -309,11 +312,11 @@ let source_of st : Bastion.Monitor.trap_source =
           | None -> Ptrace.getregs tracer)
         | None -> Ptrace.getregs tracer);
     ts_snapshot =
-      (fun tracer ~slot_span ->
+      (fun tracer ~span_words ->
         match peek st with
         | Some (_, ({ Event.ev_input = Some i; _ })) ->
-          Ptrace.inject_snapshot tracer (snapshot_of_input i)
-        | _ -> Ptrace.snapshot tracer ~slot_span);
+          Ptrace.inject_snapshot tracer (snapshot_of_input tracer i)
+        | _ -> Ptrace.snapshot tracer ~span_words);
   }
 
 (* Wrap the monitor's tracer hook: run the real verification, compare
@@ -676,11 +679,11 @@ let diff_source d : Bastion.Monitor.trap_source =
           | None -> Ptrace.getregs tracer)
         | None -> Ptrace.getregs tracer);
     ts_snapshot =
-      (fun tracer ~slot_span ->
+      (fun tracer ~span_words ->
         match next tracer with
         | Some { Event.ev_input = Some i; _ } ->
-          Ptrace.inject_snapshot tracer (snapshot_of_input i)
-        | _ -> Ptrace.snapshot tracer ~slot_span);
+          Ptrace.inject_snapshot tracer (snapshot_of_input tracer i)
+        | _ -> Ptrace.snapshot tracer ~span_words);
   }
 
 (* Wrap the tracer hook: judge the trap fresh, classify the movement
