@@ -36,6 +36,11 @@ let traps_per_sec ~traps ~cycles =
 let fingerprint (m : D.measurement) =
   (m.D.m_cycles, m.D.m_traps, m.D.m_syscalls, m.D.m_metric)
 
+(* A shard's row holds only what the static placement fixes: its
+   tracees and items, and its queue's push and pop totals.  High-water
+   depth, batch count and blocked pushes depend on how fast the worker
+   pops while the feeder pushes, so they are left to `bastion run
+   --shards` and [Monitor_pool.mirror_stats]. *)
 let shard_detail (sh : Pool.shard_stats) : J.t =
   J.Obj
     [
@@ -44,10 +49,6 @@ let shard_detail (sh : Pool.shard_stats) : J.t =
       ("items", J.Num (float_of_int sh.Pool.sh_items));
       ("queue_pushed", J.Num (float_of_int sh.Pool.sh_queue.Q.q_pushed));
       ("queue_popped", J.Num (float_of_int sh.Pool.sh_queue.Q.q_popped));
-      ("queue_max_depth", J.Num (float_of_int sh.Pool.sh_queue.Q.q_max_depth));
-      ( "queue_blocked_pushes",
-        J.Num (float_of_int sh.Pool.sh_queue.Q.q_blocked_pushes) );
-      ("queue_batches", J.Num (float_of_int sh.Pool.sh_queue.Q.q_batches));
     ]
 
 let record ~(serial : D.measurement array) ~tracees app shards : J.t =
