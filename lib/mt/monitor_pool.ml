@@ -76,12 +76,15 @@ let shard_of_tracee ~shards tracee =
                       batch.  Idle thieves, loaded victims — and no
                       movement at all while nothing queues. *)
 module Plan = struct
+  (* A tracee's claim: the shard that owns its batch, and its last
+     trap's virtual finish ([unrouted] before its first trap). *)
+  type claim = { mutable cl_shard : int; mutable cl_done : int }
+
   type t = {
     pl_policy : policy;
     pl_shards : int;
     pl_clock : int array;  (* per-shard virtual completion time *)
-    pl_claim : (int, int) Hashtbl.t;  (* tracee -> owning shard *)
-    pl_done : (int, int) Hashtbl.t;  (* tracee -> last trap's finish *)
+    pl_claims : (int, claim) Hashtbl.t;  (* tracee -> its claim *)
     pl_items : int array;  (* per-shard items routed *)
     pl_busy : int array;  (* per-shard service cycles routed *)
     mutable pl_steals : int;
@@ -93,14 +96,18 @@ module Plan = struct
     d_from : int option;  (** previous claim when the batch migrated *)
   }
 
+  (* Below every arrival, so a tracee's first trap finds it quiescent;
+     real finishes are never negative (clocks start at 0 and service
+     is non-negative). *)
+  let unrouted = min_int
+
   let create ?(policy = Static) ~shards () =
     if shards < 1 then invalid_arg "Monitor_pool.Plan.create: shards < 1";
     {
       pl_policy = policy;
       pl_shards = shards;
       pl_clock = Array.make shards 0;
-      pl_claim = Hashtbl.create 32;
-      pl_done = Hashtbl.create 32;
+      pl_claims = Hashtbl.create 32;
       pl_items = Array.make shards 0;
       pl_busy = Array.make shards 0;
       pl_steals = 0;
@@ -118,17 +125,18 @@ module Plan = struct
 
   let route t ~tracee ~at ~service =
     if service < 0 then invalid_arg "Monitor_pool.Plan.route: negative service";
-    let current =
-      match Hashtbl.find_opt t.pl_claim tracee with
-      | Some s -> s
-      | None -> shard_of_tracee ~shards:t.pl_shards tracee
+    let claim =
+      match Hashtbl.find t.pl_claims tracee with
+      | c -> c
+      | exception Not_found ->
+        let c =
+          { cl_shard = shard_of_tracee ~shards:t.pl_shards tracee; cl_done = unrouted }
+        in
+        Hashtbl.add t.pl_claims tracee c;
+        c
     in
-    let had_claim = Hashtbl.mem t.pl_done tracee in
-    let quiescent =
-      match Hashtbl.find_opt t.pl_done tracee with
-      | None -> true
-      | Some d -> d <= at
-    in
+    let current = claim.cl_shard in
+    let quiescent = claim.cl_done <= at in
     let target =
       match t.pl_policy with
       | Static -> current
@@ -141,15 +149,15 @@ module Plan = struct
         end
         else current
     in
-    let migrated = had_claim && target <> current in
+    let migrated = claim.cl_done <> unrouted && target <> current in
     if migrated then begin
       t.pl_migrations <- t.pl_migrations + 1;
       if t.pl_policy = Steal then t.pl_steals <- t.pl_steals + 1
     end;
-    Hashtbl.replace t.pl_claim tracee target;
-    let start = max at t.pl_clock.(target) in
+    let start = Int.max at t.pl_clock.(target) in
     t.pl_clock.(target) <- start + service;
-    Hashtbl.replace t.pl_done tracee t.pl_clock.(target);
+    claim.cl_shard <- target;
+    claim.cl_done <- t.pl_clock.(target);
     t.pl_items.(target) <- t.pl_items.(target) + 1;
     t.pl_busy.(target) <- t.pl_busy.(target) + service;
     { d_shard = target; d_from = (if migrated then Some current else None) }

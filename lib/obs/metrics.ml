@@ -49,8 +49,9 @@ let bucket_of v =
   end
 
 let observe h v =
-  let v = max 0 v in
-  h.h_counts.(bucket_of v) <- h.h_counts.(bucket_of v) + 1;
+  let v = Int.max 0 v in
+  let b = bucket_of v in
+  h.h_counts.(b) <- h.h_counts.(b) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   if v < h.h_min then h.h_min <- v;

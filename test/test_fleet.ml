@@ -155,6 +155,54 @@ let test_fleet_phase_decomposition () =
   Alcotest.(check (float 1e-6)) "phase means sum to the service mean"
     (mean "fleet.service") parts
 
+(* The per-shard time series of a small stealing fleet, pinned row for
+   row: traps, busy cycles, queue-wait p50/p99/p99.9 and e2e p99 per
+   shard at every 30,000-cycle boundary.  The rows come from each
+   worker's own registry as it goes, so they pin the order in which a
+   shard observes its traps, not only the totals. *)
+let test_fleet_stats_rows_pinned () =
+  let t = F.build ~tracees:6 ~shards:3 in
+  let arrivals = 90 in
+  let rate = 0.9 *. F.capacity t ~arrivals in
+  let r =
+    F.run_at ~stats_interval:30_000 ~policy:Bastion_mt.Monitor_pool.Steal t ~arrivals ~rate
+  in
+  Alcotest.(check bool) "merged = serial" true r.F.rr_matches_serial;
+  Alcotest.(check int) "steals" 14 r.F.rr_steals;
+  let expected =
+    [
+      (30_000, 0, [ 6.; 32022.; 3071.5; 6978.; 6978.; 12310. ]);
+      (30_000, 1, [ 6.; 22374.; 0.; 695.; 695.; 5244. ]);
+      (30_000, 2, [ 7.; 18596.; 0.; 0.; 0.; 2979. ]);
+      (60_000, 0, [ 12.; 64251.; 8191.; 17740.; 17740.; 23309. ]);
+      (60_000, 1, [ 12.; 44167.; 0.; 695.; 695.; 5244. ]);
+      (60_000, 2, [ 12.; 31950.; 0.; 0.; 0.; 2979. ]);
+      (90_000, 0, [ 17.; 90686.; 14335.25; 27783.; 27783.; 33064. ]);
+      (90_000, 1, [ 18.; 68806.; 0.; 695.; 695.; 5244. ]);
+      (90_000, 2, [ 18.; 48285.; 0.; 0.; 0.; 2979. ]);
+      (120_000, 0, [ 23.; 122528.; 19660.6; 36839.; 36839.; 42160. ]);
+      (120_000, 1, [ 24.; 90581.; 0.; 695.; 695.; 5244. ]);
+      (120_000, 2, [ 23.; 61629.; 0.; 0.; 0.; 2979. ]);
+      (150_000, 0, [ 29.; 154334.; 24575.5; 47456.; 47456.; 52737. ]);
+      (180_000, 0, [ 34.; 180752.; 27852.1; 55685.; 55685.; 60959. ]);
+    ]
+  in
+  let fields =
+    [ "traps"; "busy_cycles"; "queue_wait_p50"; "queue_wait_p99"; "queue_wait_p999"; "e2e_p99" ]
+  in
+  let render (at, shard, vs) =
+    Printf.sprintf "t=%d shard=%d %s" at shard
+      (String.concat " " (List.map2 (Printf.sprintf "%s=%.17g") fields vs))
+  in
+  Alcotest.(check (list string)) "rows" (List.map render expected)
+    (List.map
+       (fun (row : Obs.Timeseries.row) ->
+         render
+           ( row.Obs.Timeseries.r_t,
+             row.Obs.Timeseries.r_shard,
+             List.map (fun f -> List.assoc f row.Obs.Timeseries.r_fields) fields ))
+       r.F.rr_stats)
+
 (* --- the knee detector ------------------------------------------------ *)
 
 let knee = Alcotest.(option (pair int string))
@@ -325,6 +373,8 @@ let suites =
           test_fleet_wait_grows_with_load;
         Alcotest.test_case "phase means sum to service mean" `Quick
           test_fleet_phase_decomposition;
+        Alcotest.test_case "stats rows of a stealing fleet, pinned" `Quick
+          test_fleet_stats_rows_pinned;
         Alcotest.test_case "knee detector" `Quick test_detect_knee;
       ] );
     ( "fleet-artifact",

@@ -347,6 +347,222 @@ let prop_array_sizes =
       Sil.Types.size_words env (Sil.Types.Array (ty, n))
       = n * Sil.Types.size_words env ty)
 
+(* --- the fleet's hot path against its references ------------------ *)
+
+module F = Workloads.Fleet
+module Pool = Bastion_mt.Monitor_pool
+
+(* A hand-built fleet: tracee [k] has id [ids.(k)], weight
+   [weights.(k)], offset [offsets.(k)] and a profile of [lens.(k)]
+   entries that no other tracee shares, so equal schedules mean the
+   same tracee *and* the same profile entry at every index. *)
+let fleet_of ~shards ~ids ~weights ~offsets ~lens : F.t =
+  {
+    F.f_tracees =
+      Array.mapi
+        (fun k id ->
+          {
+            F.ts_id = id;
+            ts_app = "t" ^ string_of_int k;
+            ts_weight = weights.(k);
+            ts_profile =
+              Array.init lens.(k) (fun j ->
+                  { F.tp_prefilter = 12; tp_snapshot = (k * 1000) + j; tp_ct = j mod 7;
+                    tp_cf = k mod 5; tp_ai = 0 });
+            ts_offset = offsets.(k);
+          })
+        ids;
+    f_shards = shards;
+  }
+
+let first_difference a b =
+  let n = min (Array.length a) (Array.length b) in
+  let rec go i = if i >= n then n else if a.(i) = b.(i) then go (i + 1) else i in
+  go 0
+
+let check_schedule (t : F.t) ~arrivals =
+  let got = F.schedule t ~arrivals and want = Testlib.Fleet_ref.schedule t ~arrivals in
+  if got = want then true
+  else
+    QCheck.Test.fail_reportf "%d arrivals: schedules differ first at index %d (of %d / %d)"
+      arrivals (first_difference got want) (Array.length got) (Array.length want)
+
+(* Weights 0-16 with and without zeros, fleets with a negative weight,
+   and fleets whose total is not positive; arrival counts below the
+   total weight, equal to it, and several periods past it. *)
+let gen_swrr_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 70 in
+  let* kind = int_range 0 3 in
+  let weight =
+    match kind with
+    | 0 -> int_range 1 16
+    | 1 -> frequency [ (1, return 0); (2, int_range 1 16) ]
+    | 2 -> frequency [ (1, int_range (-16) (-1)); (5, int_range 0 16) ]
+    | _ -> int_range (-16) 3
+  in
+  let* weights = array_repeat n weight in
+  let* lens = array_repeat n (int_range 1 40) in
+  let* offsets = array_repeat n (int_range 0 500) in
+  let total = Array.fold_left ( + ) 0 weights in
+  let* arrivals =
+    if total <= 0 then int_range 0 600
+    else
+      oneof
+        [
+          int_range 0 (total - 1);
+          return total;
+          map2 (fun k r -> (k * total) + r) (int_range 2 6) (int_range 0 (total - 1));
+        ]
+  in
+  return (weights, lens, offsets, arrivals)
+
+let print_swrr_case (weights, lens, _, arrivals) =
+  Printf.sprintf "%d tracees, weights [%s], lens [%s], %d arrivals" (Array.length weights)
+    (String.concat ";" (Array.to_list (Array.map string_of_int weights)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int lens)))
+    arrivals
+
+let prop_swrr_period =
+  QCheck.Test.make ~count:300 ~name:"SWRR schedule by period = the per-arrival loop"
+    (QCheck.make ~print:print_swrr_case gen_swrr_case)
+    (fun (weights, lens, offsets, arrivals) ->
+      let ids = Array.mapi (fun k _ -> (3 * k) - 7) weights in
+      check_schedule (fleet_of ~shards:2 ~ids ~weights ~offsets ~lens) ~arrivals)
+
+(* The benchmark's fleet: 64 tracees shaped like [Fleet.build] (seed 0)
+   and with each weight nudged by at most one and a random offset
+   (other seeds), over three profiles, at 40,000 arrivals. *)
+let test_swrr_period_bench_shape () =
+  let tracees = 64 and lens3 = [| 58; 103; 105 |] in
+  let lens = Array.init tracees (fun k -> lens3.(k mod 3)) in
+  let ids = Array.init tracees Fun.id in
+  let seed0 =
+    fleet_of ~shards:2 ~ids
+      ~weights:(Array.init tracees F.weight_of)
+      ~offsets:(Array.init tracees (fun k -> k * 13 mod lens.(k)))
+      ~lens
+  in
+  let st = Random.State.make [| 7 |] in
+  let nudged =
+    fleet_of ~shards:2 ~ids
+      ~weights:(Array.init tracees (fun k -> max 1 (F.weight_of k + Random.State.int st 3 - 1)))
+      ~offsets:(Array.init tracees (fun k -> Random.State.int st lens.(k)))
+      ~lens
+  in
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check bool) name true (check_schedule t ~arrivals:40_000))
+    [ ("seed-0 shape", seed0); ("nudged shape", nudged) ]
+
+(* Random trap streams through the one-table plan and the two-table
+   reference: negative tracee ids, arrivals that repeat and go
+   backwards, zero service, every policy. *)
+let gen_plan_case =
+  let open QCheck.Gen in
+  let* policy = oneofl Pool.all_policies in
+  let* shards = int_range 1 5 in
+  let* len = int_range 0 300 in
+  let* steps =
+    list_repeat len
+      (triple (int_range (-6) 12) (int_range (-40) 90)
+         (frequency [ (1, return 0); (3, int_range 1 200) ]))
+  in
+  (* Arrivals drift forwards by the step, which may be negative. *)
+  let _, stream =
+    List.fold_left
+      (fun (at, acc) (tracee, step, service) ->
+        let at = at + step in
+        (at, (tracee, at, service) :: acc))
+      (0, []) steps
+  in
+  return (policy, shards, List.rev stream)
+
+let print_plan_case (policy, shards, stream) =
+  Printf.sprintf "%s, %d shards, %d traps" (Pool.policy_name policy) shards (List.length stream)
+
+let prop_plan_one_table =
+  QCheck.Test.make ~count:300 ~name:"one-table plan routes like the two-table plan"
+    (QCheck.make ~print:print_plan_case gen_plan_case)
+    (fun (policy, shards, stream) ->
+      let plan = Pool.Plan.create ~policy ~shards () in
+      let ref_ = Testlib.Plan_ref.create ~policy ~shards in
+      List.iteri
+        (fun i (tracee, at, service) ->
+          let d = Pool.Plan.route plan ~tracee ~at ~service in
+          let shard, from = Testlib.Plan_ref.route ref_ ~tracee ~at ~service in
+          let same =
+            d.Pool.Plan.d_shard = shard
+            && d.Pool.Plan.d_from = from
+            && Pool.Plan.steals plan = ref_.pl_steals
+            && Pool.Plan.migrations plan = ref_.pl_migrations
+            && Pool.Plan.items_per_shard plan = ref_.pl_items
+            && Pool.Plan.busy_per_shard plan = ref_.pl_busy
+          in
+          if not same then
+            QCheck.Test.fail_reportf "trap %d (tracee %d at %d, service %d) routed differently"
+              i tracee at service)
+        stream;
+      true)
+
+(* Random schedules and destinations folded through the by-name
+   reference and through one sink: tracee ids that are negative or
+   sparse, tracees with weight 0 that never fire, and sometimes a shard
+   that receives no trap. *)
+let gen_registry_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 12 in
+  let* ids = array_repeat n (oneof [ int_range (-9) (-1); int_range 0 63; int_range 64 5000 ]) in
+  let* weights = array_repeat n (frequency [ (1, return 0); (3, int_range 1 9) ]) in
+  let* lens = array_repeat n (int_range 1 10) in
+  let* offsets = array_repeat n (int_range 0 20) in
+  let* shards = int_range 1 4 in
+  let* skip = int_range 0 shards in
+  let* arrivals = frequency [ (1, return 0); (9, int_range 1 400) ] in
+  let* dests =
+    array_repeat arrivals
+      (map (fun s -> if s = skip && shards > 1 then (s + 1) mod shards else s)
+         (int_range 0 (shards - 1)))
+  in
+  let* spacing = float_range 1.0 20_000.0 in
+  return (ids, weights, lens, offsets, shards, dests, spacing)
+
+let print_registry_case (ids, weights, _, _, shards, dests, spacing) =
+  Printf.sprintf "ids [%s], weights [%s], %d shards, %d arrivals, spacing %g"
+    (String.concat ";" (Array.to_list (Array.map string_of_int ids)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int weights)))
+    shards (Array.length dests) spacing
+
+let prop_fleet_registry =
+  QCheck.Test.make ~count:200 ~name:"fleet sink registry = the by-name registry"
+    (QCheck.make ~print:print_registry_case gen_registry_case)
+    (fun (ids, weights, lens, offsets, shards, dests, spacing) ->
+      let t = fleet_of ~shards ~ids ~weights ~offsets ~lens in
+      let sched = F.schedule t ~arrivals:(Array.length dests) in
+      let by_name = Obs.Metrics.create () and resolved = Obs.Metrics.create () in
+      let sink = F.sink resolved in
+      let clocks_a = Array.make shards 0 and clocks_b = Array.make shards 0 in
+      Array.iteri
+        (fun i (tracee, tp) ->
+          let shard = dests.(i) and at = F.arrival_time ~spacing i in
+          clocks_a.(shard) <-
+            Testlib.Fleet_ref.observe_trap by_name ~shard ~tracee ~at ~clock:clocks_a.(shard) tp;
+          clocks_b.(shard) <- F.observe sink ~shard ~tracee ~at ~clock:clocks_b.(shard) tp)
+        sched;
+      let names r =
+        ( List.map fst (Obs.Metrics.histogram_summaries r),
+          List.map fst (Obs.Metrics.counter_values r) )
+      in
+      if names by_name <> names resolved then
+        QCheck.Test.fail_reportf "the registries hold different names";
+      if not (Obs.Metrics.equal by_name resolved) then
+        QCheck.Test.fail_reportf "same names, different values";
+      List.iter
+        (fun (name, (s : Obs.Metrics.summary)) ->
+          if s.s_count = 0 then QCheck.Test.fail_reportf "empty histogram %s" name)
+        (Obs.Metrics.histogram_summaries resolved);
+      clocks_a = clocks_b)
+
 let suites =
   [
     ( "properties",
@@ -367,5 +583,12 @@ let suites =
           prop_layout_injective;
           prop_allowlist;
           prop_array_sizes;
+          prop_swrr_period;
+          prop_plan_one_table;
+          prop_fleet_registry;
+        ]
+      @ [
+          Alcotest.test_case "SWRR by period on the benchmark's 64-tracee fleet" `Quick
+            test_swrr_period_bench_shape;
         ] );
   ]

@@ -321,3 +321,131 @@ end
 let frame_view ?(fidx = -1) func token : Kernel.Ptrace.frame_view =
   { fv_func = func; fv_fidx = fidx; fv_callsite = 0L; fv_args = [||]; fv_ret_token = token;
     fv_base = 0L }
+
+(** The fleet's per-trap host path as it stood before each registry
+    resolved its instruments once and the schedule indexed one SWRR
+    period: every arrival runs the whole SWRR step over every tracee,
+    and every trap looks each of its fourteen instruments up by name.
+    Kept as the references the fleet laws in [test_props.ml] hold
+    {!Workloads.Fleet.schedule} and {!Workloads.Fleet.observe} to. *)
+module Fleet_ref = struct
+  module F = Workloads.Fleet
+
+  let schedule (t : F.t) ~arrivals =
+    let n = Array.length t.f_tracees in
+    let current = Array.make n 0 in
+    let total = Array.fold_left (fun acc (ts : F.tracee_spec) -> acc + ts.ts_weight) 0 t.f_tracees in
+    let fired = Array.make n 0 in
+    Array.init arrivals (fun _ ->
+        Array.iteri
+          (fun k (ts : F.tracee_spec) -> current.(k) <- current.(k) + ts.ts_weight)
+          t.f_tracees;
+        let best = ref 0 in
+        for k = 1 to n - 1 do
+          if current.(k) > current.(!best) then best := k
+        done;
+        current.(!best) <- current.(!best) - total;
+        let ts = t.f_tracees.(!best) in
+        let idx = (ts.ts_offset + fired.(!best)) mod Array.length ts.ts_profile in
+        fired.(!best) <- fired.(!best) + 1;
+        (ts.ts_id, ts.ts_profile.(idx)))
+
+  let observe_trap reg ~shard ~tracee ~at ~clock (tp : F.trap_profile) =
+    let svc = F.service tp in
+    let start = max at clock in
+    let wait = start - at in
+    let finish = start + svc in
+    let e2e = finish - at in
+    let h name = Obs.Metrics.histogram reg name in
+    let c name = Obs.Metrics.counter reg name in
+    Obs.Metrics.observe (h "fleet.queue_wait") wait;
+    Obs.Metrics.observe (h "fleet.service") svc;
+    Obs.Metrics.observe (h "fleet.e2e") e2e;
+    Obs.Metrics.observe (h "fleet.phase.prefilter") tp.tp_prefilter;
+    Obs.Metrics.observe (h "fleet.phase.snapshot") tp.tp_snapshot;
+    Obs.Metrics.observe (h "fleet.phase.ct") tp.tp_ct;
+    Obs.Metrics.observe (h "fleet.phase.cf") tp.tp_cf;
+    Obs.Metrics.observe (h "fleet.phase.ai") tp.tp_ai;
+    Obs.Metrics.observe (h (Printf.sprintf "fleet.shard%d.queue_wait" shard)) wait;
+    Obs.Metrics.observe (h (Printf.sprintf "fleet.shard%d.e2e" shard)) e2e;
+    Obs.Metrics.observe (h (Printf.sprintf "fleet.tracee%d.e2e" tracee)) e2e;
+    Obs.Metrics.incr (c "fleet.traps");
+    Obs.Metrics.incr (c (Printf.sprintf "fleet.shard%d.traps" shard));
+    Obs.Metrics.add (c (Printf.sprintf "fleet.shard%d.busy_cycles" shard)) svc;
+    finish
+end
+
+(** The trap-stream plan as it stood with two tables per tracee — its
+    claim shard and its last trap's finish — looked up five times per
+    route.  Kept as the reference the one-table plan law in
+    [test_props.ml] holds {!Bastion_mt.Monitor_pool.Plan} to. *)
+module Plan_ref = struct
+  module Pool = Bastion_mt.Monitor_pool
+
+  type t = {
+    pl_policy : Pool.policy;
+    pl_shards : int;
+    pl_clock : int array;
+    pl_claim : (int, int) Hashtbl.t;
+    pl_done : (int, int) Hashtbl.t;
+    pl_items : int array;
+    pl_busy : int array;
+    mutable pl_steals : int;
+    mutable pl_migrations : int;
+  }
+
+  let create ~policy ~shards =
+    {
+      pl_policy = policy;
+      pl_shards = shards;
+      pl_clock = Array.make shards 0;
+      pl_claim = Hashtbl.create 32;
+      pl_done = Hashtbl.create 32;
+      pl_items = Array.make shards 0;
+      pl_busy = Array.make shards 0;
+      pl_steals = 0;
+      pl_migrations = 0;
+    }
+
+  let least_loaded t ~prefer =
+    let best = ref prefer in
+    for s = 0 to t.pl_shards - 1 do
+      if t.pl_clock.(s) < t.pl_clock.(!best) then best := s
+    done;
+    !best
+
+  (* The decision as [(d_shard, d_from)]. *)
+  let route t ~tracee ~at ~service =
+    let current =
+      match Hashtbl.find_opt t.pl_claim tracee with
+      | Some s -> s
+      | None -> Pool.shard_of_tracee ~shards:t.pl_shards tracee
+    in
+    let had_claim = Hashtbl.mem t.pl_done tracee in
+    let quiescent =
+      match Hashtbl.find_opt t.pl_done tracee with None -> true | Some d -> d <= at
+    in
+    let target =
+      match t.pl_policy with
+      | Pool.Static -> current
+      | Pool.Least_loaded -> if quiescent then least_loaded t ~prefer:current else current
+      | Pool.Steal ->
+        if quiescent && t.pl_clock.(current) > at then begin
+          let thief = least_loaded t ~prefer:current in
+          if t.pl_clock.(thief) < t.pl_clock.(current) then thief else current
+        end
+        else current
+    in
+    let migrated = had_claim && target <> current in
+    if migrated then begin
+      t.pl_migrations <- t.pl_migrations + 1;
+      if t.pl_policy = Pool.Steal then t.pl_steals <- t.pl_steals + 1
+    end;
+    Hashtbl.replace t.pl_claim tracee target;
+    let start = max at t.pl_clock.(target) in
+    t.pl_clock.(target) <- start + service;
+    Hashtbl.replace t.pl_done tracee t.pl_clock.(target);
+    t.pl_items.(target) <- t.pl_items.(target) + 1;
+    t.pl_busy.(target) <- t.pl_busy.(target) + service;
+    (target, if migrated then Some current else None)
+end
