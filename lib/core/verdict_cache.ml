@@ -14,12 +14,15 @@
 
    The cache carries an epoch; entries recorded under an older epoch
    miss.  The monitor bumps the epoch whenever the metadata or the
-   seccomp filter is rebuilt. *)
+   seccomp filter is rebuilt.
+
+   A slot is two words: its key, stored unboxed in [keys], and the
+   epoch it was recorded under, -1 for a slot never recorded (epochs
+   count up from 0, so such a slot can never hit). *)
 
 type t = {
-  keys : int64 array;
-  epochs : int array;   (** epoch each slot was recorded under *)
-  valid : bool array;
+  keys : Bytes.t;       (** slot [i]'s key at byte [8 i], native endian *)
+  epochs : int array;   (** epoch each slot was recorded under; -1: never *)
   mask : int;           (** size - 1; size is a power of two *)
   mutable epoch : int;
   mutable hits : int;
@@ -35,9 +38,8 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 let create ?(size = default_size) () =
   let size = pow2_at_least (max 1 size) 1 in
   {
-    keys = Array.make size 0L;
-    epochs = Array.make size 0;
-    valid = Array.make size false;
+    keys = Bytes.make (8 * size) '\000';
+    epochs = Array.make size (-1);
     mask = size - 1;
     epoch = 0;
     hits = 0;
@@ -117,16 +119,15 @@ let index t k = Int64.to_int (Int64.logand k 0x7FFFFFFFL) land t.mask
 (** Probe for a key recorded under the current epoch. *)
 let probe t k =
   let i = index t k in
-  let hit = t.valid.(i) && Int64.equal t.keys.(i) k && t.epochs.(i) = t.epoch in
+  let hit = t.epochs.(i) = t.epoch && Int64.equal (Bytes.get_int64_ne t.keys (8 * i)) k in
   if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
   hit
 
 (** Record a key that just passed CT and CF under the current epoch. *)
 let record t k =
   let i = index t k in
-  t.keys.(i) <- k;
+  Bytes.set_int64_ne t.keys (8 * i) k;
   t.epochs.(i) <- t.epoch;
-  t.valid.(i) <- true;
   t.records <- t.records + 1
 
 (** Invalidate every cached verdict (metadata / filter rebuild). *)

@@ -563,6 +563,71 @@ let prop_fleet_registry =
         (Obs.Metrics.histogram_summaries resolved);
       clocks_a = clocks_b)
 
+(* Random operation streams against the three-array reference cache:
+   keys drawn from a small pool so slots are reused, built to collide
+   on the slot index, or equal in their low 31 bits (the index bits)
+   and different above them; epoch bumps interleaved; cache sizes that
+   are not powers of two round up alike. *)
+type cache_op = Probe of int64 | Record of int64 | Bump
+
+let gen_cache_case =
+  let open QCheck.Gen in
+  let* size = int_range 1 40 in
+  let* pool_size = int_range 1 12 in
+  let* pool =
+    list_repeat pool_size
+      (let* low = int_range 0 (4 * size) in
+       let* high = oneof [ return 0L; map Int64.of_int (int_range 1 3); ui64 ] in
+       (* [high] rides above the 31 index bits: keys equal in their
+          low 31 bits, different in the rest. *)
+       return (Int64.logor (Int64.of_int low) (Int64.shift_left high 31)))
+  in
+  let key = oneofl pool in
+  let* ops =
+    list_size (int_range 0 200)
+      (frequency
+         [ (5, map (fun k -> Probe k) key); (4, map (fun k -> Record k) key);
+           (1, return Bump) ])
+  in
+  return (size, ops)
+
+let print_cache_case (size, ops) =
+  Printf.sprintf "size %d: %s" size
+    (String.concat "; "
+       (List.map
+          (function
+            | Probe k -> Printf.sprintf "probe %Lx" k
+            | Record k -> Printf.sprintf "record %Lx" k
+            | Bump -> "bump")
+          ops))
+
+let prop_verdict_cache_reference =
+  QCheck.Test.make ~count:500 ~name:"compact verdict cache = the three-array cache"
+    (QCheck.make ~print:print_cache_case gen_cache_case)
+    (fun (size, ops) ->
+      let module V = Bastion.Verdict_cache in
+      let module R = Testlib.Verdict_cache_ref in
+      let c = V.create ~size () and r = R.create ~size in
+      List.iteri
+        (fun i op ->
+          let agree =
+            match op with
+            | Probe k -> V.probe c k = R.probe r k
+            | Record k ->
+              V.record c k;
+              R.record r k;
+              true
+            | Bump ->
+              V.bump_epoch c;
+              R.bump_epoch r;
+              true
+          in
+          if not agree then QCheck.Test.fail_reportf "op %d: probe disagrees" i)
+        ops;
+      V.size c = R.(r.mask + 1)
+      && V.hits c = r.hits && V.misses c = r.misses && V.records c = r.records
+      && V.epoch c = r.epoch)
+
 let suites =
   [
     ( "properties",
@@ -586,6 +651,7 @@ let suites =
           prop_swrr_period;
           prop_plan_one_table;
           prop_fleet_registry;
+          prop_verdict_cache_reference;
         ]
       @ [
           Alcotest.test_case "SWRR by period on the benchmark's 64-tracee fleet" `Quick

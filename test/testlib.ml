@@ -316,6 +316,47 @@ module Cache_key_ref = struct
     List.map (fun (fv : Kernel.Ptrace.frame_view) -> (fv.fv_func, fv.fv_ret_token)) frames
 end
 
+(** The verdict cache as it stood with three parallel arrays: boxed
+    keys, the epoch each slot was recorded under, and a validity flag.
+    Kept as the reference [Bastion.Verdict_cache] must agree with, hit
+    for hit: a hit skips the CT and CF checks, so the hit rule is part
+    of what a trap costs. *)
+module Verdict_cache_ref = struct
+  type t = {
+    keys : int64 array;
+    epochs : int array;
+    valid : bool array;
+    mask : int;
+    mutable epoch : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable records : int;
+  }
+
+  let create ~size =
+    let rec pow2 k = if k >= size then k else pow2 (2 * k) in
+    let size = pow2 1 in
+    { keys = Array.make size 0L; epochs = Array.make size 0; valid = Array.make size false;
+      mask = size - 1; epoch = 0; hits = 0; misses = 0; records = 0 }
+
+  let index t k = Int64.to_int (Int64.logand k 0x7FFFFFFFL) land t.mask
+
+  let probe t k =
+    let i = index t k in
+    let hit = t.valid.(i) && Int64.equal t.keys.(i) k && t.epochs.(i) = t.epoch in
+    if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    hit
+
+  let record t k =
+    let i = index t k in
+    t.keys.(i) <- k;
+    t.epochs.(i) <- t.epoch;
+    t.valid.(i) <- true;
+    t.records <- t.records + 1
+
+  let bump_epoch t = t.epoch <- t.epoch + 1
+end
+
 (** A snapshot frame for key tests: only the function (by name and
     code-image index) and the return token matter to a cache key. *)
 let frame_view ?(fidx = -1) func token : Kernel.Ptrace.frame_view =
