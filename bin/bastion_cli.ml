@@ -461,7 +461,7 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
           h_prefilter = prefilter;
           h_fingerprint =
             (match m.m_monitor with
-            | Some mon -> Bastion.Metadata.fingerprint mon.Bastion.Monitor.meta
+            | Some mon -> Bastion.Monitor.fingerprint mon
             | None -> "-");
           h_against = None;
           h_traps = List.length (Obs.Recorder.trap_events r);

@@ -37,24 +37,50 @@ let contexts_of = function
    stack garbage; bound the run and end it as soon as the goal fires. *)
 let attack_fuel = 20_000_000
 
+(* ------------------------------------------------------------------ *)
+(* The compile cache.
+
+   A victim is compiled once, as BASTION compiles a binary once: the
+   built program, its protected bundle's deployment and the bundle's
+   syscall-flow spec are pure functions of (victim, filesystem scope,
+   pre-resolution), so every run of every attack on that victim shares
+   them.  Sharded matrices fill the cache from several domains; the
+   lock makes each key compile exactly once. *)
+
+type compiled = {
+  c_prog : Sil.Prog.t;
+  c_deployment : Bastion.Api.deployment;
+  c_flow : Defenses.Flow_prefilter.spec;
+}
+
+let compiled_lock = Mutex.create ()
+let compiled_cache : (string * bool * bool, compiled) Hashtbl.t = Hashtbl.create 16
+
+let compile (attack : Attack.t) ~pre_resolve =
+  let prog = attack.a_victim.v_build () in
+  let p = Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope prog in
+  let p = if pre_resolve then Bastion_analysis.Preresolve.enrich p else p in
+  { c_prog = prog; c_deployment = Bastion.Api.deploy p;
+    c_flow = Bastion_analysis.Flowgraph.extract p }
+
+let compiled (attack : Attack.t) ~pre_resolve =
+  let key = (attack.a_victim.v_name, attack.a_fs_scope, pre_resolve) in
+  Mutex.protect compiled_lock (fun () ->
+      match Hashtbl.find_opt compiled_cache key with
+      | Some c -> c
+      | None ->
+        let c = compile attack ~pre_resolve in
+        Hashtbl.replace compiled_cache key c;
+        c)
+
 let run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ?bundle ?recorder
     ?on_session (attack : Attack.t) (config : config) : outcome =
-  let prog = attack.a_victim.v_build () in
   let machine_config = { Machine.default_config with fuel = attack_fuel } in
   let machine, process =
     match config with
-    | Undefended -> Bastion.Api.launch_unprotected ~machine_config prog
+    | Undefended ->
+      Bastion.Api.launch_unprotected ~machine_config (compiled attack ~pre_resolve).c_prog
     | _ ->
-      (* [bundle] overrides the compile pass: the differential replay
-         engine deploys a restored (possibly edited) metadata bundle
-         through the exact path a recorded attack used. *)
-      let protected_prog =
-        match bundle with
-        | Some b -> b
-        | None ->
-          let p = Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope prog in
-          if pre_resolve then Bastion_analysis.Preresolve.enrich p else p
-      in
       let monitor_config =
         {
           Bastion.Monitor.default_config with
@@ -65,13 +91,23 @@ let run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ?bundle ?recorder
              else Bastion.Monitor.Fs_off);
         }
       in
-      let session =
-        Bastion.Api.launch ~machine_config ~monitor_config ?recorder protected_prog ()
+      (* [bundle] overrides the compile pass: the differential replay
+         engine deploys a restored (possibly edited) metadata bundle
+         through the exact path a recorded attack used. *)
+      let session, protected_prog, spec =
+        match bundle with
+        | Some b ->
+          (Bastion.Api.launch ~machine_config ~monitor_config ?recorder b (), b, None)
+        | None ->
+          let c = compiled attack ~pre_resolve in
+          ( Bastion.Api.start ~machine_config ~monitor_config ?recorder c.c_deployment (),
+            c.c_deployment.bundle,
+            Some c.c_flow )
       in
       (match prefilter with
       | Some mode ->
         ignore
-          (Bastion_analysis.Flowgraph.attach ~mode protected_prog
+          (Bastion_analysis.Flowgraph.attach ?spec ~mode protected_prog
              ~monitor:session.monitor ~process:session.process)
       | None -> ());
       (* Let the replay engine reach in before execution (swap the trap
@@ -162,9 +198,10 @@ let matches_expectation (r : row) =
 let evaluate_all ?(trap_cache = true) ?(pre_resolve = false) ?recorder () =
   List.map (fun a -> evaluate ~trap_cache ~pre_resolve ?recorder a) Catalog.all
 
-(* Each attack row is a self-contained tracee (fresh protect + session
-   per configuration inside [run]), so the matrix shards cleanly: one
-   row per tracee on the monitor pool, merged back in catalog order. *)
+(* Each attack row is a self-contained tracee (a fresh session per
+   configuration inside [run], over the shared compile cache), so the
+   matrix shards cleanly: one row per tracee on the monitor pool, merged
+   back in catalog order. *)
 let evaluate_all_sharded ?(trap_cache = true) ?(pre_resolve = false) ?policy
     ~shards () =
   let attacks = Array.of_list Catalog.all in

@@ -30,9 +30,14 @@ val attack_fuel : int
     [on_session] fires once the session is built, before setup and
     execution — the replay engine's hook for swapping the monitor's
     trap source (never called for undefended runs, which have no
-    session).  [bundle] overrides the compile pass with a restored
-    (possibly edited) metadata bundle — the differential replay seam;
-    it bypasses the lint gate on purpose. *)
+    session).  Each victim is compiled once per process and filesystem
+    scope and pre-resolution setting: the built program, its bundle's
+    deployment ({!Bastion.Api.deploy}) and its syscall-flow spec are
+    cached under that key, and every run starts a fresh session from
+    them.  The cache is safe to fill from several domains at once.
+    [bundle] overrides the compile pass with a restored (possibly
+    edited) metadata bundle, launched and extracted fresh — the
+    differential replay seam; it bypasses the lint gate on purpose. *)
 val run :
   ?trap_cache:bool -> ?pre_resolve:bool ->
   ?prefilter:Kernel.Seccomp.flow_mode ->
@@ -77,8 +82,9 @@ val evaluate_all :
     on a {!Bastion_mt.Monitor_pool} of [shards] worker domains.  Rows
     come back in catalog order and must equal {!evaluate_all} verdict
     for verdict at every shard count and under every scheduler
-    [policy] (each row builds a fresh session, so no verification
-    state crosses rows or domains, wherever a row executes). *)
+    [policy] (each run starts a fresh session, so no verification
+    state crosses rows or domains, wherever a row executes; the
+    compiled victims they share are never mutated). *)
 val evaluate_all_sharded :
   ?trap_cache:bool -> ?pre_resolve:bool ->
   ?policy:Bastion_mt.Monitor_pool.policy -> shards:int ->

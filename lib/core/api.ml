@@ -97,13 +97,27 @@ type session = {
   monitor : Monitor.t;
 }
 
-(** Boot the instrumented program on a fresh machine, wire the runtime
-    library, build post-layout metadata, and attach the monitor.
-    [recorder] wires the flight recorder through the whole pipeline
-    (runtime intrinsics, monitor phase spans, legacy-counter probes);
-    observation never charges modelled cycles. *)
-let launch ?(machine_config = Machine.default_config)
-    ?(monitor_config = Monitor.default_config) ?recorder (p : protected) () : session =
+(* A deployment is what the monitor loads at start-up (§7.1): the
+   bundle's post-layout metadata, built once.  Every machine of one
+   program has the same layout, and [Metadata.load] replays the string
+   interning [Metadata.build] did, so the metadata holds on each fresh
+   machine as if built there. *)
+type deployment = { bundle : protected; meta : Metadata.t }
+
+let build_meta (p : protected) machine =
+  Metadata.build ~calltype:p.calltype ~cfg:p.cfg ~analysis:p.analysis ~inst:p.inst
+    ~pre_resolved:p.pre_resolved ~pre_resolved_ctx:p.pre_resolved_ctx
+    ~slot_ranks:p.slot_ranks ~dead_sites:p.dead_sites machine
+
+(** Build a bundle's post-layout metadata once, on a machine that never
+    runs. *)
+let deploy (p : protected) : deployment =
+  { bundle = p; meta = build_meta p (Machine.create p.inst.iprog) }
+
+(* The one session wiring: boot the instrumented program on a fresh
+   machine, wire the runtime library, obtain the metadata for that
+   machine with [meta_on], and attach the monitor. *)
+let wire ~machine_config ~monitor_config ?recorder (p : protected) meta_on : session =
   let machine = Machine.create ~config:machine_config p.inst.iprog in
   let process = Kernel.boot machine in
   let runtime = Runtime.create () in
@@ -112,14 +126,27 @@ let launch ?(machine_config = Machine.default_config)
   (match recorder with
   | Some r -> Runtime.attach_recorder runtime r
   | None -> ());
-  let meta =
-    Metadata.build ~calltype:p.calltype ~cfg:p.cfg ~analysis:p.analysis ~inst:p.inst
-      ~pre_resolved:p.pre_resolved ~pre_resolved_ctx:p.pre_resolved_ctx
-      ~slot_ranks:p.slot_ranks ~dead_sites:p.dead_sites machine
-  in
+  let meta = meta_on machine in
   let monitor = Monitor.create ?recorder ~meta ~runtime ~config:monitor_config machine in
   Monitor.attach monitor process;
   { machine; process; runtime; monitor }
+
+(** Boot a deployment on a fresh machine and attach the monitor with its
+    metadata. *)
+let start ?(machine_config = Machine.default_config)
+    ?(monitor_config = Monitor.default_config) ?recorder (d : deployment) () : session =
+  wire ~machine_config ~monitor_config ?recorder d.bundle (fun machine ->
+      Metadata.load d.meta machine;
+      d.meta)
+
+(** Boot the instrumented program on a fresh machine, wire the runtime
+    library, build post-layout metadata on that machine, and attach the
+    monitor.  [recorder] wires the flight recorder through the whole
+    pipeline (runtime intrinsics, monitor phase spans, legacy-counter
+    probes); observation never charges modelled cycles. *)
+let launch ?(machine_config = Machine.default_config)
+    ?(monitor_config = Monitor.default_config) ?recorder (p : protected) () : session =
+  wire ~machine_config ~monitor_config ?recorder p (build_meta p)
 
 (** Launch without any BASTION protection (the unprotected baseline):
     same machine and kernel, no filter, no instrumentation. *)

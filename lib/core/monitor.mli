@@ -153,6 +153,10 @@ val prefilter_resolved : t -> int
 (** Denials in chronological order. *)
 val denials : t -> denial list
 
+(** {!Metadata.fingerprint} of the deployed metadata, rendered against
+    this monitor's machine (once per metadata). *)
+val fingerprint : t -> string
+
 (** Verdict-cache statistics of the trap fast path:
     (hits, misses, hit rate). *)
 val cache_stats : t -> int * int * float

@@ -105,6 +105,7 @@ let image t = t.image
 
 let var_missing fname vid = Printf.sprintf "Layout.var_offset: %s has no var #%d" fname vid
 let func_missing fname = "Layout.func_entry: unknown function " ^ fname
+let callee_missing fname = "Prog.find_func: unknown function " ^ fname
 let global_missing gname = "Layout.global_addr: unknown global " ^ gname
 
 let slot_of (slots : int array) vid =
@@ -234,7 +235,7 @@ let build (prog : Sil.Prog.t) : t =
           | Direct name -> (
             match Hashtbl.find_opt func_index name with
             | Some j -> Direct j
-            | None -> Unknown_callee ("Prog.find_func: unknown function " ^ name))
+            | None -> Unknown_callee name)
           | Indirect op -> Indirect (operand op)
         in
         Call
@@ -321,6 +322,17 @@ let point_index t addr =
 let block_of_point t p = t.image.blocks.(t.image.point_block.(p))
 
 let find_func t fname = Hashtbl.find_opt t.func_index fname
+
+(** The decoded call instruction at a code address, if the address
+    holds one (a terminator or any other instruction is no call). *)
+let call_at t addr =
+  match point_index t addr with
+  | -1 -> None
+  | p -> (
+    let blk = block_of_point t p in
+    let i = p - blk.first_point in
+    if i >= Array.length blk.instrs then None
+    else match blk.instrs.(i) with Call c -> Some c | Assign _ | Store _ -> None)
 
 let addr_of_point t point =
   let fail () = invalid_arg "Layout.addr_of_point: unknown code point" in

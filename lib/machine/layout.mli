@@ -89,7 +89,7 @@ type rvalue =
 type target =
   | Direct of int  (** function index *)
   | Indirect of operand
-  | Unknown_callee of string
+  | Unknown_callee of string  (** a direct call to a name the program lacks *)
 
 type call = { dst : place option; target : target; args : operand array }
 
@@ -142,3 +142,11 @@ val entry_func : t -> int64 -> int
 
 (** Index of a function by name. *)
 val find_func : t -> string -> int option
+
+(** The decoded call instruction at a code address, if the address
+    holds one: what decoding the call instruction at a trap rip
+    reveals. *)
+val call_at : t -> int64 -> call option
+
+(** The message a call to the missing function [name] fails with. *)
+val callee_missing : string -> string

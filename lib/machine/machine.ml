@@ -296,7 +296,7 @@ let exec_call (t : t) (frame : frame) (blk : Layout.block) idx (c : Layout.call)
   let fi =
     match c.target with
     | Direct fi -> fi
-    | Unknown_callee msg -> invalid_arg msg
+    | Unknown_callee name -> invalid_arg (Layout.callee_missing name)
     | Indirect op ->
       t.stats.indirect_calls <- t.stats.indirect_calls + 1;
       let addr = eval t frame op in

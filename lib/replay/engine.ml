@@ -94,8 +94,7 @@ let attack_of ~id : (Attacks.Attack.t, string) result =
 
 let malformed ~file msg = raise (Trace.Malformed { file; line = 1; msg })
 
-let fingerprint_of (mon : Bastion.Monitor.t) =
-  Bastion.Metadata.fingerprint mon.Bastion.Monitor.meta
+let fingerprint_of = Bastion.Monitor.fingerprint
 
 (* ------------------------------------------------------------------ *)
 (* Recording *)

@@ -394,6 +394,177 @@ let test_ai_denials () =
       | ds -> Alcotest.failf "%s: expected one denial, got %d" c.ac_name (List.length ds))
     ai_cases
 
+(* --- every Call-Type and Control-Flow denial, pinned ---------------------- *)
+
+(* One case per [Deny] raise site of the CT and CF contexts (two for
+   the CT callsite-match site: a callee that is no syscall stub, and a
+   stub of another syscall), each reached on {!fixture} through the
+   public API: pokes into tracee memory at a chosen program point, or a
+   trap source wrapping the live one that hands the monitor a forged
+   trap rip, syscall number or unwound stack, charging exactly what the
+   live source charges.  Each case pins the exact denial and the
+   machine's cycle total when the run is killed; none is unreachable. *)
+type flow_case = {
+  fc_name : string;
+  fc_contexts : Bastion.Monitor.contexts;
+  fc_arm : Bastion.Api.protected -> Bastion.Api.session -> unit;
+  fc_denial : string * string;  (** context, detail *)
+  fc_cycles : int;
+}
+
+let ct_only = { Bastion.Monitor.ct = true; cf = false; ai = false }
+let cf_only = { Bastion.Monitor.ct = false; cf = true; ai = false }
+
+(* Locations in the instrumented program (instrumentation shifts
+   instruction indices, so they are looked up, not written down). *)
+let call_loc (p : Bastion.Api.protected) ~func ~direct =
+  match
+    List.find_opt
+      (fun ((loc : Sil.Loc.t), _, (target : Sil.Instr.call_target), _) ->
+        String.equal loc.func func
+        &&
+        match (target, direct) with
+        | Direct callee, Some name -> String.equal callee name
+        | Indirect _, None -> true
+        | Direct _, None | Indirect _, Some _ -> false)
+      (Sil.Prog.calls p.inst.iprog)
+  with
+  | Some (loc, _, _, _) -> loc
+  | None -> Alcotest.failf "%s has no such call" func
+
+let non_call_loc (p : Bastion.Api.protected) ~func =
+  match
+    List.find_opt
+      (fun ((loc : Sil.Loc.t), (ins : Sil.Instr.t)) ->
+        String.equal loc.func func
+        && match ins with Call _ -> false | Assign _ | Store _ -> true)
+      (Sil.Prog.instrs p.inst.iprog)
+  with
+  | Some (loc, _) -> loc
+  | None -> Alcotest.failf "%s has only calls" func
+
+(* A return token naming [loc] as the call it returns to: the address
+   of the code point just past it. *)
+let return_to (s : Bastion.Api.session) loc = Int64.add (Machine.instr_address s.machine loc) 8L
+
+(* Overwrite the return address of the first frame of [func], on entry. *)
+let smash_return (s : Bastion.Api.session) func token =
+  poke_at s.machine func (fun m ->
+      match Machine.frames m with
+      | frame :: _ -> Machine.poke m frame.ret_slot token
+      | [] -> ())
+
+(* Judge every trap on forged inputs derived from the live ones. *)
+let forge ?(regs = Fun.id) ?(frames = Fun.id) (s : Bastion.Api.session) =
+  let live = Bastion.Monitor.live_source in
+  Bastion.Monitor.set_source s.monitor
+    {
+      ts_regs = (fun tr -> regs (live.ts_regs tr));
+      ts_snapshot =
+        (fun tr ~span_words ->
+          let sn = live.ts_snapshot tr ~span_words in
+          { sn with sn_frames = frames sn.sn_frames });
+    }
+
+let rip_at loc (s : Bastion.Api.session) (r : Kernel.Ptrace.regs) =
+  { r with rip = Machine.instr_address s.machine loc }
+
+let flow_cases =
+  let ct detail = ("call-type", detail) and cf detail = ("control-flow", detail) in
+  [
+    { fc_name = "unknown callsite"; fc_contexts = ct_only;
+      fc_arm = (fun p s -> forge s ~regs:(rip_at (non_call_loc p ~func:"helper") s));
+      fc_denial = ct "syscall invoked from unknown callsite"; fc_cycles = 6123 };
+    { fc_name = "not directly callable"; fc_contexts = ct_only;
+      fc_arm =
+        (fun _ s ->
+          forge s ~regs:(fun r -> { r with sysno = Kernel.Syscalls.number "setuid" }));
+      fc_denial = ct "setuid is not directly-callable"; fc_cycles = 6123 };
+    { fc_name = "callee is no syscall stub"; fc_contexts = ct_only;
+      fc_arm =
+        (fun p s -> forge s ~regs:(rip_at (call_loc p ~func:"main" ~direct:(Some "helper")) s));
+      fc_denial = ct "callsite does not match trapped syscall"; fc_cycles = 6123 };
+    { fc_name = "callee is another syscall's stub"; fc_contexts = ct_only;
+      fc_arm =
+        (fun p s ->
+          forge s ~regs:(rip_at (call_loc p ~func:"do_exec" ~direct:(Some "execve")) s));
+      fc_denial = ct "callsite does not match trapped syscall"; fc_cycles = 6123 };
+    { fc_name = "not indirectly callable"; fc_contexts = ct_only;
+      fc_arm =
+        (fun _ s ->
+          poke_at s.machine "main" (fun m ->
+              Machine.poke m (Machine.global_address m "g_fp")
+                (Machine.function_address m "mprotect")));
+      fc_denial = ct "mprotect is not indirectly-callable"; fc_cycles = 12221 };
+    { fc_name = "rip is no call instruction"; fc_contexts = cf_only;
+      fc_arm =
+        (fun _ s ->
+          forge s ~regs:(fun r ->
+              { r with
+                rip =
+                  Machine.Layout.addr_of_point s.machine.layout
+                    (Machine.Layout.Term_of ("helper", "entry")) }));
+      fc_denial = cf "trap rip is not a call instruction"; fc_cycles = 7223 };
+    { fc_name = "callsite outside the CFG metadata"; fc_contexts = cf_only;
+      fc_arm =
+        (fun p s -> forge s ~regs:(rip_at (call_loc p ~func:"main" ~direct:(Some "helper")) s));
+      fc_denial = cf "callsite is not in the CFG metadata"; fc_cycles = 7229 };
+    { fc_name = "stack top elsewhere"; fc_contexts = cf_only;
+      fc_arm =
+        (fun p s ->
+          forge s ~regs:(rip_at (call_loc p ~func:"do_exec" ~direct:(Some "execve")) s));
+      fc_denial = cf "stack top does not match the trapping callsite"; fc_cycles = 7229 };
+    { fc_name = "stack bottoms out early"; fc_contexts = cf_only;
+      fc_arm =
+        (fun _ s ->
+          forge s ~frames:(function
+            | (top : Kernel.Ptrace.frame_view) :: rest -> { top with fv_ret_token = None } :: rest
+            | [] -> []));
+      fc_denial = cf "stack bottoms out in helper, not in main"; fc_cycles = 7235 };
+    { fc_name = "return address off the code"; fc_contexts = cf_only;
+      fc_arm = (fun _ s -> smash_return s "helper" 0x10L);
+      fc_denial = cf "return address does not map to a callsite"; fc_cycles = 7235 };
+    { fc_name = "caller is not the next frame"; fc_contexts = cf_only;
+      fc_arm =
+        (fun p s ->
+          smash_return s "helper"
+            (return_to s (call_loc p ~func:"do_exec" ~direct:(Some "execve"))));
+      fc_denial = cf "unwound caller does not match the next frame"; fc_cycles = 7235 };
+    { fc_name = "illegitimate indirect call"; fc_contexts = cf_only;
+      fc_arm =
+        (fun p s -> smash_return s "do_exec" (return_to s (call_loc p ~func:"main" ~direct:None)));
+      fc_denial = cf "illegitimate indirect call on the stack"; fc_cycles = 21685 };
+    { fc_name = "invalid direct caller"; fc_contexts = cf_only;
+      fc_arm =
+        (fun p s ->
+          smash_return s "helper"
+            (return_to s (call_loc p ~func:"main" ~direct:(Some "do_exec"))));
+      fc_denial = cf "main:entry:11 is not a valid caller of helper"; fc_cycles = 7235 };
+    { fc_name = "return site is no call"; fc_contexts = cf_only;
+      fc_arm = (fun p s -> smash_return s "helper" (return_to s (non_call_loc p ~func:"main")));
+      fc_denial = cf "unwound return site is not a callsite"; fc_cycles = 7235 };
+  ]
+
+let test_flow_denials () =
+  List.iter
+    (fun c ->
+      let p = Bastion.Api.protect (fixture ()) in
+      let s =
+        Bastion.Api.launch
+          ~monitor_config:{ Bastion.Monitor.default_config with contexts = c.fc_contexts }
+          p ()
+      in
+      c.fc_arm p s;
+      ignore (Machine.run s.machine);
+      match Bastion.Monitor.denials s.monitor with
+      | [ d ] ->
+        Alcotest.(check (pair string string))
+          (c.fc_name ^ ": denial") c.fc_denial (d.d_context, d.d_detail);
+        Alcotest.(check int) (c.fc_name ^ ": cycles at the denial") c.fc_cycles
+          s.machine.stats.cycles
+      | ds -> Alcotest.failf "%s: expected one denial, got %d" c.fc_name (List.length ds))
+    flow_cases
+
 (* --- the §11.1 adaptive attacker ------------------------------------------ *)
 
 (* Perfect mimicry is harmless: an attacker who writes the *expected*
@@ -506,6 +677,7 @@ let suites =
         Alcotest.test_case "AI requires traced callsite" `Quick
           test_ai_requires_traced_callsite;
         Alcotest.test_case "every AI denial, pinned" `Quick test_ai_denials;
+        Alcotest.test_case "every CT and CF denial, pinned" `Quick test_flow_denials;
         Alcotest.test_case "adaptive mimicry is harmless (§11.1)" `Quick
           test_adaptive_mimicry_is_harmless;
         Alcotest.test_case "partial mimicry caught (§11.1)" `Quick

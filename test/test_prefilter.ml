@@ -193,7 +193,7 @@ let monitored_defenses =
 
 let fingerprint (m : Drivers.measurement) =
   match m.Drivers.m_monitor with
-  | Some mon -> Bastion.Metadata.fingerprint mon.Bastion.Monitor.meta
+  | Some mon -> Bastion.Monitor.fingerprint mon
   | None -> "-"
 
 (* Deploying the pre-filter must never change what the monitor judges
