@@ -71,9 +71,7 @@ golden:
 # divergence (the offline re-verification gate).
 replay-golden:
 	dune build bin/bastion_cli.exe
-	for t in test/golden/*.jsonl; do \
-	  dune exec bin/bastion_cli.exe -- replay $$t --strict || exit 1; \
-	done
+	dune exec bin/bastion_cli.exe -- replay test/golden/*.jsonl --strict
 
 # Differentially replay the whole golden corpus against the in-tree
 # compile pass: the regression oracle.  Exits non-zero on any verdict

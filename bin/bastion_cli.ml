@@ -60,32 +60,54 @@ let verbose_arg =
 
 (* --- shared argument parsers ----------------------------------------- *)
 
-let app_names = [ "nginx"; "sqlite"; "vsftpd" ]
-
-let prog_of_name = function
-  | "nginx" -> Workloads.Nginx_model.build Workloads.Nginx_model.default
-  | "sqlite" -> Workloads.Sqlite_model.build Workloads.Sqlite_model.default
-  | "vsftpd" -> Workloads.Vsftpd_model.build Workloads.Vsftpd_model.default
-  | s -> invalid_arg ("unknown app: " ^ s)
+(* Names resolve through the replay engine's registries, the tables a
+   trace header's keys are read back with. *)
+module Engine = Bastion_replay.Engine
 
 let app_arg =
   Arg.(
     required
-    & opt (some (enum (List.map (fun a -> (a, a)) app_names))) None
+    & opt (some (enum (List.map (fun a -> (a, a)) Engine.apps))) None
     & info [ "app" ] ~docv:"APP" ~doc:"Application model (nginx, sqlite, vsftpd).")
 
+(* The default-scale program of an [app_arg] name. *)
+let prog_of_name name =
+  Lazy.force (Result.get_ok (Engine.app_of ~name ~scale:"default")).prog
+
+(* [fs-off] only keeps the registry total over the drivers' defenses;
+   the command line does not offer it. *)
 let defenses =
-  [
-    ("vanilla", Workloads.Drivers.Vanilla);
-    ("cfi", Workloads.Drivers.Llvm_cfi);
-    ("cet", Workloads.Drivers.Cet_only);
-    ("ct", Workloads.Drivers.Bastion_ct);
-    ("ct-cf", Workloads.Drivers.Bastion_ct_cf);
-    ("full", Workloads.Drivers.Bastion_full);
-    ("fs-hook", Workloads.Drivers.Bastion_fs Bastion.Monitor.Fs_hook_only);
-    ("fs-fetch", Workloads.Drivers.Bastion_fs Bastion.Monitor.Fs_fetch_only);
-    ("fs-full", Workloads.Drivers.Bastion_fs Bastion.Monitor.Fs_full);
-  ]
+  List.filter (fun (key, _) -> not (String.equal key "fs-off")) Engine.defenses
+
+(* The --scheduler parser, shared by `run` and `fleet`: a placement
+   policy, wrapped by [policy], or one of [extra]'s named values. *)
+let scheduler_conv ~policy ~extra =
+  let module Pool = Bastion_mt.Monitor_pool in
+  let named =
+    List.map (fun p -> (Pool.policy_name p, policy p)) Pool.all_policies @ extra
+  in
+  let parse s =
+    match (Pool.policy_of_string s, List.assoc_opt s extra) with
+    | Some p, _ -> Ok (policy p)
+    | None, Some v -> Ok v
+    | None, None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown scheduler %S (%s)" s
+             (String.concat "|" (List.map fst named))))
+  in
+  let print ppf v =
+    Format.pp_print_string ppf (fst (List.find (fun (_, v') -> v' = v) named))
+  in
+  Arg.conv (parse, print)
+
+(* The --stats / --stats-interval pairing, shared by `run` and `fleet`. *)
+let check_stats stats stats_interval =
+  match (stats, stats_interval) with
+  | Some _, None -> `Error (false, "--stats FILE needs --stats-interval CYCLES")
+  | _, Some iv when iv <= 0 ->
+    `Error (false, "--stats-interval must be a positive cycle count")
+  | _ -> `Ok ()
 
 (* --- analyze ---------------------------------------------------------- *)
 
@@ -240,21 +262,6 @@ let lint_cmd =
 
 (* --- run -------------------------------------------------------------- *)
 
-(* The --scheduler option, shared by `run` and `fleet`. *)
-let scheduler_conv =
-  let parse s =
-    match Bastion_mt.Monitor_pool.policy_of_string s with
-    | Some p -> Ok p
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown scheduler %S (static|least-loaded|steal)" s))
-  in
-  let print ppf p =
-    Format.pp_print_string ppf (Bastion_mt.Monitor_pool.policy_name p)
-  in
-  Cmdliner.Arg.conv (parse, print)
-
 (* Sharded mode: N tracees over a monitor pool of worker domains.  Each
    tracee is a full session run on its owning shard; the report is the
    modelled makespan (heaviest shard) against the serial cycle sum.
@@ -345,16 +352,15 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
   let prefilter =
     if no_prefilter then None else Some Kernel.Seccomp.Flow_tiered
   in
-  match Bastion_replay.Engine.app_of ~name:app ~scale with
+  match Engine.app_of ~name:app ~scale with
   | Error msg -> `Error (false, msg)
   | Ok a ->
   if shards < 1 then `Error (false, "--shards must be >= 1")
   else if tracees < 0 then `Error (false, "--tracees must be >= 1")
-  else if stats <> None && stats_interval = None then
-    `Error (false, "--stats FILE needs --stats-interval CYCLES")
-  else if (match stats_interval with Some iv -> iv <= 0 | None -> false) then
-    `Error (false, "--stats-interval must be a positive cycle count")
-  else if
+  else match check_stats stats stats_interval with
+  | `Error _ as e -> e
+  | `Ok () ->
+  if
     scheduler <> Bastion_mt.Monitor_pool.Static
     && (trace <> None || stats_interval <> None)
   then
@@ -378,7 +384,8 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
          ring would break the trace's seq contiguity and the replay
          reader would reject the file. *)
       let ring_capacity =
-        if audit <> None then 1 lsl 21 else Obs.Recorder.default_ring_capacity
+        if audit <> None then Engine.recording_ring_capacity
+        else Obs.Recorder.default_ring_capacity
       in
       Some (Obs.Recorder.create ~tracing ~metrics ~ring_capacity ())
     else None
@@ -437,8 +444,8 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
          full monitor%s\n"
         resolved fallthroughs
         (if kills > 0 then Printf.sprintf ", %d killed" kills else ""));
-  (match recorder with
-  | None -> ()
+  match recorder with
+  | None -> `Ok ()
   | Some r ->
     (match trace with
     | Some path ->
@@ -448,34 +455,20 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
         (let d = Obs.Recorder.events_dropped r in
          if d > 0 then Printf.sprintf ", %d dropped" d else "")
     | None -> ());
-    (match audit with
-    | Some path ->
-      let header =
-        {
-          Bastion_replay.Trace.h_version = Bastion_replay.Trace.current_version;
-          h_kind =
-            Bastion_replay.Trace.Run
-              { app; defense = Bastion_replay.Engine.defense_key defense; scale };
-          h_trap_cache = trap_cache;
-          h_pre_resolve = pre_resolve;
-          h_prefilter = prefilter;
-          h_fingerprint =
-            (match m.m_monitor with
-            | Some mon -> Bastion.Monitor.fingerprint mon
-            | None -> "-");
-          h_against = None;
-          h_traps = List.length (Obs.Recorder.trap_events r);
-          h_cycles = m.m_cycles;
-        }
-      in
-      let dropped = Obs.Recorder.events_dropped r in
-      if dropped > 0 then
-        Logs.warn (fun f ->
-            f "audit ring dropped %d events; %s will not replay" dropped path);
-      Obs.Recorder.write_jsonl
-        ~header:(Bastion_replay.Trace.header_to_json header) r path;
-      Printf.printf "  audit log : %s (%d traps)\n" path header.h_traps
-    | None -> ());
+    let audited =
+      match audit with
+      | Some path -> (
+        match
+          Engine.write_run ~recorder:r ~path ~app ~scale ~trap_cache ~pre_resolve
+            ~prefilter m
+        with
+        | header ->
+          Printf.printf "  audit log : %s (%d traps)\n" path
+            header.Bastion_replay.Trace.h_traps;
+          `Ok ()
+        | exception Failure msg -> `Error (false, msg))
+      | None -> `Ok ()
+    in
     (match stats_interval with
     | Some interval ->
       let rows =
@@ -494,14 +487,14 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
         Printf.printf "  stats     : %s (%d rows)\n" path (List.length rows)
       | None -> print_string (Obs.Timeseries.render rows))
     | None -> ());
-    if metrics then print_string (Obs.Recorder.summary_table r));
-  `Ok ()
+    if metrics then print_string (Obs.Recorder.summary_table r);
+    audited
   end
 
 let scale_arg =
   Arg.(
     value
-    & opt (enum (List.map (fun s -> (s, s)) Bastion_replay.Engine.scales)) "default"
+    & opt (enum (List.map (fun s -> (s, s)) Engine.scales)) "default"
     & info [ "scale" ] ~docv:"SCALE"
         ~doc:"Workload scale: default (paper-shaped) or small (a few hundred \
               traps; the golden-trace corpus scale).")
@@ -594,7 +587,7 @@ let run_cmd =
   let scheduler =
     Arg.(
       value
-      & opt scheduler_conv Bastion_mt.Monitor_pool.Static
+      & opt (scheduler_conv ~policy:Fun.id ~extra:[]) Bastion_mt.Monitor_pool.Static
       & info [ "scheduler" ] ~docv:"POLICY"
           ~doc:"Placement policy for sharded mode: $(b,static) (pin tracees \
                 to their home shard), $(b,least-loaded), or $(b,steal) (idle \
@@ -642,11 +635,9 @@ let run_fleet verbose tracees shards arrivals points scheduler json stats
   else if shards < 1 then `Error (false, "--shards must be >= 1")
   else if arrivals < 1 then `Error (false, "--arrivals must be >= 1")
   else if points < 2 then `Error (false, "--points must be >= 2")
-  else if stats <> None && stats_interval = None then
-    `Error (false, "--stats FILE needs --stats-interval CYCLES")
-  else if (match stats_interval with Some iv -> iv <= 0 | None -> false) then
-    `Error (false, "--stats-interval must be a positive cycle count")
-  else begin
+  else match check_stats stats stats_interval with
+  | `Error _ as e -> e
+  | `Ok () ->
     (* --scheduler all sweeps every policy over one fleet; a single
        policy keeps the old one-sweep shape.  Either way the JSON is a
        schema-v2 document (`policies` array). *)
@@ -699,7 +690,6 @@ let run_fleet verbose tracees shards arrivals points scheduler json stats
       | None -> print_string (Obs.Timeseries.render rows))
     | None -> ());
     `Ok ()
-  end
 
 let fleet_cmd =
   let tracees =
@@ -728,28 +718,11 @@ let fleet_cmd =
                 the modelled capacity.")
   in
   let scheduler =
-    let sched_conv =
-      let parse s =
-        if String.equal s "all" then Ok `All
-        else
-          match Bastion_mt.Monitor_pool.policy_of_string s with
-          | Some p -> Ok (`One p)
-          | None ->
-            Error
-              (`Msg
-                (Printf.sprintf
-                   "unknown scheduler %S (static|least-loaded|steal|all)" s))
-      in
-      let print ppf = function
-        | `All -> Format.pp_print_string ppf "all"
-        | `One p ->
-          Format.pp_print_string ppf (Bastion_mt.Monitor_pool.policy_name p)
-      in
-      Arg.conv (parse, print)
-    in
     Arg.(
       value
-      & opt sched_conv (`One Bastion_mt.Monitor_pool.Static)
+      & opt
+          (scheduler_conv ~policy:(fun p -> `One p) ~extra:[ ("all", `All) ])
+          (`One Bastion_mt.Monitor_pool.Static)
       & info [ "scheduler" ] ~docv:"POLICY"
           ~doc:"Placement policy for the sweep: $(b,static), \
                 $(b,least-loaded), $(b,steal), or $(b,all) for the full \
@@ -935,15 +908,6 @@ let fleet_summary_cmd =
 
 (* --- attack ----------------------------------------------------------- *)
 
-let attack_configs =
-  [
-    ("none", Attacks.Runner.Undefended);
-    ("ct", Attacks.Runner.Only_ct);
-    ("cf", Attacks.Runner.Only_cf);
-    ("ai", Attacks.Runner.Only_ai);
-    ("full", Attacks.Runner.Full_bastion);
-  ]
-
 let print_row (row : Attacks.Runner.row) =
   let f o = match o with
     | Attacks.Runner.Blocked _ -> "blocked"
@@ -981,7 +945,7 @@ let run_attack verbose id all config shards audit =
     | Some attack_id, Some cfg when cfg <> Attacks.Runner.Undefended -> (
       try
         let outcome =
-          Bastion_replay.Engine.record_attack ~attack_id ~config:cfg ~path ()
+          Engine.record_attack ~attack_id ~config:cfg ~path ()
         in
         Printf.printf "%-22s %-10s %s\n" attack_id
           (Attacks.Runner.config_name cfg)
@@ -1047,7 +1011,7 @@ let attack_cmd =
   let config =
     Arg.(
       value
-      & opt (some (enum attack_configs)) None
+      & opt (some (enum Engine.configs)) None
       & info [ "config" ] ~docv:"CONFIG"
           ~doc:"Run under one configuration only (none, ct, cf, ai, full); default: all five.")
   in
@@ -1088,15 +1052,15 @@ let replay_trace verbose files strict json against diff_out =
     let traces = List.map Bastion_replay.Trace.read_file files in
     match against with
     | None ->
-      let reports = List.map (Bastion_replay.Engine.replay ~strict) traces in
+      let reports = List.map (Engine.replay ~strict) traces in
       (match json with
       | Some path ->
         Report.Json.to_file path
-          (json_of_reports Bastion_replay.Engine.report_to_json reports)
+          (json_of_reports Engine.report_to_json reports)
       | None -> ());
-      List.iter (fun r -> print_string (Bastion_replay.Engine.render r)) reports;
+      List.iter (fun r -> print_string (Engine.render r)) reports;
       let bad =
-        List.filter (fun r -> not (Bastion_replay.Engine.ok r)) reports
+        List.filter (fun r -> not (Engine.ok r)) reports
       in
       if bad = [] then `Ok ()
       else
@@ -1111,22 +1075,22 @@ let replay_trace verbose files strict json against diff_out =
           match spec with
           | "current" -> None
           | file ->
-            let base = Bastion_replay.Engine.base_bundle tr in
+            let base = Engine.base_bundle tr in
             Some (Bastion.Metadata_io.load ~file base.inst.iprog)
         in
-        Bastion_replay.Engine.diff_replay ?against tr
+        Engine.diff_replay ?against tr
       in
       let reports = List.map diff_one traces in
       (match diff_out with
       | Some path ->
         Report.Json.to_file path
-          (json_of_reports Bastion_replay.Engine.diff_report_to_json reports)
+          (json_of_reports Engine.diff_report_to_json reports)
       | None -> ());
       List.iter
-        (fun r -> print_string (Bastion_replay.Engine.render_diff r))
+        (fun r -> print_string (Engine.render_diff r))
         reports;
       let bad =
-        List.filter (fun r -> not (Bastion_replay.Engine.diff_ok r)) reports
+        List.filter (fun r -> not (Engine.diff_ok r)) reports
       in
       if bad = [] then `Ok ()
       else
@@ -1197,7 +1161,7 @@ let replay_cmd =
 
 let list_all () =
   print_endline "applications:";
-  List.iter (Printf.printf "  %s\n") app_names;
+  List.iter (Printf.printf "  %s\n") Engine.apps;
   print_endline "defenses:";
   List.iter (fun (n, _) -> Printf.printf "  %s\n" n) defenses;
   Printf.printf "attacks (%d):\n" Attacks.Catalog.count;

@@ -73,6 +73,9 @@ let compiled (attack : Attack.t) ~pre_resolve =
         Hashtbl.replace compiled_cache key c;
         c)
 
+let compiled_bundle attack ~pre_resolve =
+  (compiled attack ~pre_resolve).c_deployment.bundle
+
 let run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ?bundle ?recorder
     ?on_session (attack : Attack.t) (config : config) : outcome =
   let machine_config = { Machine.default_config with fuel = attack_fuel } in

@@ -45,6 +45,12 @@ val run :
   ?on_session:(Bastion.Api.session -> unit) ->
   Attack.t -> config -> outcome
 
+(** The protected bundle {!run} deploys for [attack] at this
+    pre-resolution setting, from the compile cache (compiling on first
+    use).  The bundle is shared with every later run: read it, never
+    mutate it. *)
+val compiled_bundle : Attack.t -> pre_resolve:bool -> Bastion.Api.protected
+
 (** One evaluated Table 6 row, extended with the tiered deployment's
     two extra configurations. *)
 type row = {

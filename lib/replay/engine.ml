@@ -9,10 +9,13 @@
    stack snapshot is *injected from the trace* (charging identical
    modelled costs via [Ptrace.inject_*]) instead of read from the
    tracee.  The monitor re-judges each trap on its real verification
-   path; a wrapped tracer hook compares the fresh event against the
-   recorded one and then returns the *recorded* verdict, so control
+   path; a wrapped tracer hook hands the fresh event to the replay
+   mode's judge and then follows the *recorded* verdict, so control
    flow always follows the recorded run and one corrupted record
-   cannot derail the comparison of everything after it. *)
+   cannot derail the comparison of everything after it.  Strict and
+   differential replay share that one re-execution core; they differ
+   only in when a recorded trap stands for the live one and in what
+   they make of each fresh judgement. *)
 
 module Drivers = Workloads.Drivers
 module Runner = Attacks.Runner
@@ -20,11 +23,11 @@ module Event = Obs.Event
 module Ptrace = Kernel.Ptrace
 
 (* ------------------------------------------------------------------ *)
-(* Name registries.  The header stores short stable keys; recording
-   and replay resolve them through the same tables, so both sides
-   always build the same run. *)
+(* Name registries.  The header stores short stable keys; recording,
+   replay and the CLI resolve them through the same tables, so every
+   side always builds the same run. *)
 
-let defense_table =
+let defenses =
   [
     ("vanilla", Drivers.Vanilla);
     ("cfi", Drivers.Llvm_cfi);
@@ -39,12 +42,11 @@ let defense_table =
   ]
 
 let defense_key (d : Drivers.defense) : string =
-  fst (List.find (fun (_, d') -> d' = d) defense_table)
+  fst (List.find (fun (_, d') -> d' = d) defenses)
 
-let defense_of_key key =
-  Option.map snd (List.find_opt (fun (k, _) -> String.equal k key) defense_table)
+let defense_of_key key = List.assoc_opt key defenses
 
-let config_table =
+let configs =
   [
     ("none", Runner.Undefended);
     ("ct", Runner.Only_ct);
@@ -54,35 +56,43 @@ let config_table =
   ]
 
 let config_key (c : Runner.config) : string =
-  fst (List.find (fun (_, c') -> c' = c) config_table)
+  fst (List.find (fun (_, c') -> c' = c) configs)
 
-let config_of_key key =
-  Option.map snd (List.find_opt (fun (k, _) -> String.equal k key) config_table)
+let config_of_key key = List.assoc_opt key configs
 
 let scales = [ "default"; "small" ]
 
-(* Golden-corpus scale: the models' [small] parameter sets — small
-   enough to check in and to replay in a unit test, large enough to
-   exercise accept/read/write/mprotect and the verdict cache.  Shared
-   with the fleet harness, which harvests its per-trap service
-   profiles from the same runs. *)
-let nginx_small = Workloads.Nginx_model.small
-let sqlite_small = Workloads.Sqlite_model.small
-let vsftpd_small = Workloads.Vsftpd_model.small
+(* Each application model at both scales.  [small] is the golden-corpus
+   scale: the models' [small] parameter sets — small enough to check in
+   and to replay in a unit test, large enough to exercise
+   accept/read/write/mprotect and the verdict cache. *)
+let app_table : (string * (small:bool -> Drivers.app)) list =
+  [
+    ( "nginx",
+      fun ~small ->
+        if small then Drivers.nginx ~params:Workloads.Nginx_model.small ()
+        else Drivers.nginx () );
+    ( "sqlite",
+      fun ~small ->
+        if small then Drivers.sqlite ~params:Workloads.Sqlite_model.small ()
+        else Drivers.sqlite () );
+    ( "vsftpd",
+      fun ~small ->
+        if small then Drivers.vsftpd ~params:Workloads.Vsftpd_model.small ()
+        else Drivers.vsftpd () );
+  ]
+
+let apps = List.map fst app_table
 
 let app_of ~name ~scale : (Drivers.app, string) result =
   if not (List.mem scale scales) then
     Error (Printf.sprintf "unknown scale %S (known: %s)" scale
              (String.concat ", " scales))
   else
-    match (name, scale) with
-    | "nginx", "default" -> Ok (Drivers.nginx ())
-    | "nginx", "small" -> Ok (Drivers.nginx ~params:nginx_small ())
-    | "sqlite", "default" -> Ok (Drivers.sqlite ())
-    | "sqlite", "small" -> Ok (Drivers.sqlite ~params:sqlite_small ())
-    | "vsftpd", "default" -> Ok (Drivers.vsftpd ())
-    | "vsftpd", "small" -> Ok (Drivers.vsftpd ~params:vsftpd_small ())
-    | _ -> Error (Printf.sprintf "unknown app %S (known: nginx, sqlite, vsftpd)" name)
+    match List.assoc_opt name app_table with
+    | Some build -> Ok (build ~small:(String.equal scale "small"))
+    | None ->
+      Error (Printf.sprintf "unknown app %S (known: %s)" name (String.concat ", " apps))
 
 let attack_of ~id : (Attacks.Attack.t, string) result =
   match
@@ -94,7 +104,17 @@ let attack_of ~id : (Attacks.Attack.t, string) result =
 
 let malformed ~file msg = raise (Trace.Malformed { file; line = 1; msg })
 
-let fingerprint_of = Bastion.Monitor.fingerprint
+(* The one way a header key fails: it names nothing this build knows,
+   so the trace is refused at its header line. *)
+let resolved ~file = function Ok v -> v | Error msg -> malformed ~file msg
+
+let known what of_key key =
+  Option.to_result ~none:(Printf.sprintf "unknown %s %S" what key) (of_key key)
+
+(* The deployed metadata's fingerprint; "-" for a run without a monitor. *)
+let fingerprint_of = function
+  | Some mon -> Bastion.Monitor.fingerprint mon
+  | None -> "-"
 
 (* ------------------------------------------------------------------ *)
 (* Recording *)
@@ -105,7 +125,14 @@ let fingerprint_of = Bastion.Monitor.fingerprint
    reject the file). *)
 let recording_ring_capacity = 1 lsl 21
 
-let write_trace ~recorder ~header ~path =
+let recording_recorder () =
+  Obs.Recorder.create ~tracing:true ~ring_capacity:recording_ring_capacity ()
+
+(* The one header builder and writer: the recorded configuration, the
+   deployed monitor's fingerprint and the stream's totals, written only
+   if the ring kept every event. *)
+let write_trace ~recorder ~path ~trap_cache ~pre_resolve ~prefilter ~monitor
+    ~cycles kind : Trace.header =
   let dropped = Obs.Recorder.events_dropped recorder in
   if dropped > 0 then
     failwith
@@ -113,80 +140,230 @@ let write_trace ~recorder ~header ~path =
          "recording dropped %d events (ring too small); refusing to write an \
           unreplayable trace to %s"
          dropped path);
-  Obs.Recorder.write_jsonl ~header:(Trace.header_to_json header) recorder path
-
-let record_run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ~app
-    ~scale ~defense ~path () : Drivers.measurement =
-  let a =
-    match app_of ~name:app ~scale with
-    | Ok a -> a
-    | Error msg -> malformed ~file:path msg
-  in
-  let recorder =
-    Obs.Recorder.create ~tracing:true ~ring_capacity:recording_ring_capacity ()
-  in
-  let m = Drivers.run ~trap_cache ~pre_resolve ?prefilter ~recorder a defense in
   let header =
     {
       Trace.h_version = Trace.current_version;
-      h_kind = Trace.Run { app; defense = defense_key defense; scale };
+      h_kind = kind;
       h_trap_cache = trap_cache;
       h_pre_resolve = pre_resolve;
       h_prefilter = prefilter;
-      h_fingerprint =
-        (match m.Drivers.m_monitor with
-        | Some mon -> fingerprint_of mon
-        | None -> "-");
+      h_fingerprint = fingerprint_of monitor;
       h_against = None;
       h_traps = List.length (Obs.Recorder.trap_events recorder);
-      h_cycles = m.Drivers.m_cycles;
+      h_cycles = cycles;
     }
   in
-  write_trace ~recorder ~header ~path;
+  Obs.Recorder.write_jsonl ~header:(Trace.header_to_json header) recorder path;
+  header
+
+let write_run ~recorder ~path ~app ~scale ~trap_cache ~pre_resolve ~prefilter
+    (m : Drivers.measurement) =
+  write_trace ~recorder ~path ~trap_cache ~pre_resolve ~prefilter
+    ~monitor:m.m_monitor ~cycles:m.m_cycles
+    (Trace.Run { app; defense = defense_key m.m_defense; scale })
+
+let record_run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ~app
+    ~scale ~defense ~path () : Drivers.measurement =
+  let a = resolved ~file:path (app_of ~name:app ~scale) in
+  let recorder = recording_recorder () in
+  let m = Drivers.run ~trap_cache ~pre_resolve ?prefilter ~recorder a defense in
+  ignore (write_run ~recorder ~path ~app ~scale ~trap_cache ~pre_resolve ~prefilter m);
   m
 
 let record_attack ?(trap_cache = true) ?(pre_resolve = false) ?prefilter
     ~attack_id ~config ~path () : Runner.outcome =
-  (match config with
-  | Runner.Undefended ->
-    malformed ~file:path "undefended attack runs have no monitor to record"
-  | _ -> ());
-  let attack =
-    match attack_of ~id:attack_id with
-    | Ok a -> a
-    | Error msg -> malformed ~file:path msg
-  in
-  let recorder =
-    Obs.Recorder.create ~tracing:true ~ring_capacity:recording_ring_capacity ()
-  in
-  let fp = ref "-" in
-  let machine : Machine.t option ref = ref None in
-  let on_session (s : Bastion.Api.session) =
-    fp := fingerprint_of s.Bastion.Api.monitor;
-    machine := Some s.Bastion.Api.machine
-  in
+  if config = Runner.Undefended then
+    malformed ~file:path "undefended attack runs have no monitor to record";
+  let attack = resolved ~file:path (attack_of ~id:attack_id) in
+  let recorder = recording_recorder () in
+  let session = ref None in
   let outcome =
-    Runner.run ~trap_cache ~pre_resolve ?prefilter ~recorder ~on_session attack
-      config
+    Runner.run ~trap_cache ~pre_resolve ?prefilter ~recorder
+      ~on_session:(fun s -> session := Some s)
+      attack config
   in
-  let header =
-    {
-      Trace.h_version = Trace.current_version;
-      h_kind = Trace.Attack { attack_id; config = config_key config };
-      h_trap_cache = trap_cache;
-      h_pre_resolve = pre_resolve;
-      h_prefilter = prefilter;
-      h_fingerprint = !fp;
-      h_against = None;
-      h_traps = List.length (Obs.Recorder.trap_events recorder);
-      h_cycles = (match !machine with Some m -> m.stats.cycles | None -> 0);
-    }
-  in
-  write_trace ~recorder ~header ~path;
+  (* [on_session] fires for every defended configuration. *)
+  let s : Bastion.Api.session = Option.get !session in
+  ignore
+    (write_trace ~recorder ~path ~trap_cache ~pre_resolve ~prefilter
+       ~monitor:(Some s.monitor) ~cycles:s.machine.stats.cycles
+       (Trace.Attack { attack_id; config = config_key config }));
   outcome
 
 (* ------------------------------------------------------------------ *)
-(* Replay *)
+(* The re-execution core *)
+
+(* The recorded configuration, resolved once from the header. *)
+type staged =
+  | Run of Drivers.app * Drivers.defense
+  | Attack of Attacks.Attack.t * Runner.config
+
+let resolve (tr : Trace.t) : staged =
+  let file = tr.t_file in
+  match tr.t_header.h_kind with
+  | Trace.Run { app; defense; scale } ->
+    let app = resolved ~file (app_of ~name:app ~scale) in
+    Run (app, resolved ~file (known "defense" defense_of_key defense))
+  | Trace.Attack { attack_id; config } -> (
+    let attack = resolved ~file (attack_of ~id:attack_id) in
+    match resolved ~file (known "attack config" config_of_key config) with
+    | Runner.Undefended ->
+      malformed ~file "undefended attack runs have no monitor to replay"
+    | config -> Attack (attack, config))
+
+(* The recorded trap stream and the next record to match: the
+   injection source peeks at it, the wrapped tracer hook (and
+   differential replay's seccomp-boundary wrap) consumes it. *)
+type cursor = { records : (int * Event.t) array; mutable next : int }
+
+let cursor_of (tr : Trace.t) = { records = Array.of_list tr.t_events; next = 0 }
+
+let peek c = if c.next < Array.length c.records then Some c.records.(c.next) else None
+
+(* A mode's matching rule: may this recorded trap stand for the live
+   trap [(sysno, rip)]? *)
+type rule = sysno:int -> rip:int64 -> Event.t -> bool
+
+let take c (matches : rule) ~sysno ~rip =
+  match peek c with
+  | Some (_, ev) as r when matches ~sysno ~rip ev ->
+    c.next <- c.next + 1;
+    r
+  | _ -> None
+
+let snapshot_of_input (tracer : Ptrace.t) (i : Event.input) : Ptrace.snapshot =
+  let layout = tracer.machine.Machine.layout in
+  {
+    Ptrace.sn_frames =
+      List.map
+        (fun (f : Event.frame) ->
+          {
+            Ptrace.fv_func = f.f_func;
+            fv_fidx = Option.value ~default:(-1) (Machine.Layout.find_func layout f.f_func);
+            fv_callsite = f.f_callsite;
+            fv_args = Array.copy f.f_args;
+            fv_ret_token = f.f_ret;
+            fv_base = f.f_base;
+          })
+        i.in_frames;
+    sn_slots =
+      Some
+        (List.map
+           (fun (s : Event.slot_read) ->
+             (s.sr_base, { Ptrace.sl_lo = s.sr_lo; sl_span = Array.copy s.sr_span }))
+           i.in_slots);
+    sn_calls = 0;  (* recomputed from the shape by [inject_snapshot] *)
+  }
+
+(* The injected trap source: the next record's inputs, with
+   live-identical cost accounting, wherever the mode's rule accepts
+   that record for the live trap ([cur_sysno] and [trap_rip] are
+   engine-side peeks, never charged).  Live reads everywhere else:
+   past the recorded stream, for a record without inputs, or where the
+   rule refuses. *)
+let trap_source c (matches : rule) : Bastion.Monitor.trap_source =
+  let input (tracer : Ptrace.t) =
+    match peek c with
+    | Some (_, ({ Event.ev_input = Some i; _ } as ev))
+      when matches ~sysno:tracer.cur_sysno ~rip:tracer.machine.Machine.trap_rip ev ->
+      Some (ev, i)
+    | _ -> None
+  in
+  {
+    Bastion.Monitor.ts_regs =
+      (fun tracer ->
+        match input tracer with
+        | Some (ev, i) ->
+          Ptrace.inject_regs tracer
+            { Ptrace.rip = ev.ev_rip; sysno = ev.ev_sysno; args = Array.copy i.in_args }
+        | None -> Ptrace.getregs tracer);
+    ts_snapshot =
+      (fun tracer ~span_words ->
+        match input tracer with
+        | Some (_, i) -> Ptrace.inject_snapshot tracer (snapshot_of_input tracer i)
+        | None -> Ptrace.snapshot tracer ~span_words);
+  }
+
+(* The recorded verdict, as the tracer hook returns it. *)
+let recorded_verdict (ev : Event.t) =
+  match ev.ev_verdict with
+  | Event.Allowed -> Kernel.Process.Continue
+  | Event.Denied { d_context; d_detail } ->
+    Kernel.Process.Deny { context = d_context; detail = d_detail }
+
+(* A mode's judgement of one fresh trap: the recorded trap it consumed
+   (with its trace line) if the rule matched one, the fresh event and
+   the monitor's fresh verdict -> the verdict the tracee follows. *)
+type judge =
+  (int * Event.t) option -> Event.t -> Kernel.Process.verdict -> Kernel.Process.verdict
+
+(* Wrap the monitor's tracer hook: run the real verification, consume
+   the recorded trap the fresh event matches, and follow the verdict
+   the mode's judge returns. *)
+let wrap_hook c (matches : rule) (judge : judge) ~last (proc : Kernel.Process.t) =
+  Option.iter
+    (fun orig ->
+      proc.tracer_hook <-
+        Some
+          (fun p ~sysno ~args ->
+            last := None;
+            let fresh_verdict = orig p ~sysno ~args in
+            match !last with
+            | None -> fresh_verdict
+            | Some (fresh : Event.t) ->
+              judge
+                (take c matches ~sysno:fresh.ev_sysno ~rip:fresh.ev_rip)
+                fresh fresh_verdict))
+    proc.tracer_hook
+
+(* Re-execute [tr]'s recorded configuration, with [bundle] (if any)
+   overriding its compile pass.  Before anything executes, [handover] sees the fresh
+   monitor and its fingerprint and returns the mode's judge (or raises
+   to stop there); the source and hook are then armed with the mode's
+   [matches] rule.  Returns the fresh cycle total and, if the replayed
+   run died (following a corrupted recorded verdict can kill it), the
+   death message. *)
+let reexecute ~bundle (tr : Trace.t) c (matches : rule)
+    ~(handover : Bastion.Monitor.t option -> string -> judge) =
+  let { Trace.h_trap_cache = trap_cache; h_pre_resolve = pre_resolve;
+        h_prefilter = prefilter; _ } = tr.t_header in
+  let last = ref None in
+  let recorder = Obs.Recorder.create () in
+  Obs.Recorder.set_on_event recorder (Some (fun ev -> last := Some ev));
+  let arm monitor process =
+    let judge = handover monitor (fingerprint_of monitor) in
+    Option.iter
+      (fun mon -> Bastion.Monitor.set_source mon (trap_source c matches))
+      monitor;
+    wrap_hook c matches judge ~last process
+  in
+  match resolve tr with
+  | Run (app, defense) ->
+    let p =
+      Drivers.prepare ~trap_cache ~pre_resolve ?prefilter ?bundle ~recorder app defense
+    in
+    arm p.pr_monitor p.pr_process;
+    let death =
+      match Drivers.execute p with
+      | _ -> None
+      | exception Drivers.Benign_run_died msg -> Some msg
+    in
+    (p.pr_machine.stats.cycles, death)
+  | Attack (attack, config) ->
+    let machine = ref None in
+    let on_session (s : Bastion.Api.session) =
+      machine := Some s.machine;
+      arm (Some s.monitor) s.process
+    in
+    ignore
+      (Runner.run ~trap_cache ~pre_resolve ?prefilter ?bundle ~recorder ~on_session
+         attack config);
+    (* [resolve] refused the undefended configuration, the only one
+       without a session. *)
+    ((Option.get !machine).Machine.stats.cycles, None)
+
+(* ------------------------------------------------------------------ *)
+(* Strict replay *)
 
 type divergence = {
   dv_line : int;
@@ -212,19 +389,12 @@ type report = {
 
 let ok r = r.rp_header_mismatch = None && r.rp_divergences = []
 
-(* Per-replay comparison state, shared between the injection source
-   and the wrapped tracer hook.  [idx] is the next recorded trap to
-   match; the source peeks at it, the hook advances it. *)
 type state = {
-  expected : (int * Event.t) array;
+  cursor : cursor;
   strict : bool;
-  mutable idx : int;
-  mutable extra : int;         (* fresh traps past the recorded stream *)
+  mutable extra : int;             (* fresh traps past the recorded stream *)
   mutable divs : divergence list;  (* reverse discovery order *)
-  last : Event.t option ref;   (* fresh event, delivered via on_event *)
 }
-
-let peek st = if st.idx < Array.length st.expected then Some st.expected.(st.idx) else None
 
 let push st ~line ~seq field recorded replayed =
   st.divs <-
@@ -270,98 +440,34 @@ let compare_event st ~line (recorded : Event.t) (fresh : Event.t) =
     chk "phases" spans_str recorded.ev_spans fresh.ev_spans
   end
 
-let snapshot_of_input (tracer : Ptrace.t) (i : Event.input) : Ptrace.snapshot =
-  let layout = tracer.machine.Machine.layout in
-  {
-    Ptrace.sn_frames =
-      List.map
-        (fun (f : Event.frame) ->
-          {
-            Ptrace.fv_func = f.f_func;
-            fv_fidx = Option.value ~default:(-1) (Machine.Layout.find_func layout f.f_func);
-            fv_callsite = f.f_callsite;
-            fv_args = Array.copy f.f_args;
-            fv_ret_token = f.f_ret;
-            fv_base = f.f_base;
-          })
-        i.in_frames;
-    sn_slots =
-      Some
-        (List.map
-           (fun (s : Event.slot_read) ->
-             (s.sr_base, { Ptrace.sl_lo = s.sr_lo; sl_span = Array.copy s.sr_span }))
-           i.in_slots);
-    sn_calls = 0;  (* recomputed from the shape by [inject_snapshot] *)
-  }
+(* Strict replay's rule: the next record stands for every live trap,
+   so a record that no longer fits is itself reported as divergent. *)
+let every_trap : rule = fun ~sysno:_ ~rip:_ _ -> true
 
-(* The injected trap source: recorded inputs with live-identical cost
-   accounting.  Falls back to the live reads when the recorded stream
-   is exhausted (extra traps) or a record carries no input. *)
-let source_of st : Bastion.Monitor.trap_source =
-  {
-    Bastion.Monitor.ts_regs =
-      (fun tracer ->
-        match peek st with
-        | Some (_, ev) -> (
-          match ev.Event.ev_input with
-          | Some i ->
-            Ptrace.inject_regs tracer
-              { Ptrace.rip = ev.ev_rip; sysno = ev.ev_sysno;
-                args = Array.copy i.in_args }
-          | None -> Ptrace.getregs tracer)
-        | None -> Ptrace.getregs tracer);
-    ts_snapshot =
-      (fun tracer ~span_words ->
-        match peek st with
-        | Some (_, ({ Event.ev_input = Some i; _ })) ->
-          Ptrace.inject_snapshot tracer (snapshot_of_input tracer i)
-        | _ -> Ptrace.snapshot tracer ~span_words);
-  }
-
-(* Wrap the monitor's tracer hook: run the real verification, compare
-   the fresh event against the recorded one, then follow the
-   *recorded* verdict so the machine re-walks the recorded control
-   flow even when the two disagree. *)
-let wrap_hook st (proc : Kernel.Process.t) =
-  match proc.tracer_hook with
-  | None -> ()
-  | Some orig ->
-    proc.tracer_hook <-
-      Some
-        (fun p ~sysno ~args ->
-          st.last := None;
-          let fresh_verdict = orig p ~sysno ~args in
-          match !(st.last) with
-          | None -> fresh_verdict
-          | Some fresh -> (
-            match peek st with
-            | Some (line, recorded) ->
-              compare_event st ~line recorded fresh;
-              st.idx <- st.idx + 1;
-              (match recorded.ev_verdict with
-              | Event.Allowed -> Kernel.Process.Continue
-              | Event.Denied { d_context; d_detail } ->
-                Kernel.Process.Deny { context = d_context; detail = d_detail })
-            | None ->
-              st.extra <- st.extra + 1;
-              if st.extra = 1 then
-                push st ~line:0 ~seq:(-1) "extra-trap" "(end of recorded stream)"
-                  (Printf.sprintf "%s(%d) at cycle %d" fresh.ev_sysname
-                     fresh.ev_sysno fresh.ev_start);
-              fresh_verdict))
-
-let fresh_recorder st =
-  let r = Obs.Recorder.create () in
-  Obs.Recorder.set_on_event r (Some (fun ev -> st.last := Some ev));
-  r
+(* Compare against the consumed record and follow its verdict; past the
+   end of the recorded stream, note the extra trap and let the fresh
+   verdict stand. *)
+let strict_judge st : judge =
+ fun consumed fresh fresh_verdict ->
+  match consumed with
+  | Some (line, recorded) ->
+    compare_event st ~line recorded fresh;
+    recorded_verdict recorded
+  | None ->
+    st.extra <- st.extra + 1;
+    if st.extra = 1 then
+      push st ~line:0 ~seq:(-1) "extra-trap" "(end of recorded stream)"
+        (Printf.sprintf "%s(%d) at cycle %d" fresh.ev_sysname fresh.ev_sysno
+           fresh.ev_start);
+    fresh_verdict
 
 let finish st (tr : Trace.t) ~fresh_cycles : report =
-  let n = Array.length st.expected in
-  if st.idx < n then begin
-    let line, first_missing = st.expected.(st.idx) in
+  let n = Array.length st.cursor.records and idx = st.cursor.next in
+  if idx < n then begin
+    let line, first_missing = st.cursor.records.(idx) in
     push st ~line ~seq:first_missing.Event.ev_seq "missing-traps"
       (Printf.sprintf "%d traps" n)
-      (Printf.sprintf "%d traps (stream ends at seq %d)" st.idx
+      (Printf.sprintf "%d traps (stream ends at seq %d)" idx
          first_missing.Event.ev_seq)
   end;
   if st.extra > 1 then
@@ -375,112 +481,36 @@ let finish st (tr : Trace.t) ~fresh_cycles : report =
     rp_file = tr.t_file;
     rp_header = tr.t_header;
     rp_traps_recorded = n;
-    rp_traps_replayed = st.idx + st.extra;
+    rp_traps_replayed = idx + st.extra;
     rp_cycles_replayed = fresh_cycles;
     rp_header_mismatch = None;
     rp_divergences = List.rev st.divs;
   }
 
-let fingerprint_only_report (tr : Trace.t) ~expected_fp ~actual_fp : report =
-  {
-    rp_file = tr.t_file;
-    rp_header = tr.t_header;
-    rp_traps_recorded = List.length tr.t_events;
-    rp_traps_replayed = 0;
-    rp_cycles_replayed = 0;
-    rp_header_mismatch = Some (expected_fp, actual_fp);
-    rp_divergences = [];
-  }
-
-let new_state ~strict (tr : Trace.t) : state =
-  {
-    expected = Array.of_list tr.t_events;
-    strict;
-    idx = 0;
-    extra = 0;
-    divs = [];
-    last = ref None;
-  }
-
-let replay_run ~strict (tr : Trace.t) ~app ~defense ~scale : report =
-  let a =
-    match app_of ~name:app ~scale with
-    | Ok a -> a
-    | Error msg -> malformed ~file:tr.t_file msg
-  in
-  let defense =
-    match defense_of_key defense with
-    | Some d -> d
-    | None -> malformed ~file:tr.t_file (Printf.sprintf "unknown defense %S" defense)
-  in
-  let st = new_state ~strict tr in
-  let recorder = fresh_recorder st in
-  let prepared =
-    Drivers.prepare ~trap_cache:tr.t_header.h_trap_cache
-      ~pre_resolve:tr.t_header.h_pre_resolve
-      ?prefilter:tr.t_header.h_prefilter ~recorder a defense
-  in
-  let actual_fp =
-    match prepared.Drivers.pr_monitor with
-    | Some mon -> fingerprint_of mon
-    | None -> "-"
-  in
-  if not (String.equal actual_fp tr.t_header.h_fingerprint) then
-    (* The hard gate: never judge a trace against different metadata. *)
-    fingerprint_only_report tr ~expected_fp:tr.t_header.h_fingerprint ~actual_fp
-  else begin
-    (match prepared.Drivers.pr_monitor with
-    | Some mon -> Bastion.Monitor.set_source mon (source_of st)
-    | None -> ());
-    wrap_hook st prepared.Drivers.pr_process;
-    (* Following a corrupted recorded verdict can kill the replayed
-       process; that is itself a divergence, not an engine failure. *)
-    (try ignore (Drivers.execute prepared)
-     with Drivers.Benign_run_died msg ->
-       push st ~line:0 ~seq:(-1) "run-outcome" "clean exit" msg);
-    finish st tr ~fresh_cycles:prepared.Drivers.pr_machine.stats.cycles
-  end
-
-let replay_attack ~strict (tr : Trace.t) ~attack_id ~config : report =
-  let attack =
-    match attack_of ~id:attack_id with
-    | Ok a -> a
-    | Error msg -> malformed ~file:tr.t_file msg
-  in
-  let config =
-    match config_of_key config with
-    | Some c -> c
-    | None ->
-      malformed ~file:tr.t_file (Printf.sprintf "unknown attack config %S" config)
-  in
-  let st = new_state ~strict tr in
-  let recorder = fresh_recorder st in
-  let machine : Machine.t option ref = ref None in
-  let fp_mismatch = ref None in
-  let on_session (s : Bastion.Api.session) =
-    machine := Some s.Bastion.Api.machine;
-    let actual_fp = fingerprint_of s.Bastion.Api.monitor in
-    if String.equal actual_fp tr.t_header.h_fingerprint then begin
-      Bastion.Monitor.set_source s.Bastion.Api.monitor (source_of st);
-      wrap_hook st s.Bastion.Api.process
-    end
-    else fp_mismatch := Some actual_fp
-  in
-  ignore
-    (Runner.run ~trap_cache:tr.t_header.h_trap_cache
-       ~pre_resolve:tr.t_header.h_pre_resolve
-       ?prefilter:tr.t_header.h_prefilter ~recorder ~on_session attack config);
-  match !fp_mismatch with
-  | Some actual_fp ->
-    fingerprint_only_report tr ~expected_fp:tr.t_header.h_fingerprint ~actual_fp
-  | None ->
-    let fresh_cycles = match !machine with Some m -> m.stats.cycles | None -> 0 in
-    finish st tr ~fresh_cycles
+exception Fingerprint_mismatch of string
 
 let replay ?(strict = false) (tr : Trace.t) : report =
-  match tr.t_header.h_kind with
-  | Trace.Run { app; defense; scale } -> replay_run ~strict tr ~app ~defense ~scale
-  | Trace.Attack { attack_id; config } -> replay_attack ~strict tr ~attack_id ~config
+  let st = { cursor = cursor_of tr; strict; extra = 0; divs = [] } in
+  let recorded_fp = tr.t_header.h_fingerprint in
+  let gate _monitor fp =
+    (* The hard gate: never judge a trace against different metadata. *)
+    if not (String.equal fp recorded_fp) then raise (Fingerprint_mismatch fp);
+    strict_judge st
+  in
+  match reexecute ~bundle:None tr st.cursor every_trap ~handover:gate with
+  | fresh_cycles, death ->
+    Option.iter (push st ~line:0 ~seq:(-1) "run-outcome" "clean exit") death;
+    finish st tr ~fresh_cycles
+  | exception Fingerprint_mismatch deployed_fp ->
+    {
+      rp_file = tr.t_file;
+      rp_header = tr.t_header;
+      rp_traps_recorded = Array.length st.cursor.records;
+      rp_traps_replayed = 0;
+      rp_cycles_replayed = 0;
+      rp_header_mismatch = Some (recorded_fp, deployed_fp);
+      rp_divergences = [];
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Differential replay.
@@ -565,41 +595,19 @@ let diff_ok r =
 
 (* The in-tree compile pass for the recorded configuration — the base
    whose instrumented program an edited metadata file is restored
-   against ([Metadata_io.load (base_bundle tr).inst.iprog]). *)
+   against ([Metadata_io.load (base_bundle tr).inst.iprog]).  Both
+   sides hand out their cached bundle; callers only read it. *)
 let base_bundle (tr : Trace.t) : Bastion.Api.protected =
   let pre_resolve = tr.t_header.h_pre_resolve in
-  match tr.t_header.h_kind with
-  | Trace.Run { app; defense; scale } ->
-    let a =
-      match app_of ~name:app ~scale with
-      | Ok a -> a
-      | Error msg -> malformed ~file:tr.t_file msg
-    in
-    let fs =
-      match defense_of_key defense with
-      | Some (Drivers.Bastion_fs _) -> true
-      | Some _ -> false
-      | None ->
-        malformed ~file:tr.t_file (Printf.sprintf "unknown defense %S" defense)
-    in
-    Drivers.protected_of ~pre_resolve a ~fs
-  | Trace.Attack { attack_id; _ } ->
-    let attack =
-      match attack_of ~id:attack_id with
-      | Ok a -> a
-      | Error msg -> malformed ~file:tr.t_file msg
-    in
-    let p =
-      Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope
-        (attack.a_victim.v_build ())
-    in
-    if pre_resolve then Bastion_analysis.Preresolve.enrich p else p
+  match resolve tr with
+  | Run (app, defense) ->
+    let fs = match defense with Drivers.Bastion_fs _ -> true | _ -> false in
+    Drivers.protected_of ~pre_resolve app ~fs
+  | Attack (attack, _) -> Runner.compiled_bundle attack ~pre_resolve
 
 type dstate = {
-  d_expected : (int * Event.t) array;
-  d_against_fp : string;
-  d_same : bool;  (* fingerprints equal: pure positional matching *)
-  mutable d_idx : int;
+  d_cursor : cursor;
+  mutable d_against_fp : string;     (* set at the handover *)
   mutable d_matched : int;
   mutable d_moved_pre : int;
   mutable d_unmatched : int;
@@ -608,29 +616,7 @@ type dstate = {
   mutable d_ctx : context_move list;
   d_matrix : int array array;        (* 6x6, indexed by tier rank *)
   mutable d_trap_delta : int;
-  d_last : Event.t option ref;
 }
-
-let new_dstate (tr : Trace.t) ~against_fp ~last : dstate =
-  {
-    d_expected = Array.of_list tr.t_events;
-    d_against_fp = against_fp;
-    d_same = String.equal against_fp tr.t_header.h_fingerprint;
-    d_idx = 0;
-    d_matched = 0;
-    d_moved_pre = 0;
-    d_unmatched = 0;
-    d_ad = [];
-    d_da = [];
-    d_ctx = [];
-    d_matrix = Array.make_matrix 6 6 0;
-    d_trap_delta = 0;
-    d_last = last;
-  }
-
-let dpeek d =
-  if d.d_idx < Array.length d.d_expected then Some d.d_expected.(d.d_idx)
-  else None
 
 let bump_matrix d ~before ~after =
   match (before, after) with
@@ -650,111 +636,56 @@ let mkflip ~line (recorded : Event.t) ~before ~after : flip =
     fl_after = after;
   }
 
-(* Injection for the diff: recorded inputs only where the recorded
-   trap demonstrably is the live trap (same syscall, same callsite —
-   [trap_rip] and [cur_sysno] are engine-side peeks, never charged).
-   Anywhere else the fresh run reads the tracee live, which is the
-   ground truth because control flow follows the recorded path. *)
-let diff_source d : Bastion.Monitor.trap_source =
-  let next (tracer : Ptrace.t) =
-    match dpeek d with
-    | Some (_, ev)
-      when ev.Event.ev_sysno = tracer.Ptrace.cur_sysno
-           && Int64.equal ev.Event.ev_rip tracer.Ptrace.machine.Machine.trap_rip
-      ->
-      Some ev
-    | _ -> None
-  in
-  {
-    Bastion.Monitor.ts_regs =
-      (fun tracer ->
-        match next tracer with
-        | Some ev -> (
-          match ev.Event.ev_input with
-          | Some i ->
-            Ptrace.inject_regs tracer
-              { Ptrace.rip = ev.ev_rip; sysno = ev.ev_sysno;
-                args = Array.copy i.in_args }
-          | None -> Ptrace.getregs tracer)
-        | None -> Ptrace.getregs tracer);
-    ts_snapshot =
-      (fun tracer ~span_words ->
-        match next tracer with
-        | Some { Event.ev_input = Some i; _ } ->
-          Ptrace.inject_snapshot tracer (snapshot_of_input tracer i)
-        | _ -> Ptrace.snapshot tracer ~span_words);
-  }
+(* Differential replay's rule: a recorded trap stands for the live trap
+   only when both agree on the trapping syscall and callsite.  Anywhere
+   else the fresh run reads the tracee live, which is the ground truth
+   because control flow follows the recorded path. *)
+let same_trap : rule =
+ fun ~sysno ~rip ev -> ev.Event.ev_sysno = sysno && Int64.equal ev.ev_rip rip
 
-(* Wrap the tracer hook: judge the trap fresh, classify the movement
-   against the matched recorded trap, then follow the *recorded*
-   behaviour (matched traps follow the recorded verdict; unmatched
-   fresh traps were prefilter-resolved — i.e. allowed — in the
-   recorded run). *)
-let diff_hook d (proc : Kernel.Process.t) =
-  match proc.tracer_hook with
-  | None -> ()
-  | Some orig ->
-    proc.tracer_hook <-
-      Some
-        (fun p ~sysno ~args ->
-          d.d_last := None;
-          let fresh_verdict = orig p ~sysno ~args in
-          match !(d.d_last) with
-          | None -> fresh_verdict
-          | Some fresh -> (
-            match dpeek d with
-            | Some (line, recorded)
-              when recorded.Event.ev_sysno = fresh.Event.ev_sysno
-                   && Int64.equal recorded.ev_rip fresh.ev_rip ->
-              d.d_idx <- d.d_idx + 1;
-              d.d_matched <- d.d_matched + 1;
-              d.d_trap_delta <- d.d_trap_delta + fresh.ev_dur - recorded.ev_dur;
-              bump_matrix d ~before:recorded.ev_tier ~after:fresh.ev_tier;
-              (match (recorded.ev_verdict, fresh.ev_verdict) with
-              | Event.Allowed, Event.Allowed -> ()
-              | Event.Allowed, (Event.Denied _ as v) ->
-                d.d_ad <-
-                  mkflip ~line recorded ~before:"allowed" ~after:(verdict_str v)
-                  :: d.d_ad
-              | (Event.Denied _ as v), Event.Allowed ->
-                d.d_da <-
-                  mkflip ~line recorded ~before:(verdict_str v) ~after:"allowed"
-                  :: d.d_da
-              | (Event.Denied _ as rv), (Event.Denied _ as fv) ->
-                if rv <> fv then
-                  d.d_ctx <-
-                    { cm_line = line; cm_seq = recorded.ev_seq;
-                      cm_sysname = recorded.ev_sysname;
-                      cm_before = verdict_str rv; cm_after = verdict_str fv }
-                    :: d.d_ctx);
-              (match recorded.ev_verdict with
-              | Event.Allowed -> Kernel.Process.Continue
-              | Event.Denied { d_context; d_detail } ->
-                Kernel.Process.Deny { context = d_context; detail = d_detail })
-            | _ ->
-              (* No recorded counterpart: the recorded run resolved this
-                 trap at the seccomp stage, so its "before" is the
-                 prefilter tier and its recorded behaviour is allow. *)
-              d.d_unmatched <- d.d_unmatched + 1;
-              bump_matrix d ~before:(Some Event.Tier_prefilter)
-                ~after:fresh.ev_tier;
-              (match fresh.ev_verdict with
-              | Event.Denied _ as v ->
-                d.d_ad <-
-                  mkflip ~line:0
-                    { fresh with ev_seq = -1 }
-                    ~before:"allowed@prefilter" ~after:(verdict_str v)
-                  :: d.d_ad
-              | Event.Allowed -> ());
-              Kernel.Process.Continue))
+(* Classify the fresh judgement against the consumed recorded trap and
+   follow the recorded verdict.  A fresh trap with no recorded
+   counterpart was resolved at the seccomp stage in the recorded run:
+   its "before" is the prefilter tier and its recorded behaviour is
+   allow. *)
+let diff_judge d : judge =
+ fun consumed fresh _ ->
+  match consumed with
+  | Some (line, recorded) ->
+    d.d_matched <- d.d_matched + 1;
+    d.d_trap_delta <- d.d_trap_delta + fresh.ev_dur - recorded.ev_dur;
+    bump_matrix d ~before:recorded.ev_tier ~after:fresh.ev_tier;
+    (match (recorded.ev_verdict, fresh.ev_verdict) with
+    | Event.Allowed, Event.Allowed -> ()
+    | Event.Allowed, (Event.Denied _ as v) ->
+      d.d_ad <- mkflip ~line recorded ~before:"allowed" ~after:(verdict_str v) :: d.d_ad
+    | (Event.Denied _ as v), Event.Allowed ->
+      d.d_da <- mkflip ~line recorded ~before:(verdict_str v) ~after:"allowed" :: d.d_da
+    | (Event.Denied _ as rv), (Event.Denied _ as fv) ->
+      if rv <> fv then
+        d.d_ctx <-
+          { cm_line = line; cm_seq = recorded.ev_seq;
+            cm_sysname = recorded.ev_sysname;
+            cm_before = verdict_str rv; cm_after = verdict_str fv }
+          :: d.d_ctx);
+    recorded_verdict recorded
+  | None ->
+    d.d_unmatched <- d.d_unmatched + 1;
+    bump_matrix d ~before:(Some Event.Tier_prefilter) ~after:fresh.ev_tier;
+    (match fresh.ev_verdict with
+    | Event.Denied _ as v ->
+      d.d_ad <-
+        mkflip ~line:0 { fresh with ev_seq = -1 } ~before:"allowed@prefilter"
+          ~after:(verdict_str v)
+        :: d.d_ad
+    | Event.Allowed -> ());
+    Kernel.Process.Continue
 
 (* The other side of the seccomp boundary: the fresh automaton resolves
    a trap the recorded run delivered to the full monitor.  Consume the
    recorded trap as a movement to the prefilter tier; a recorded denial
-   resolved away is a deny->allow flip.  With identical fingerprints
-   the automata are identical and the recorded stream holds exactly the
-   fall-throughs, so the guard is skipped entirely. *)
-let diff_wrap_resolve d (mon : Bastion.Monitor.t) =
+   resolved away is a deny->allow flip. *)
+let wrap_resolve d (mon : Bastion.Monitor.t) =
   match Bastion.Monitor.prefilter mon with
   | None -> ()
   | Some fa ->
@@ -763,23 +694,18 @@ let diff_wrap_resolve d (mon : Bastion.Monitor.t) =
       Some
         (fun ~sysno ~rip ->
           (match orig with Some f -> f ~sysno ~rip | None -> ());
-          if not d.d_same then
-            match dpeek d with
-            | Some (line, recorded)
-              when recorded.Event.ev_sysno = sysno
-                   && Int64.equal recorded.ev_rip rip ->
-              d.d_idx <- d.d_idx + 1;
-              d.d_moved_pre <- d.d_moved_pre + 1;
-              bump_matrix d ~before:recorded.ev_tier
-                ~after:(Some Event.Tier_prefilter);
-              (match recorded.ev_verdict with
-              | Event.Denied _ as v ->
-                d.d_da <-
-                  mkflip ~line recorded ~before:(verdict_str v)
-                    ~after:"allowed@prefilter"
-                  :: d.d_da
-              | Event.Allowed -> ())
-            | _ -> ())
+          match take d.d_cursor same_trap ~sysno ~rip with
+          | Some (line, recorded) ->
+            d.d_moved_pre <- d.d_moved_pre + 1;
+            bump_matrix d ~before:recorded.ev_tier ~after:(Some Event.Tier_prefilter);
+            (match recorded.ev_verdict with
+            | Event.Denied _ as v ->
+              d.d_da <-
+                mkflip ~line recorded ~before:(verdict_str v)
+                  ~after:"allowed@prefilter"
+                :: d.d_da
+            | Event.Allowed -> ())
+          | None -> ())
 
 let tier_rank_name r =
   match Event.tier_of_rank r with Some t -> Event.tier_name t | None -> "?"
@@ -796,17 +722,18 @@ let diff_finish d (tr : Trace.t) ~fresh_cycles ~run_outcome : diff_report =
       end
     done
   done;
+  let n = Array.length d.d_cursor.records in
   {
     dr_file = tr.t_file;
     dr_header = { tr.t_header with Trace.h_against = Some d.d_against_fp };
     dr_recorded_fp = tr.t_header.h_fingerprint;
     dr_against_fp = d.d_against_fp;
-    dr_same_metadata = d.d_same;
-    dr_traps_recorded = Array.length d.d_expected;
+    dr_same_metadata = String.equal d.d_against_fp tr.t_header.h_fingerprint;
+    dr_traps_recorded = n;
     dr_traps_matched = d.d_matched;
     dr_moved_to_prefilter = d.d_moved_pre;
     dr_fresh_unmatched = d.d_unmatched;
-    dr_unconsumed_recorded = Array.length d.d_expected - d.d_idx;
+    dr_unconsumed_recorded = n - d.d_cursor.next;
     dr_allow_to_deny = List.rev d.d_ad;
     dr_deny_to_allow = List.rev d.d_da;
     dr_context_moves = List.rev d.d_ctx;
@@ -818,91 +745,34 @@ let diff_finish d (tr : Trace.t) ~fresh_cycles ~run_outcome : diff_report =
     dr_run_outcome = run_outcome;
   }
 
-let diff_run ?against (tr : Trace.t) ~app ~defense ~scale : diff_report =
-  let a =
-    match app_of ~name:app ~scale with
-    | Ok a -> a
-    | Error msg -> malformed ~file:tr.t_file msg
-  in
-  let defense_v =
-    match defense_of_key defense with
-    | Some d -> d
-    | None -> malformed ~file:tr.t_file (Printf.sprintf "unknown defense %S" defense)
-  in
-  let last = ref None in
-  let recorder = Obs.Recorder.create () in
-  Obs.Recorder.set_on_event recorder (Some (fun ev -> last := Some ev));
-  let prepared =
-    Drivers.prepare ~trap_cache:tr.t_header.h_trap_cache
-      ~pre_resolve:tr.t_header.h_pre_resolve
-      ?prefilter:tr.t_header.h_prefilter ?bundle:against ~recorder a defense_v
-  in
-  let against_fp =
-    match prepared.Drivers.pr_monitor with
-    | Some mon -> fingerprint_of mon
-    | None -> "-"
-  in
-  let d = new_dstate tr ~against_fp ~last in
-  (match prepared.Drivers.pr_monitor with
-  | Some mon ->
-    Bastion.Monitor.set_source mon (diff_source d);
-    diff_wrap_resolve d mon
-  | None -> ());
-  diff_hook d prepared.Drivers.pr_process;
-  let run_outcome =
-    try
-      ignore (Drivers.execute prepared);
-      None
-    with Drivers.Benign_run_died msg -> Some msg
-  in
-  diff_finish d tr ~fresh_cycles:prepared.Drivers.pr_machine.stats.cycles
-    ~run_outcome
-
-let diff_attack ?against (tr : Trace.t) ~attack_id ~config : diff_report =
-  let attack =
-    match attack_of ~id:attack_id with
-    | Ok a -> a
-    | Error msg -> malformed ~file:tr.t_file msg
-  in
-  let config_v =
-    match config_of_key config with
-    | Some c -> c
-    | None ->
-      malformed ~file:tr.t_file (Printf.sprintf "unknown attack config %S" config)
-  in
-  let last = ref None in
-  let recorder = Obs.Recorder.create () in
-  Obs.Recorder.set_on_event recorder (Some (fun ev -> last := Some ev));
-  let machine : Machine.t option ref = ref None in
-  let dref = ref None in
-  let on_session (s : Bastion.Api.session) =
-    machine := Some s.Bastion.Api.machine;
-    let against_fp = fingerprint_of s.Bastion.Api.monitor in
-    let d = new_dstate tr ~against_fp ~last in
-    dref := Some d;
-    Bastion.Monitor.set_source s.Bastion.Api.monitor (diff_source d);
-    diff_wrap_resolve d s.Bastion.Api.monitor;
-    diff_hook d s.Bastion.Api.process
-  in
-  ignore
-    (Runner.run ~trap_cache:tr.t_header.h_trap_cache
-       ~pre_resolve:tr.t_header.h_pre_resolve
-       ?prefilter:tr.t_header.h_prefilter ?bundle:against ~recorder ~on_session
-       attack config_v);
-  match !dref with
-  | None ->
-    malformed ~file:tr.t_file "undefended attack traces cannot be diff-replayed"
-  | Some d ->
-    let fresh_cycles =
-      match !machine with Some m -> m.Machine.stats.cycles | None -> 0
-    in
-    diff_finish d tr ~fresh_cycles ~run_outcome:None
-
 let diff_replay ?against (tr : Trace.t) : diff_report =
-  match tr.t_header.h_kind with
-  | Trace.Run { app; defense; scale } -> diff_run ?against tr ~app ~defense ~scale
-  | Trace.Attack { attack_id; config } ->
-    diff_attack ?against tr ~attack_id ~config
+  let d =
+    {
+      d_cursor = cursor_of tr;
+      d_against_fp = "-";
+      d_matched = 0;
+      d_moved_pre = 0;
+      d_unmatched = 0;
+      d_ad = [];
+      d_da = [];
+      d_ctx = [];
+      d_matrix = Array.make_matrix 6 6 0;
+      d_trap_delta = 0;
+    }
+  in
+  let handover monitor fp =
+    d.d_against_fp <- fp;
+    (* With identical fingerprints the automata are identical and the
+       recorded stream holds exactly the fall-throughs: the boundary
+       cannot move, so it is not watched. *)
+    if not (String.equal fp tr.t_header.h_fingerprint) then
+      Option.iter (wrap_resolve d) monitor;
+    diff_judge d
+  in
+  let fresh_cycles, run_outcome =
+    reexecute ~bundle:against tr d.d_cursor same_trap ~handover
+  in
+  diff_finish d tr ~fresh_cycles ~run_outcome
 
 (* ------------------------------------------------------------------ *)
 (* Reporting *)

@@ -18,16 +18,30 @@
     trace recorded against a different bundle is reported as a header
     mismatch and never judged.  {!diff_replay} is the other mode: it
     embraces a changed bundle and reports what moved — verdict flips,
-    denial-context changes, tier movements, cycle deltas. *)
+    denial-context changes, tier movements, cycle deltas.  Both modes
+    drive one re-execution core; strict replay injects every recorded
+    trap in order, differential replay only where the recorded
+    (sysno, rip) is the live trap's.
+
+    Every entry point refuses a header it cannot re-execute —
+    unknown keys, or an undefended attack run, which has no monitor —
+    with {!Trace.Malformed} at line 1, before running anything. *)
 
 (** {1 Name registries}
 
     The header stores workloads, defenses and attack configurations as
-    short stable keys; recording and replay resolve them through the
-    same tables so both sides always build the same run. *)
+    short stable keys; recording, replay and the CLI resolve them
+    through the same tables so every side always builds the same run. *)
+
+(** Every defense key with its configuration, in listing order. *)
+val defenses : (string * Workloads.Drivers.defense) list
 
 val defense_key : Workloads.Drivers.defense -> string
 val defense_of_key : string -> Workloads.Drivers.defense option
+
+(** Every attack-configuration key with its configuration. *)
+val configs : (string * Attacks.Runner.config) list
+
 val config_key : Attacks.Runner.config -> string
 val config_of_key : string -> Attacks.Runner.config option
 
@@ -35,16 +49,36 @@ val config_of_key : string -> Attacks.Runner.config option
     ["small"] (a few hundred traps — the golden-corpus scale). *)
 val scales : string list
 
+(** Known application names ([nginx], [sqlite], [vsftpd]). *)
+val apps : string list
+
 val app_of : name:string -> scale:string -> (Workloads.Drivers.app, string) result
 val attack_of : id:string -> (Attacks.Attack.t, string) result
 
 (** {1 Recording} *)
 
+(** Ring capacity of a recording flight recorder: ample headroom for a
+    default-scale run, so a recorded stream is never truncated. *)
+val recording_ring_capacity : int
+
+(** Write [recorder]'s stream to [path] as a replayable run trace: the
+    header records [app], [scale], the measurement's defense and
+    monitor fingerprint, and the monitor knobs the run used.  Returns
+    the header written.  [recorder] must have traced the whole run
+    with {!recording_ring_capacity}.
+    @raise Failure if the ring dropped events (the trace would not
+    replay); nothing is written then. *)
+val write_run :
+  recorder:Obs.Recorder.t -> path:string -> app:string -> scale:string ->
+  trap_cache:bool -> pre_resolve:bool ->
+  prefilter:Kernel.Seccomp.flow_mode option ->
+  Workloads.Drivers.measurement -> Trace.header
+
 (** Run a workload with the flight recorder armed and write the trace
-    (header + JSONL stream) to [path]; returns the live measurement.
-    The CLI's [--audit] sink and the in-process tests share this
-    path, so recorded headers always match what {!replay} expects.
-    @raise Trace.Malformed (line 1) on an unknown app/defense/scale key. *)
+    (header + JSONL stream) to [path] through {!write_run}, the writer
+    the CLI's [run --audit] sink uses too; returns the live measurement.
+    @raise Trace.Malformed (line 1) on an unknown app/scale key.
+    @raise Failure if the ring dropped events. *)
 val record_run :
   ?trap_cache:bool -> ?pre_resolve:bool ->
   ?prefilter:Kernel.Seccomp.flow_mode ->
@@ -52,8 +86,8 @@ val record_run :
   path:string -> unit -> Workloads.Drivers.measurement
 
 (** Run one catalog attack under one configuration, recording to
-    [path]; returns the live outcome.  Undefended runs carry no
-    monitor and cannot be recorded.
+    [path] with the same header builder and writer; returns the live
+    outcome.  Undefended runs carry no monitor and cannot be recorded.
     @raise Trace.Malformed (line 1) on an unknown attack id, or if
     [config] is [Undefended]. *)
 val record_attack :
@@ -100,7 +134,8 @@ val ok : report -> bool
     total).  [strict] additionally compares every recorded field:
     sequence number, trap-entry cycles, per-phase spans, verdict-cache
     disposition and the ptrace/shadow traffic counters.
-    @raise Trace.Malformed (line 1) on unknown header keys. *)
+    @raise Trace.Malformed (line 1) on unknown header keys or an
+    undefended attack trace. *)
 val replay : ?strict:bool -> Trace.t -> report
 
 val report_to_json : report -> Report.Json.t
@@ -179,7 +214,10 @@ val diff_ok : diff_report -> bool
 (** The in-tree compile pass for the recorded configuration — the base
     whose instrumented program an edited metadata file restores
     against: [Metadata_io.load ~file (base_bundle tr).inst.iprog].
-    @raise Trace.Malformed (line 1) on unknown header keys. *)
+    The bundle is the drivers' or the attack runner's cached one: read
+    it, never mutate it.
+    @raise Trace.Malformed (line 1) on unknown header keys or an
+    undefended attack trace. *)
 val base_bundle : Trace.t -> Bastion.Api.protected
 
 (** Diff-replay [tr] against [against] (default: the in-tree bundle

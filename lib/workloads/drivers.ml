@@ -42,7 +42,6 @@ type app = {
   app_name : string;
   app_key : string;  (** cache key: name + parameter fingerprint *)
   prog : Sil.Prog.t Lazy.t;
-  prog_fs : Sil.Prog.t Lazy.t;  (** same program; separate lazy for fs runs *)
   setup : Kernel.Process.t -> unit;
   metric : Kernel.Process.t -> Machine.t -> float;
   metric_name : string;
@@ -50,12 +49,10 @@ type app = {
 }
 
 let nginx ?(params = Nginx_model.default) () =
-  let build = lazy (Nginx_model.build params) in
   {
     app_name = "NGINX";
     app_key = Printf.sprintf "NGINX-%d" (Hashtbl.hash params);
-    prog = build;
-    prog_fs = build;
+    prog = lazy (Nginx_model.build params);
     setup = Nginx_model.setup params;
     metric = Nginx_model.throughput_mb_s;
     metric_name = "MB/sec";
@@ -63,12 +60,10 @@ let nginx ?(params = Nginx_model.default) () =
   }
 
 let sqlite ?(params = Sqlite_model.default) () =
-  let build = lazy (Sqlite_model.build params) in
   {
     app_name = "SQLite";
     app_key = Printf.sprintf "SQLite-%d" (Hashtbl.hash params);
-    prog = build;
-    prog_fs = build;
+    prog = lazy (Sqlite_model.build params);
     setup = Sqlite_model.setup params;
     metric = Sqlite_model.notpm;
     metric_name = "NOTPM";
@@ -76,12 +71,10 @@ let sqlite ?(params = Sqlite_model.default) () =
   }
 
 let vsftpd ?(params = Vsftpd_model.default) () =
-  let build = lazy (Vsftpd_model.build params) in
   {
     app_name = "vsftpd";
     app_key = Printf.sprintf "vsftpd-%d" (Hashtbl.hash params);
-    prog = build;
-    prog_fs = build;
+    prog = lazy (Vsftpd_model.build params);
     setup = Vsftpd_model.setup params;
     metric = Vsftpd_model.seconds_per_download params;
     metric_name = "ms/download";
@@ -124,7 +117,7 @@ let protected_of ?(pre_resolve = false) (app : app) ~fs =
     | None ->
       let p =
         Bastion.Api.protect ~protect_filesystem:fs ~validate:true
-          (Lazy.force (if fs then app.prog_fs else app.prog))
+          (Lazy.force app.prog)
       in
       Hashtbl.replace cache app.app_key p;
       p

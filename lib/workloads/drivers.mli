@@ -21,7 +21,6 @@ type app = {
   app_name : string;
   app_key : string;   (** cache key: name + parameter fingerprint *)
   prog : Sil.Prog.t Lazy.t;
-  prog_fs : Sil.Prog.t Lazy.t;
   setup : Kernel.Process.t -> unit;
   metric : Kernel.Process.t -> Machine.t -> float;
   metric_name : string;

@@ -505,6 +505,140 @@ let test_golden_diff_oracle () =
       Alcotest.(check int) (file ^ " nothing unmatched") 0 r.dr_fresh_unmatched)
     golden_files
 
+(* --- pinned re-execution behaviour ------------------------------------- *)
+
+(* The fingerprint gate holds for attack traces too: the session is
+   staged, its fingerprint compared, and nothing is judged. *)
+let test_attack_fingerprint_gate () =
+  let text = read_whole "golden/vsftpd-attack.jsonl" in
+  let tampered =
+    replace_once ~sub:"\"fingerprint\":\"fnv1a64:"
+      ~by:"\"fingerprint\":\"fnv1a64:0000" text
+  in
+  let r = Engine.replay ~strict:true (Trace.read_string ~file:"t.jsonl" tampered) in
+  Alcotest.(check bool) "header mismatch reported" true
+    (Option.is_some r.rp_header_mismatch);
+  Alcotest.(check int) "no traps replayed" 0 r.rp_traps_replayed;
+  Alcotest.(check int) "no divergence rows" 0 (List.length r.rp_divergences)
+
+(* The golden NGINX trace with trap seq 3's callsite moved to an
+   address no call site owns. *)
+let rip_tampered () =
+  let rec_prefix = "\"seq\":3,\"kind\":\"trap\",\"sysno\":288,\"sysname\":\"accept4\",\"rip\":" in
+  Trace.read_string ~file:"rip.jsonl"
+    (replace_once ~sub:(rec_prefix ^ "\"0x40fcc0\"") ~by:(rec_prefix ^ "\"0x400008\"")
+       (read_whole "golden/nginx-benign.jsonl"))
+
+(* Strict replay injects the recorded record unconditionally, tampered
+   rip included: the monitor denies it at call-type, and following the
+   recorded allow afterwards shifts every later trap's timing. *)
+let test_strict_injects_tampered_rip () =
+  let r = Engine.replay ~strict:true (rip_tampered ()) in
+  Alcotest.(check (list (pair int string))) "divergence rows"
+    [
+      (251, "verdict"); (251, "dur_cycles"); (251, "cache");
+      (251, "ptrace_calls"); (251, "ptrace_words"); (251, "shadow_probes");
+      (251, "phases"); (256, "start_cycles"); (256, "phases");
+      (261, "start_cycles"); (261, "phases"); (266, "start_cycles");
+      (266, "phases"); (0, "total-cycles");
+    ]
+    (List.map (fun (d : Engine.divergence) -> (d.dv_line, d.dv_field))
+       r.rp_divergences);
+  match r.rp_divergences with
+  | d :: _ ->
+    Alcotest.(check bool) "denied at call-type" true
+      (Astring.String.is_prefix ~affix:"denied[call-type" d.dv_replayed)
+  | [] -> Alcotest.fail "no divergences"
+
+(* Differential replay injects a record only where its (sysno, rip)
+   is the live trap's: the tampered record never matches, so the fresh
+   run reads the tracee live from there on and nothing flips. *)
+let test_diff_guards_tampered_rip () =
+  let r = Engine.diff_replay (rip_tampered ()) in
+  Alcotest.(check int) "matched" 3 r.dr_traps_matched;
+  Alcotest.(check int) "fresh unmatched" 4 r.dr_fresh_unmatched;
+  Alcotest.(check int) "unconsumed" 4 r.dr_unconsumed_recorded;
+  Alcotest.(check int) "no flips" 0 (flip_count r);
+  Alcotest.(check bool) "benign diff" true (Engine.diff_ok r)
+
+(* A run without a monitor has nothing to match or judge. *)
+let test_diff_vanilla_recording () =
+  with_temp_trace (fun path ->
+      ignore
+        (Engine.record_run ~app:"nginx" ~scale:"small" ~defense:Drivers.Vanilla
+           ~path ());
+      let r = Engine.diff_replay (Trace.read_file path) in
+      Alcotest.(check int) "nothing matched" 0 r.dr_traps_matched;
+      Alcotest.(check bool) "diff ok" true (Engine.diff_ok r))
+
+(* An attack trace's base bundle is its victim's compile pass, with or
+   without pre-resolution. *)
+let test_attack_base_bundle () =
+  List.iter
+    (fun file ->
+      let tr = Trace.read_file file in
+      let attack_id =
+        match tr.t_header.h_kind with
+        | Trace.Attack { attack_id; _ } -> attack_id
+        | Trace.Run _ -> Alcotest.failf "%s is not an attack trace" file
+      in
+      let attack = Result.get_ok (Engine.attack_of ~id:attack_id) in
+      List.iter
+        (fun pre_resolve ->
+          let tr =
+            { tr with t_header = { tr.t_header with h_pre_resolve = pre_resolve } }
+          in
+          let fresh =
+            Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope
+              (attack.a_victim.v_build ())
+          in
+          let fresh =
+            if pre_resolve then Bastion_analysis.Preresolve.enrich fresh else fresh
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s (pre_resolve %b)" file pre_resolve)
+            (Bastion.Metadata_io.write fresh)
+            (Bastion.Metadata_io.write (Engine.base_bundle tr)))
+        [ false; true ])
+    [ "golden/nginx-attack.jsonl"; "golden/sqlite-attack.jsonl";
+      "golden/vsftpd-attack.jsonl" ]
+
+(* An undefended attack run has no monitor, so its trace has nothing
+   to replay: every entry point refuses the header before running. *)
+let test_undefended_attack_refused () =
+  let tr =
+    Trace.read_string ~file:"none.jsonl"
+      (replace_once ~sub:"\"config\":\"full\"" ~by:"\"config\":\"none\""
+         (read_whole "golden/vsftpd-attack.jsonl"))
+  in
+  let refused name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an undefended attack trace" name
+    | exception Trace.Malformed { line; _ } ->
+      Alcotest.(check int) (name ^ " refuses at line 1") 1 line
+  in
+  refused "strict replay" (fun () -> ignore (Engine.replay ~strict:true tr));
+  refused "diff replay" (fun () -> ignore (Engine.diff_replay tr));
+  refused "base bundle" (fun () -> ignore (Engine.base_bundle tr))
+
+(* A ring that dropped events would write a trace the reader rejects:
+   the writer `run --audit` shares refuses it and writes nothing. *)
+let test_dropped_ring_refused () =
+  with_temp_trace (fun path ->
+      Sys.remove path;
+      let recorder = Obs.Recorder.create ~tracing:true ~ring_capacity:8 () in
+      let a = Result.get_ok (Engine.app_of ~name:"nginx" ~scale:"small") in
+      let m = Drivers.run ~recorder a Drivers.Bastion_full in
+      Alcotest.(check bool) "the ring dropped events" true
+        (Obs.Recorder.events_dropped recorder > 0);
+      (match
+         Engine.write_run ~recorder ~path ~app:"nginx" ~scale:"small"
+           ~trap_cache:true ~pre_resolve:false ~prefilter:None m
+       with
+      | _ -> Alcotest.fail "wrote a trace from a ring that dropped events"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists path))
+
 let suites =
   [
     ( "replay",
@@ -537,5 +671,21 @@ let suites =
           test_golden_diff_oracle;
       ]
       @ List.map QCheck_alcotest.to_alcotest
-          [ prop_record_replay_equivalence; prop_bitflip_total ] );
+          [ prop_record_replay_equivalence; prop_bitflip_total ]
+      @ [
+          Alcotest.test_case "attack trace fingerprint mismatch is gated" `Quick
+            test_attack_fingerprint_gate;
+          Alcotest.test_case "strict replay injects a tampered rip" `Quick
+            test_strict_injects_tampered_rip;
+          Alcotest.test_case "diff-replay: tampered rip falls back to live"
+            `Quick test_diff_guards_tampered_rip;
+          Alcotest.test_case "diff-replay: vanilla recording matches nothing"
+            `Quick test_diff_vanilla_recording;
+          Alcotest.test_case "attack base bundle is the victim's compile"
+            `Quick test_attack_base_bundle;
+          Alcotest.test_case "undefended attack traces are refused" `Quick
+            test_undefended_attack_refused;
+          Alcotest.test_case "recording refuses a ring that dropped events"
+            `Quick test_dropped_ring_refused;
+        ] );
   ]
