@@ -9,11 +9,19 @@ test:
 	dune runtest
 
 # The metadata-soundness lint gate: every workload model must produce
-# zero diagnostics (the CI job runs the same three commands).
+# zero errors (warnings are hygiene), plain and with pre-resolution,
+# which is what reaches lint's SCCP and taint checks (the CI job runs
+# the same nine commands).
 lint:
 	dune exec bin/bastion_cli.exe -- lint --app nginx
 	dune exec bin/bastion_cli.exe -- lint --app sqlite
 	dune exec bin/bastion_cli.exe -- lint --app vsftpd
+	dune exec bin/bastion_cli.exe -- lint --app nginx --pre-resolve
+	dune exec bin/bastion_cli.exe -- lint --app sqlite --pre-resolve
+	dune exec bin/bastion_cli.exe -- lint --app vsftpd --pre-resolve
+	dune exec bin/bastion_cli.exe -- lint --app nginx --fs --pre-resolve
+	dune exec bin/bastion_cli.exe -- lint --app sqlite --fs --pre-resolve
+	dune exec bin/bastion_cli.exe -- lint --app vsftpd --fs --pre-resolve
 
 # Build everything, then run the lint gate.
 check: lint

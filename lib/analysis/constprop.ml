@@ -179,7 +179,6 @@ let analyze (prog : Sil.Prog.t) : t =
       Hashtbl.replace t.cp_ctx f.fname fx;
       fx
   in
-  let cg = Sil.Callgraph.build prog in
   let work = Queue.create () in
   let top_summary (f : Sil.Func.t) = Array.make (List.length f.params) Top in
   let seed fname =
@@ -190,7 +189,7 @@ let analyze (prog : Sil.Prog.t) : t =
     | Some _ | None -> ()
   in
   seed prog.entry;
-  Sil.Callgraph.Sset.iter seed cg.address_taken;
+  Sil.Callgraph.Sset.iter seed (Sil.Callgraph.address_taken_of prog);
   let join_summary callee (vec : value array) : bool =
     match Hashtbl.find_opt t.cp_summaries callee with
     | None ->

@@ -34,7 +34,7 @@ let join a b =
 
 type t = {
   cy_prog : Sil.Prog.t;
-  cy_cg : Sil.Callgraph.t;
+  cy_taken : Sil.Callgraph.Sset.t;  (** address-taken functions *)
   cy_reach : (string, unit) Hashtbl.t;  (** reachable app functions *)
   cy_direct_args : (string, (string * Sil.Operand.t list) list) Hashtbl.t;
   cy_indirect_args : (int, (string * Sil.Operand.t list) list) Hashtbl.t;
@@ -55,7 +55,7 @@ let is_stub_of prog fname =
   | None -> false
 
 let analyze (prog : Sil.Prog.t) : t =
-  let cg = Sil.Callgraph.build prog in
+  let taken = Sil.Callgraph.address_taken_of prog in
   let is_app = is_app_of prog in
   (* Address-taken app functions by arity: the candidate targets of an
      indirect call (the linter's reachability uses the same cut). *)
@@ -69,7 +69,7 @@ let analyze (prog : Sil.Prog.t) : t =
           let existing = Option.value ~default:[] (Hashtbl.find_opt tbl n) in
           Hashtbl.replace tbl n (fname :: existing)
         end)
-      cg.address_taken;
+      taken;
     fun n -> Option.value ~default:[] (Hashtbl.find_opt tbl n)
   in
   (* Reachable app functions, visiting only reachable blocks; indirect
@@ -137,7 +137,7 @@ let analyze (prog : Sil.Prog.t) : t =
     reach;
   {
     cy_prog = prog;
-    cy_cg = cg;
+    cy_taken = taken;
     cy_reach = reach;
     cy_direct_args = direct_args;
     cy_indirect_args = indirect_args;
@@ -247,7 +247,7 @@ and eval_var (t : t) fname (v : Sil.Operand.var) stack =
         let callers =
           Option.value ~default:[] (Hashtbl.find_opt t.cy_direct_args fname)
           @
-          if Sil.Callgraph.Sset.mem fname t.cy_cg.address_taken then
+          if Sil.Callgraph.Sset.mem fname t.cy_taken then
             Option.value ~default:[] (Hashtbl.find_opt t.cy_indirect_args arity)
           else []
         in

@@ -39,7 +39,7 @@ type item = {
 let extract (p : Bastion.Api.protected) : Defenses.Flow_prefilter.spec =
   let prog = p.inst.iprog in
   let sensitive = p.sensitive_numbers in
-  let cg = Sil.Callgraph.build prog in
+  let taken = Sil.Callgraph.address_taken_of prog in
   let stub_sysno fname =
     match Hashtbl.find_opt prog.funcs fname with
     | Some f -> (
@@ -62,7 +62,7 @@ let extract (p : Bastion.Api.protected) : Defenses.Flow_prefilter.spec =
     Sil.Callgraph.Sset.fold
       (fun fname acc ->
         match stub_sysno fname with Some n -> n :: acc | None -> acc)
-      cg.address_taken []
+      taken []
     |> List.sort_uniq compare
   in
   let indirect_may_trap = indirect_sysnos <> [] in
@@ -78,7 +78,7 @@ let extract (p : Bastion.Api.protected) : Defenses.Flow_prefilter.spec =
           let existing = Option.value ~default:[] (Hashtbl.find_opt tbl n) in
           Hashtbl.replace tbl n (fname :: existing)
         end)
-      cg.address_taken;
+      taken;
     fun n -> Option.value ~default:[] (Hashtbl.find_opt tbl n)
   in
   let item_of (loc : Sil.Loc.t) (ins : Sil.Instr.t) : item option =

@@ -48,7 +48,7 @@ module Df = Dataflow.Make (L)
 
 type t = {
   tn_prog : Sil.Prog.t;
-  tn_cg : Sil.Callgraph.t;
+  tn_taken : Sil.Callgraph.Sset.t;  (** address-taken functions *)
   tn_callers : (string, (Sil.Func.t * Sil.Operand.t list) list) Hashtbl.t;
       (** callee -> (caller function, argument list) per direct callsite
           (pointer-parameter resolution chases these) *)
@@ -133,7 +133,7 @@ let rec objects_of_pointer (t : t) (f : Sil.Func.t) (op : Sil.Operand.t)
       in
       (match param_index with
       | Some i when not !unresolved ->
-        if Sil.Callgraph.Sset.mem f.fname t.tn_cg.address_taken then
+        if Sil.Callgraph.Sset.mem f.fname t.tn_taken then
           unresolved := true
         else
           List.iter
@@ -218,11 +218,11 @@ let transfer (t : t) (f : Sil.Func.t) (_ : Sil.Loc.t) (ins : Sil.Instr.t) env =
 (* The outer fixpoint                                                  *)
 
 let analyze (prog : Sil.Prog.t) : t =
-  let cg = Sil.Callgraph.build prog in
+  let taken = Sil.Callgraph.address_taken_of prog in
   let t =
     {
       tn_prog = prog;
-      tn_cg = cg;
+      tn_taken = taken;
       tn_callers = Hashtbl.create 16;
       tn_objs = Hashtbl.create 16;
       tn_params = Hashtbl.create 16;
@@ -252,7 +252,7 @@ let analyze (prog : Sil.Prog.t) : t =
   List.iter
     (fun (f : Sil.Func.t) ->
       let n = List.length f.params in
-      let pinned = Sil.Callgraph.Sset.mem f.fname cg.address_taken in
+      let pinned = Sil.Callgraph.Sset.mem f.fname taken in
       Hashtbl.replace t.tn_params f.fname (Array.make n pinned))
     app_funcs;
   let changed = ref true in

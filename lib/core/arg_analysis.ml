@@ -172,22 +172,24 @@ let analyze (prog : Sil.Prog.t) (cg : Sil.Callgraph.t) ~(sensitive_numbers : int
       | Sil.Instr.Indirect _ -> ())
     cg.callsites;
   (* Stores to a sensitive global/field make the stored value sensitive
-     too (step 3 of §6.3.3). *)
+     too (step 3 of §6.3.3).  The stores are indexed by target once, on
+     first use, each target's list in layout order. *)
+  let stores =
+    lazy
+      (let tbl = Hashtbl.create 64 in
+       List.iter
+         (fun ((loc : Sil.Loc.t), ins) ->
+           match (ins : Sil.Instr.t) with
+           | Store (Lglobal g, op) -> Hashtbl.add tbl (`Global g) (loc.func, op)
+           | Store (Lfield (_, s, f), op) -> Hashtbl.add tbl (`Field (s, f)) (loc.func, op)
+           | Store ((Lvar _ | Lindex _ | Lderef _), _) | Assign _ | Call _ -> ())
+         (Sil.Prog.instrs prog);
+       tbl)
+  in
   let mark_stores_to target =
     List.iter
-      (fun ((loc : Sil.Loc.t), ins) ->
-        match (ins : Sil.Instr.t) with
-        | Store (place, op) ->
-          let relevant =
-            match (place, target) with
-            | Sil.Place.Lglobal g, `Global g' -> String.equal g g'
-            | Sil.Place.Lfield (_, s, f), `Field (s', f') ->
-              String.equal s s' && String.equal f f'
-            | (Lvar _ | Lglobal _ | Lfield _ | Lindex _ | Lderef _), _ -> false
-          in
-          if relevant then mark_operand loc.func op
-        | Assign _ | Call _ -> ())
-      (Sil.Prog.instrs prog)
+      (fun (fname, op) -> mark_operand fname op)
+      (List.rev (Hashtbl.find_all (Lazy.force stores) target))
   in
   (* Propagate backwards until fixpoint. *)
   while not (Queue.is_empty work) do

@@ -11,7 +11,6 @@ module Sset = Set.Make (String)
     direct calls and treating every address-taken function as reachable
     (a conservative static debloater). *)
 let reachable (prog : Sil.Prog.t) : Sset.t =
-  let cg = Sil.Callgraph.build prog in
   let seen = ref Sset.empty in
   let queue = Queue.create () in
   let push f =
@@ -21,7 +20,7 @@ let reachable (prog : Sil.Prog.t) : Sset.t =
     end
   in
   push prog.entry;
-  Sil.Callgraph.Sset.iter push cg.address_taken;
+  Sil.Callgraph.Sset.iter push (Sil.Callgraph.address_taken_of prog);
   while not (Queue.is_empty queue) do
     let fname = Queue.pop queue in
     let f = Sil.Prog.find_func prog fname in

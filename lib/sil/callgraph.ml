@@ -20,55 +20,68 @@ type t = {
   address_taken : Sset.t;                     (** functions whose address escapes *)
 }
 
-(** Functions whose address appears in an operand. *)
-let operand_fnames op =
-  match (op : Operand.t) with
-  | Func_addr f -> [ f ]
-  | Const _ | Cstr _ | Var _ | Global _ | Null -> []
+(* Address-taken: a [Func_addr] operand anywhere (instruction operands,
+   including call arguments and stores, and terminator operands: a
+   function may escape through [ret &f] or a branch on [&f]) and
+   function-pointer global initialisers. *)
+let add_operand acc (op : Operand.t) =
+  match op with
+  | Func_addr f -> Sset.add f acc
+  | Const _ | Cstr _ | Var _ | Global _ | Null -> acc
 
-let global_fnames (g : Prog.global) =
-  match g.ginit with
-  | Fptr f -> [ f ]
-  | Zero | Word _ | Words _ | Str _ -> []
+let add_block acc (b : Func.block) =
+  let acc =
+    Array.fold_left
+      (fun acc ins -> List.fold_left add_operand acc (Instr.operands ins))
+      acc b.instrs
+  in
+  match b.term with
+  | Branch (op, _, _) | Ret (Some op) -> add_operand acc op
+  | Jump _ | Ret None | Halt -> acc
+
+let taken_globals (prog : Prog.t) =
+  List.fold_left
+    (fun acc (g : Prog.global) ->
+      match g.ginit with
+      | Fptr f -> Sset.add f acc
+      | Zero | Word _ | Words _ | Str _ -> acc)
+    Sset.empty prog.globals
+
+let address_taken_of (prog : Prog.t) : Sset.t =
+  Hashtbl.fold
+    (fun _ (f : Func.t) acc -> List.fold_left add_block acc f.blocks)
+    prog.funcs (taken_globals prog)
 
 let build (prog : Prog.t) : t =
-  let callsites =
-    List.map
-      (fun (cs_loc, _dst, cs_target, cs_args) -> { cs_loc; cs_target; cs_args })
-      (Prog.calls prog)
-  in
+  let callsites = ref [] and indirect = ref [] in
+  let callers : (string, Loc.t list ref) Hashtbl.t = Hashtbl.create 64 in
+  let taken = ref (taken_globals prog) in
+  List.iter
+    (fun (f : Func.t) ->
+      List.iter
+        (fun (b : Func.block) ->
+          Array.iteri
+            (fun i (ins : Instr.t) ->
+              match ins with
+              | Call { target; args; _ } -> (
+                let cs = { cs_loc = Loc.make f.fname b.label i; cs_target = target; cs_args = args } in
+                callsites := cs :: !callsites;
+                match target with
+                | Direct callee -> (
+                  match Hashtbl.find_opt callers callee with
+                  | Some locs -> locs := cs.cs_loc :: !locs
+                  | None -> Hashtbl.add callers callee (ref [ cs.cs_loc ]))
+                | Indirect _ -> indirect := cs :: !indirect)
+              | Assign _ | Store _ -> ())
+            b.instrs;
+          taken := add_block !taken b)
+        f.blocks)
+    (Prog.functions prog);
   let direct_callers =
-    List.fold_left
-      (fun acc cs ->
-        match cs.cs_target with
-        | Instr.Direct callee ->
-          let existing = Option.value ~default:[] (Smap.find_opt callee acc) in
-          Smap.add callee (cs.cs_loc :: existing) acc
-        | Instr.Indirect _ -> acc)
-      Smap.empty callsites
+    Hashtbl.fold (fun callee locs acc -> Smap.add callee !locs acc) callers Smap.empty
   in
-  let indirect_callsites =
-    List.filter
-      (fun cs ->
-        match cs.cs_target with Instr.Indirect _ -> true | Instr.Direct _ -> false)
-      callsites
-  in
-  (* Address-taken: Func_addr operands anywhere (including call arguments
-     and stores) and function-pointer global initialisers. *)
-  let address_taken =
-    let from_instrs =
-      List.fold_left
-        (fun acc (_, ins) ->
-          List.fold_left
-            (fun acc op -> List.fold_left (fun acc f -> Sset.add f acc) acc (operand_fnames op))
-            acc (Instr.operands ins))
-        Sset.empty (Prog.instrs prog)
-    in
-    List.fold_left
-      (fun acc g -> List.fold_left (fun acc f -> Sset.add f acc) acc (global_fnames g))
-      from_instrs prog.globals
-  in
-  { prog; callsites; direct_callers; indirect_callsites; address_taken }
+  { prog; callsites = List.rev !callsites; direct_callers;
+    indirect_callsites = List.rev !indirect; address_taken = !taken }
 
 let direct_callers_of (cg : t) fname =
   Option.value ~default:[] (Smap.find_opt fname cg.direct_callers)

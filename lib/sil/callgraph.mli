@@ -19,9 +19,20 @@ type t = {
   address_taken : Sset.t;                     (** functions whose address escapes *)
 }
 
+(** One pass over the program in layout order (functions by name,
+    blocks and instructions in order).  [callsites] and
+    [indirect_callsites] are in layout order; each callee's
+    [direct_callers] list is in reverse layout order. *)
 val build : Prog.t -> t
 
-(** Direct callsites that call the named function. *)
+(** [(build p).address_taken] without the rest of the graph: every
+    function named by a [Func_addr] operand of an instruction or a
+    terminator ([ret &f], a branch on [&f]), or by an [Fptr] global
+    initialiser. *)
+val address_taken_of : Prog.t -> Sset.t
+
+(** Direct callsites that call the named function, in reverse layout
+    order. *)
 val direct_callers_of : t -> string -> Loc.t list
 
 val is_address_taken : t -> string -> bool

@@ -490,3 +490,430 @@ module Plan_ref = struct
     t.pl_busy.(target) <- t.pl_busy.(target) + service;
     (target, if migrated then Some current else None)
 end
+
+(** A function whose address escapes only through a terminator: [pick]
+    returns [&opener], [main] calls the result indirectly, and [opener]
+    mprotects a fresh buffer.  With [~via_local:true], [pick] first
+    copies [&opener] into a local, so the address also appears in an
+    instruction operand. *)
+let ret_escape_program ?(via_local = false) () =
+  let open Sil.Operand in
+  let i64 = Sil.Types.I64 and ptr = Sil.Types.Ptr Sil.Types.I64 in
+  let pb = B.program () in
+  Kernel.Syscalls.declare_stubs pb;
+  let fb = B.func pb "opener" ~params:[ ("x", i64) ] in
+  let buf = B.local fb "buf" ptr in
+  let r = B.local fb "r" i64 in
+  B.call fb ~dst:buf "mmap" [ Null; const 16; const 1 ];
+  B.call fb ~dst:r "mprotect" [ Var buf; const 16; Var (B.param fb 0) ];
+  B.ret fb (Some (Var r));
+  B.seal fb;
+  let fb = B.func pb "pick" ~params:[] in
+  (if via_local then begin
+     let h = B.local fb "h" ptr in
+     B.set fb h (Func_addr "opener");
+     B.ret fb (Some (Var h))
+   end
+   else B.ret fb (Some (Func_addr "opener")));
+  B.seal fb;
+  let fb = B.func pb "main" ~params:[] in
+  let h = B.local fb "h" ptr in
+  let r = B.local fb "r" i64 in
+  B.call fb ~dst:h "pick" [];
+  B.call_indirect fb ~dst:r (Var h) [ const 1 ];
+  B.halt fb;
+  B.seal fb;
+  B.build pb ~entry:"main"
+
+(** [Sil.Callgraph.build] as it stood before it became one pass: the
+    calls and the address-taken set each from their own materialised
+    [Prog.instrs] walk, one [Smap.add] per direct call.  Terminator
+    operands are added to the address-taken set (the old build missed
+    [ret &f] and a branch on [&f]).  Kept as the reference the one-pass
+    build must equal field by field, list order included. *)
+module Callgraph_ref = struct
+  module Cg = Sil.Callgraph
+
+  let operand_fnames op =
+    match (op : Sil.Operand.t) with
+    | Func_addr f -> [ f ]
+    | Const _ | Cstr _ | Var _ | Global _ | Null -> []
+
+  let term_operands (t : Sil.Instr.terminator) =
+    match t with Branch (op, _, _) | Ret (Some op) -> [ op ] | Jump _ | Ret None | Halt -> []
+
+  let build (prog : Sil.Prog.t) : Cg.t =
+    let callsites =
+      List.map
+        (fun (cs_loc, _dst, cs_target, cs_args) -> { Cg.cs_loc; cs_target; cs_args })
+        (Sil.Prog.calls prog)
+    in
+    let direct_callers =
+      List.fold_left
+        (fun acc (cs : Cg.callsite) ->
+          match cs.cs_target with
+          | Sil.Instr.Direct callee ->
+            let existing = Option.value ~default:[] (Cg.Smap.find_opt callee acc) in
+            Cg.Smap.add callee (cs.cs_loc :: existing) acc
+          | Sil.Instr.Indirect _ -> acc)
+        Cg.Smap.empty callsites
+    in
+    let indirect_callsites =
+      List.filter
+        (fun (cs : Cg.callsite) ->
+          match cs.cs_target with Sil.Instr.Indirect _ -> true | Sil.Instr.Direct _ -> false)
+        callsites
+    in
+    let add_ops acc ops =
+      List.fold_left
+        (fun acc op -> List.fold_left (fun acc f -> Cg.Sset.add f acc) acc (operand_fnames op))
+        acc ops
+    in
+    let address_taken =
+      let from_instrs =
+        List.fold_left
+          (fun acc (_, ins) -> add_ops acc (Sil.Instr.operands ins))
+          Cg.Sset.empty (Sil.Prog.instrs prog)
+      in
+      let from_terms =
+        List.fold_left
+          (fun acc (f : Sil.Func.t) ->
+            List.fold_left
+              (fun acc (b : Sil.Func.block) -> add_ops acc (term_operands b.term))
+              acc f.blocks)
+          from_instrs (Sil.Prog.functions prog)
+      in
+      List.fold_left
+        (fun acc (g : Sil.Prog.global) ->
+          match g.ginit with Fptr f -> Cg.Sset.add f acc | Zero | Word _ | Words _ | Str _ -> acc)
+        from_terms prog.globals
+    in
+    { Cg.prog; callsites; direct_callers; indirect_callsites; address_taken }
+
+  (** The fields where two graphs of one program differ, with list
+      order significant (empty when they are equal). *)
+  let diff (a : Cg.t) (b : Cg.t) =
+    List.filter_map
+      (fun (name, same) -> if same then None else Some name)
+      [
+        ("callsites", a.callsites = b.callsites);
+        ("direct_callers", Cg.Smap.equal (List.equal Sil.Loc.equal) a.direct_callers b.direct_callers);
+        ("indirect_callsites", a.indirect_callsites = b.indirect_callsites);
+        ("address_taken", Cg.Sset.equal a.address_taken b.address_taken);
+      ]
+end
+
+(** [Sil.Validate.check] as it stood before it built per-function and
+    per-program lookup tables: [Func.all_vars] rebuilt for every
+    variable lookup, the globals list scanned for every global operand,
+    and every instruction's location formatted whether or not it has an
+    error.  Kept as the reference the table-driven validator must equal,
+    error for error, in order and text. *)
+module Validate_ref = struct
+  module V = Sil.Validate
+
+  let check_func (prog : Sil.Prog.t) (f : Sil.Func.t) : V.error list =
+    let errs = ref [] in
+    let add loc fmt = Printf.ksprintf (fun m -> errs := { V.loc; message = m } :: !errs) fmt in
+    let labels = List.fold_left (fun acc (b : Sil.Func.block) -> b.label :: acc) [] f.blocks in
+    let distinct = List.sort_uniq String.compare labels in
+    if List.length distinct <> List.length labels then add f.fname "duplicate block labels";
+    let var_known v = List.mem_assoc v (Sil.Func.all_vars f) in
+    let check_scalar loc v =
+      if var_known v then
+        match Sil.Func.var_type f v with
+        | Sil.Types.Struct _ | Sil.Types.Array _ ->
+          add loc "aggregate variable %s#%d used as a scalar operand" v.vname v.vid
+        | Sil.Types.Void | Sil.Types.I64 | Sil.Types.Ptr _ | Sil.Types.Func _ -> ()
+    in
+    let global_known g =
+      List.exists (fun (x : Sil.Prog.global) -> String.equal x.gname g) prog.globals
+    in
+    let check_operand loc op =
+      match (op : Sil.Operand.t) with
+      | Var v ->
+        if not (var_known v) then add loc "unknown variable %s#%d" v.vname v.vid
+        else check_scalar loc v
+      | Global g -> if not (global_known g) then add loc "unknown global %s" g
+      | Func_addr fn ->
+        if not (Sil.Prog.mem_func prog fn) then add loc "address of unknown function %s" fn
+      | Const _ | Cstr _ | Null -> ()
+    in
+    let check_place loc p =
+      List.iter (check_operand loc) (Sil.Place.operands p);
+      match (p : Sil.Place.t) with
+      | Lvar v -> if not (var_known v) then add loc "unknown variable %s#%d" v.vname v.vid
+      | Lglobal g -> if not (global_known g) then add loc "unknown global %s" g
+      | Lfield (_, sname, field) -> (
+        match Hashtbl.find_opt prog.structs sname with
+        | None -> add loc "unknown struct %s" sname
+        | Some def ->
+          if not (List.mem_assoc field def.Sil.Types.fields) then
+            add loc "struct %s has no field %s" sname field)
+      | Lindex _ | Lderef _ -> ()
+    in
+    List.iter
+      (fun (loc, ins) ->
+        let locs = Sil.Loc.to_string loc in
+        List.iter (check_operand locs) (Sil.Instr.operands ins);
+        match (ins : Sil.Instr.t) with
+        | Assign (v, rv) -> (
+          if not (var_known v) then add locs "assign to unknown variable %s#%d" v.vname v.vid
+          else check_scalar locs v;
+          match rv with Load p | Addr_of p -> check_place locs p | Use _ | Binop _ -> ())
+        | Store (p, _) ->
+          (match (p : Sil.Place.t) with Lvar v when var_known v -> check_scalar locs v | _ -> ());
+          check_place locs p
+        | Call { dst = Some v; _ } when not (var_known v) ->
+          add locs "call result assigned to unknown variable %s#%d" v.vname v.vid
+        | Call { target = Direct callee; args; dst } -> (
+          (match dst with Some v -> check_scalar locs v | None -> ());
+          match Hashtbl.find_opt prog.funcs callee with
+          | None -> add locs "call to unknown function %s" callee
+          | Some g ->
+            let arity = List.length g.Sil.Func.params in
+            let n = List.length args in
+            let ok = if Sil.Func.is_syscall_stub g then n <= arity else n = arity in
+            if not ok then add locs "call to %s: %d args, expected %d" callee n arity)
+        | Call { target = Indirect _; dst; _ } -> (
+          match dst with Some v -> check_scalar locs v | None -> ()))
+      (Sil.Func.instrs f);
+    List.iter
+      (fun (b : Sil.Func.block) ->
+        let at = f.fname ^ ":" ^ b.label in
+        let check_label l = if not (List.mem l labels) then add at "jump to unknown label %s" l in
+        match b.term with
+        | Jump l -> check_label l
+        | Branch (op, l1, l2) ->
+          check_operand at op;
+          check_label l1;
+          check_label l2
+        | Ret (Some op) -> check_operand at op
+        | Ret None | Halt -> ())
+      f.blocks;
+    List.rev !errs
+
+  let check (prog : Sil.Prog.t) : V.error list =
+    let entry_errs =
+      if Sil.Prog.mem_func prog prog.entry then []
+      else [ V.error "program" "entry function %s not defined" prog.entry ]
+    in
+    let dup_errs =
+      let names = Hashtbl.fold (fun name _ acc -> name :: acc) prog.funcs [] in
+      let sorted = List.sort String.compare names in
+      let rec dups acc = function
+        | a :: (b :: _ as rest) ->
+          dups (if String.equal a b && not (List.mem a acc) then a :: acc else acc) rest
+        | [ _ ] | [] -> acc
+      in
+      List.map (fun n -> V.error "program" "function %s defined more than once" n)
+        (List.rev (dups [] sorted))
+    in
+    entry_errs @ dup_errs @ List.concat_map (check_func prog) (Sil.Prog.functions prog)
+end
+
+(** Random programs over a small fixed vocabulary, for the
+    call-structure and validator laws: direct and indirect calls, and
+    [&f] in every operand position (assigned, loaded or stored through,
+    as a field base, an array base or index, a dereferenced pointer, a
+    call target or argument), in branch conditions and return values,
+    and in [Fptr] globals.  Defects are seeded throughout: undeclared
+    variables (one sharing a declared vid under another name), a
+    variable redeclared with another type, aggregates in scalar
+    positions, unknown globals, functions, structs, fields and labels,
+    duplicate block labels, wrong arities, a shadowed function binding
+    and a missing entry. *)
+module Prog_gen = struct
+  open QCheck.Gen
+  module T = Sil.Types
+  module O = Sil.Operand
+  module I = Sil.Instr
+  module P = Sil.Place
+
+  let va = { O.vid = 0; vname = "a" }
+  let vp = { O.vid = 1; vname = "p" }
+  let vs = { O.vid = 2; vname = "s" }
+  let vr = { O.vid = 3; vname = "r" }
+  let decls = [ (va, T.I64); (vp, T.Ptr T.I64); (vs, T.Struct "pair"); (vr, T.Array (T.I64, 2)) ]
+  let vars = [| va; vp; vs; vr; { O.vid = 0; vname = "alias" }; { O.vid = 7; vname = "ghost" } |]
+  let names = [| "f0"; "f1"; "f2"; "f3"; "sys_write"; "ghost" |]
+  let labels = [| "b0"; "b1"; "b2"; "nowhere" |]
+  let globals = [| "g0"; "g1"; "gfp"; "gone" |]
+
+  let operand =
+    frequency
+      [
+        (2, map (fun n -> O.Const (Int64.of_int n)) small_nat);
+        (3, map (fun v -> O.Var v) (oneofa vars));
+        (1, map (fun g -> O.Global g) (oneofa globals));
+        (3, map (fun f -> O.Func_addr f) (oneofa names));
+        (1, return O.Null);
+        (1, return (O.Cstr "s"));
+      ]
+
+  let place =
+    oneof
+      [
+        map (fun v -> P.Lvar v) (oneofa vars);
+        map (fun g -> P.Lglobal g) (oneofa globals);
+        map3 (fun b s f -> P.Lfield (b, s, f)) operand (oneofl [ "pair"; "nostruct" ])
+          (oneofl [ "x"; "y"; "z" ]);
+        map2 (fun b i -> P.Lindex (b, i, T.I64)) operand operand;
+        map (fun b -> P.Lderef b) operand;
+      ]
+
+  let rvalue =
+    oneof
+      [
+        map (fun op -> I.Use op) operand;
+        map (fun p -> I.Load p) place;
+        map (fun p -> I.Addr_of p) place;
+        map2 (fun a b -> I.Binop (I.Add, a, b)) operand operand;
+      ]
+
+  let target =
+    frequency [ (2, map (fun f -> I.Direct f) (oneofa names)); (1, map (fun op -> I.Indirect op) operand) ]
+
+  let instr =
+    frequency
+      [
+        (2, map2 (fun v rv -> I.Assign (v, rv)) (oneofa vars) rvalue);
+        (1, map2 (fun p v -> I.Store (p, v)) place operand);
+        ( 3,
+          map3
+            (fun dst target args -> I.Call { dst; target; args })
+            (opt (oneofa vars)) target (list_size (int_bound 3) operand) );
+      ]
+
+  let term =
+    frequency
+      [
+        (2, map (fun l -> I.Jump l) (oneofa labels));
+        (2, map3 (fun op l1 l2 -> I.Branch (op, l1, l2)) operand (oneofa labels) (oneofa labels));
+        (2, map (fun op -> I.Ret (Some op)) operand);
+        (1, return (I.Ret None));
+        (1, return I.Halt);
+      ]
+
+  let block label =
+    map2
+      (fun instrs term -> { Sil.Func.label; instrs = Array.of_list instrs; term })
+      (list_size (int_bound 5) instr) term
+
+  let func fname =
+    let* nblocks = int_range 1 3 in
+    let* dup_label = int_bound 9 in
+    let block_labels = List.init nblocks (fun i -> labels.(i)) in
+    let block_labels =
+      if dup_label = 0 then block_labels @ [ List.hd block_labels ] else block_labels
+    in
+    let* blocks = flatten_l (List.map block block_labels) in
+    let* nparams = int_bound 2 in
+    let* kept = list_repeat (List.length decls) (int_bound 4) in
+    let* retyped = int_bound 9 in
+    let params = List.filteri (fun i _ -> i < nparams) decls in
+    let locals =
+      List.filteri (fun i _ -> i >= nparams && List.nth kept i > 0) decls
+      @ if retyped = 0 then [ (va, T.Struct "pair") ] else []
+    in
+    return { Sil.Func.fname; params; locals; blocks; kind = Sil.Func.App_code }
+
+  let stub =
+    {
+      Sil.Func.fname = "sys_write";
+      params = List.init 3 (fun i -> ({ O.vid = i; vname = Printf.sprintf "x%d" i }, T.I64));
+      locals = [];
+      blocks = [ { label = "entry"; instrs = [||]; term = I.Ret None } ];
+      kind = Sil.Func.Syscall_stub 1;
+    }
+
+  let prog =
+    let* funcs = flatten_l (List.map func [ "f0"; "f1"; "f2"; "f3" ]) in
+    let* present = list_repeat 4 (int_bound 9) in
+    let* shadow = int_bound 9 in
+    let* entry = frequency [ (9, return "f0"); (1, return "ghost") ] in
+    let* fptrs = list_size (int_bound 2) (oneofa names) in
+    let tbl = Hashtbl.create 8 in
+    List.iteri (fun i (f : Sil.Func.t) -> if List.nth present i > 0 then Hashtbl.replace tbl f.fname f) funcs;
+    Hashtbl.replace tbl stub.fname stub;
+    if shadow = 0 then Hashtbl.add tbl "f1" (List.nth funcs 1);
+    let structs = T.struct_env_create () in
+    T.define_struct structs { T.sname = "pair"; fields = [ ("x", T.I64); ("y", T.I64) ] };
+    let globals =
+      [
+        { Sil.Prog.gname = "g0"; gty = T.I64; ginit = Sil.Prog.Word 5L };
+        { gname = "g1"; gty = T.I64; ginit = Sil.Prog.Zero };
+      ]
+      @ List.mapi
+          (fun i f ->
+            { Sil.Prog.gname = (if i = 0 then "gfp" else Printf.sprintf "gfp%d" i);
+              gty = T.Ptr T.I64; ginit = Sil.Prog.Fptr f })
+          fptrs
+    in
+    return { Sil.Prog.structs; globals; funcs = tbl; entry }
+
+  let arbitrary = QCheck.make ~print:Sil.Pp.prog_to_string prog
+end
+
+(** Malformed programs, one per defect the hand-written validator tests
+    exercise: unknown global, callee, variable, label and struct; wrong
+    arity; a dangling jump; an aggregate used as a scalar; a shadowed
+    function binding; a call result to an unknown variable. *)
+let malformed_progs () =
+  let i64 = Sil.Types.I64 in
+  let in_main mk =
+    let pb = B.program () in
+    let fb = B.func pb "main" ~params:[] in
+    mk pb fb;
+    B.halt fb;
+    B.seal fb;
+    B.build pb ~entry:"main"
+  in
+  let ghost = { Sil.Operand.vid = 99; vname = "ghost" } in
+  [
+    ("unknown global", in_main (fun _ fb -> B.store fb (Sil.Place.Lglobal "missing") (Sil.Operand.const 1)));
+    ("unknown callee", in_main (fun _ fb -> B.call fb "missing" []));
+    ("unknown variable", in_main (fun _ fb -> B.set fb ghost (Sil.Operand.const 1)));
+    ("unknown label", in_main (fun _ fb -> B.branch fb (Sil.Operand.const 1) "nowhere" "nowhere"));
+    ( "arity mismatch",
+      in_main (fun pb fb ->
+          let g = B.func pb "g" ~params:[ ("a", i64) ] in
+          B.ret g None;
+          B.seal g;
+          B.call fb "g" [ Sil.Operand.const 1; Sil.Operand.const 2 ]) );
+    ( "unknown struct",
+      in_main (fun _ fb -> B.store fb (Sil.Place.Lfield (Null, "ghost_t", "x")) (Sil.Operand.const 1)) );
+    ( "dangling block",
+      let pb = B.program () in
+      let fb = B.func pb "main" ~params:[] in
+      B.terminate fb (Sil.Instr.Jump "nowhere");
+      B.seal fb;
+      B.build pb ~entry:"main" );
+    ( "aggregate as scalar",
+      let pb = B.program () in
+      B.struct_ pb "pair" [ ("a", i64); ("b", i64) ];
+      let fb = B.func pb "main" ~params:[] in
+      let s = B.local fb "s" (Sil.Types.Struct "pair") in
+      let x = B.local fb "x" i64 in
+      B.set fb x (Sil.Operand.Var s);
+      B.halt fb;
+      B.seal fb;
+      B.build pb ~entry:"main" );
+    ( "duplicate function",
+      let pb = B.program () in
+      let fb = B.func pb "dup" ~params:[] in
+      B.ret fb None;
+      B.seal fb;
+      let fb = B.func pb "main" ~params:[] in
+      B.halt fb;
+      B.seal fb;
+      let prog = B.build pb ~entry:"main" in
+      Hashtbl.add prog.funcs "dup" (Sil.Prog.find_func prog "dup");
+      prog );
+    ( "call result to unknown variable",
+      in_main (fun pb fb ->
+          let c = B.func pb "callee" ~params:[] in
+          B.ret c None;
+          B.seal c;
+          B.emit fb (Sil.Instr.Call { dst = Some ghost; target = Sil.Instr.Direct "callee"; args = [] })) );
+  ]
