@@ -9,7 +9,9 @@ module Net = Net
 module Ptrace = Ptrace
 module Process = Process
 
-(** Execute one syscall's semantics (after filtering/tracing). *)
+(** Execute one syscall's semantics (after filtering/tracing): one
+    index into a handler table built from {!Syscalls.table}.  A number
+    the table does not list returns 0 without effect. *)
 val execute : Process.t -> sysno:int -> args:int64 array -> int64
 
 (** The full dispatch pipeline for one invocation: charge base cost,

@@ -25,7 +25,11 @@ type t = {
   mutable next_pid : int;
   mutable uid : int;
   mutable gid : int;
-  syscall_counts : (int, int) Hashtbl.t;  (** executed syscalls, by number *)
+  mutable syscall_counts : int array;
+      (** executed syscalls, by number below [Syscalls.count]; empty
+          until the first, so a forked child that never runs one keeps
+          no table *)
+  mutable other_counts : (int * int) list;  (** executed syscalls outside that range *)
   mutable trap_count : int;               (** TRACE stops delivered *)
   mutable io_words_out : int;             (** words sent to clients *)
   mutable io_words_in : int;              (** words read from files/clients *)
@@ -57,7 +61,8 @@ let create (machine : Machine.t) =
     next_pid = 100;
     uid = 0;
     gid = 0;
-    syscall_counts = Hashtbl.create 64;
+    syscall_counts = [||];
+    other_counts = [];
     trap_count = 0;
     io_words_out = 0;
     io_words_in = 0;
@@ -94,11 +99,17 @@ let find_fd t fd = Hashtbl.find_opt t.fds fd
 
 let close_fd t fd = Hashtbl.remove t.fds fd
 
-let count_syscall t nr =
-  Hashtbl.replace t.syscall_counts nr
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.syscall_counts nr))
+let syscall_count t nr =
+  if Syscalls.in_range nr then
+    if Array.length t.syscall_counts = 0 then 0 else t.syscall_counts.(nr)
+  else Option.value ~default:0 (List.assoc_opt nr t.other_counts)
 
-let syscall_count t nr = Option.value ~default:0 (Hashtbl.find_opt t.syscall_counts nr)
+let count_syscall t nr =
+  if Syscalls.in_range nr then begin
+    if Array.length t.syscall_counts = 0 then t.syscall_counts <- Array.make Syscalls.count 0;
+    t.syscall_counts.(nr) <- t.syscall_counts.(nr) + 1
+  end
+  else t.other_counts <- (nr, 1 + syscall_count t nr) :: List.remove_assoc nr t.other_counts
 
 let log_exec t ~sysno ~args ~path =
   t.exec_log <- { ev_sysno = sysno; ev_args = args; ev_path = path } :: t.exec_log

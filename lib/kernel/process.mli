@@ -26,7 +26,11 @@ type t = {
   mutable next_pid : int;
   mutable uid : int;
   mutable gid : int;
-  syscall_counts : (int, int) Hashtbl.t;  (** executed syscalls, by number *)
+  mutable syscall_counts : int array;
+      (** executed syscalls, by number below [Syscalls.count]; empty
+          until the first, so a forked child that never runs one keeps
+          no table *)
+  mutable other_counts : (int * int) list;  (** executed syscalls outside that range *)
   mutable trap_count : int;               (** TRACE stops delivered *)
   mutable io_words_out : int;             (** words sent to clients *)
   mutable io_words_in : int;              (** words read from files/clients *)

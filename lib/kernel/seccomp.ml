@@ -177,19 +177,34 @@ let flow_stats fa = (fa.fa_resolved, fa.fa_fallthroughs, fa.fa_kills)
 (* The filter                                                          *)
 
 type filter = {
-  rules : (int, action) Hashtbl.t;
+  rules : Bytes.t;
+      (** one byte per number below [Syscalls.count]: 0 where no rule
+          is set, else the rule's [action_code] *)
+  mutable other_rules : (int * action) list;  (** rules for numbers outside that range *)
   default : action;
   mutable evaluations : int;
   mutable flow : flow_automaton option;
       (** the installed syscall-flow pre-filter, if any *)
 }
 
+let action_code = function Allow -> '\001' | Kill -> '\002' | Trace -> '\003'
+
 let create ?(default = Allow) () =
-  { rules = Hashtbl.create 64; default; evaluations = 0; flow = None }
+  { rules = Bytes.make Syscalls.count '\000'; other_rules = []; default; evaluations = 0;
+    flow = None }
 
-let set_rule filter nr action = Hashtbl.replace filter.rules nr action
+let set_rule filter nr action =
+  if Syscalls.in_range nr then Bytes.set filter.rules nr (action_code action)
+  else filter.other_rules <- (nr, action) :: List.remove_assoc nr filter.other_rules
 
-let rule filter nr = Option.value ~default:filter.default (Hashtbl.find_opt filter.rules nr)
+let rule filter nr =
+  if Syscalls.in_range nr then
+    match Bytes.get filter.rules nr with
+    | '\001' -> Allow
+    | '\002' -> Kill
+    | '\003' -> Trace
+    | _ -> filter.default
+  else Option.value ~default:filter.default (List.assoc_opt nr filter.other_rules)
 
 (** Evaluate the filter for a syscall number (charges nothing itself;
     the kernel charges [Cost.seccomp_eval] per evaluation). *)
@@ -215,7 +230,8 @@ let flow filter = filter.flow
     workers under the same monitor. *)
 let copy filter =
   {
-    rules = Hashtbl.copy filter.rules;
+    rules = Bytes.copy filter.rules;
+    other_rules = filter.other_rules;
     default = filter.default;
     evaluations = 0;
     flow = filter.flow;

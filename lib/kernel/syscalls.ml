@@ -67,27 +67,41 @@ let table =
   ]
 
 let by_name = Hashtbl.create 64
-let by_number = Hashtbl.create 64
 
-let () =
-  List.iter
-    (fun (name, nr, cat) ->
-      Hashtbl.replace by_name name (nr, cat);
-      Hashtbl.replace by_number nr (name, cat))
-    table
+let () = List.iter (fun (name, nr, cat) -> Hashtbl.replace by_name name (nr, cat)) table
 
 let number name =
   match Hashtbl.find_opt by_name name with
   | Some (nr, _) -> nr
   | None -> invalid_arg ("Syscalls.number: unknown syscall " ^ name)
 
-let name nr =
-  match Hashtbl.find_opt by_number nr with
-  | Some (name, _) -> name
-  | None -> Printf.sprintf "sys_%d" nr
+(* Tables indexed by number, built once here and never written after:
+   the kernel's dispatch reads them on every syscall, from whichever
+   domain runs the machine. *)
 
-let category nr =
-  match Hashtbl.find_opt by_number nr with Some (_, c) -> c | None -> Other
+let count = 1 + List.fold_left (fun m (_, nr, _) -> max m nr) 0 table
+
+let[@inline] in_range nr = nr >= 0 && nr < count
+
+let names = Array.init count (Printf.sprintf "sys_%d")
+let categories = Array.make count Other
+
+let () =
+  List.iter
+    (fun (name, nr, cat) ->
+      names.(nr) <- name;
+      categories.(nr) <- cat)
+    table
+
+let name nr = if in_range nr then names.(nr) else Printf.sprintf "sys_%d" nr
+
+let category nr = if in_range nr then categories.(nr) else Other
+
+(* Whether each number is in a set of names. *)
+let member_table set =
+  let t = Array.make count false in
+  List.iter (fun name -> t.(number name) <- true) set;
+  t
 
 (** The paper's Table 1 set, in table order. *)
 let sensitive_names =
@@ -99,8 +113,9 @@ let sensitive_names =
   ]
 
 let sensitive_numbers = List.map number sensitive_names
+let sensitive = member_table sensitive_names
 
-let is_sensitive nr = List.mem nr sensitive_numbers
+let is_sensitive nr = in_range nr && sensitive.(nr)
 
 let filesystem_names =
   [
@@ -109,8 +124,9 @@ let filesystem_names =
   ]
 
 let filesystem_numbers = List.map number filesystem_names
+let filesystem = member_table filesystem_names
 
-let is_filesystem nr = List.mem nr filesystem_numbers
+let is_filesystem nr = in_range nr && filesystem.(nr)
 
 (** The C-prototype arity of each syscall wrapper (what a type-based CFI
     sees); stubs still accept the full 6-register kernel ABI. *)

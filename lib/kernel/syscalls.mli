@@ -18,6 +18,15 @@ val table : (string * int * category) list
 (** @raise Invalid_argument for names outside the table. *)
 val number : string -> int
 
+(** One more than the largest number in {!table}.  The per-number
+    tables of the kernel (names, sets, handlers, seccomp rules, counts)
+    cover [0 .. count - 1]; numbers outside that range fall back to the
+    answers for an unknown syscall. *)
+val count : int
+
+(** [0 <= nr < count]. *)
+val in_range : int -> bool
+
 (** ["sys_<n>"] for numbers outside the table. *)
 val name : int -> string
 

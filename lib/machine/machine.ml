@@ -146,24 +146,41 @@ let create ?(config = default_config) (prog : Sil.Prog.t) : t =
    instruction was decoded in.  Where an expression reads several
    operands they are evaluated in the order the tree-walking
    interpreter used, which fixes the order string literals are interned
-   in rodata. *)
+   in rodata.
 
-let slot_addr (frame : frame) off = Memory.addr_add frame.frame_base off
+   [eval], [place_addr] and [eval_rvalue] are inlined into [step], so a
+   word goes from the memory table to its destination without being
+   boxed.  That needs every arm of their matches to compute a fresh
+   number or raise: an arm that returns an existing box ([fresh] below
+   recomputes one) or calls a function that is not inlined keeps the
+   whole match boxed. *)
 
-let eval (t : t) (frame : frame) (op : Layout.operand) : int64 =
+let[@inline] slot_addr (frame : frame) off = Memory.addr_add frame.frame_base off
+
+(* [n], computed afresh rather than returned as the box it came in. *)
+let[@inline] fresh (n : int64) = Int64.add n 0L
+
+(* First evaluation of a literal: intern it in rodata. *)
+let intern_literal (t : t) (l : Layout.literal) =
+  l.interned <- Layout.intern_string t.layout t.mem l.text
+
+let[@inline] eval (t : t) (frame : frame) (op : Layout.operand) : int64 =
   match op with
-  | Imm n -> n
+  | Imm n -> fresh n
   | Slot off -> Memory.read t.mem (slot_addr frame off)
   | Word_at a -> Memory.read t.mem a
   | Lit l ->
-    if Int64.equal l.interned 0L then l.interned <- Layout.intern_string t.layout t.mem l.text;
-    l.interned
-  | Unresolved msg -> invalid_arg msg
+    if Int64.equal l.interned 0L then intern_literal t l;
+    fresh l.interned
+  | Unresolved msg -> raise (Invalid_argument msg)
 
-let place_addr (t : t) (frame : frame) (p : Layout.place) : int64 =
+(* An unresolved place still evaluates its operands before it fails. *)
+let eval_operands (t : t) (frame : frame) ops = List.iter (fun op -> ignore (eval t frame op)) ops
+
+let[@inline] place_addr (t : t) (frame : frame) (p : Layout.place) : int64 =
   match p with
   | Pslot off -> slot_addr frame off
-  | Pabs a -> a
+  | Pabs a -> fresh a
   | Pfield (base, off) -> Memory.addr_add (eval t frame base) off
   | Pindex (base, index, size) ->
     let b = eval t frame base in
@@ -171,10 +188,10 @@ let place_addr (t : t) (frame : frame) (p : Layout.place) : int64 =
     Memory.addr_add b (i * size)
   | Pderef p -> eval t frame p
   | Punresolved (ops, msg) ->
-    List.iter (fun op -> ignore (eval t frame op)) ops;
-    invalid_arg msg
+    eval_operands t frame ops;
+    raise (Invalid_argument msg)
 
-let eval_rvalue (t : t) (frame : frame) (rv : Layout.rvalue) : int64 =
+let[@inline] eval_rvalue (t : t) (frame : frame) (rv : Layout.rvalue) : int64 =
   match rv with
   | Use op -> eval t frame op
   | Load p -> Memory.read t.mem (place_addr t frame p)
@@ -286,7 +303,10 @@ let write_dst (t : t) frame dst result =
   match dst with Some p -> Memory.write t.mem (place_addr t frame p) result | None -> ()
 
 let exec_call (t : t) (frame : frame) (blk : Layout.block) idx (c : Layout.call) =
-  let argv = Array.map (eval t frame) c.args in
+  let argv = Array.make (Array.length c.args) 0L in
+  for i = 0 to Array.length argv - 1 do
+    argv.(i) <- eval t frame c.args.(i)
+  done;
   let callsite_addr = Int64.add blk.base (Int64.of_int (8 * idx)) in
   t.abi_regs <- argv;
   t.trap_rip <- callsite_addr;

@@ -36,33 +36,26 @@ let create () = { cells = Bytes.make (16 * 1024) '\000'; mask = 1023; count = 0 
 
 let home mask a = (Int64.to_int (Int64.mul a 0x9E37_79B9_7F4A_7C15L) lsr 31) land mask
 
-(* The slot holding [a], or [-1 - i] for the empty slot [i] that ends
-   its probe sequence. *)
-let rec find cells mask a i =
-  if Int64.equal (value cells i) 0L then -1 - i
-  else if Int64.equal (key cells i) a then i
-  else find cells mask a ((i + 1) land mask)
+let word = 8L
 
-let read t addr =
-  let i = find t.cells t.mask addr (home t.mask addr) in
-  if i < 0 then 0L else value t.cells i
+let[@inline] addr_add addr words = Int64.add addr (Int64.mul word (Int64.of_int words))
 
-(* [find] for the address [base + 8 off], computed here rather than by
-   the caller so that it is never boxed to cross a call. *)
-let find_at t base off =
-  let a = Int64.add base (Int64.mul 8L (Int64.of_int off)) in
-  let cells = t.cells and mask = t.mask in
+(* The slot holding [a], or the empty slot that ends its probe
+   sequence.  Inlined into [read] and [write], so the address is never
+   boxed to cross a call. *)
+let[@inline] probe cells mask a =
   let i = ref (home mask a) in
   while not (Int64.equal (value cells !i) 0L || Int64.equal (key cells !i) a) do
     i := (!i + 1) land mask
   done;
-  if Int64.equal (value cells !i) 0L then -1 else !i
+  !i
+
+(* An empty slot's value is 0, which is what an unmapped word reads as. *)
+let[@inline] read t addr = value t.cells (probe t.cells t.mask addr)
 
 (** The word at [base + 8 off].  Inlined, so a caller that only
     compares the word never boxes it. *)
-let[@inline] read_at t base off =
-  let i = find_at t base off in
-  if i < 0 then 0L else value t.cells i
+let[@inline] read_at t base off = read t (addr_add base off)
 
 let grow t =
   let old = t.cells and slots = t.mask + 1 in
@@ -72,7 +65,7 @@ let grow t =
     let v = value old i in
     if not (Int64.equal v 0L) then
       let a = key old i in
-      set t.cells (-1 - find t.cells t.mask a (home t.mask a)) a v
+      set t.cells (probe t.cells t.mask a) a v
   done
 
 (* Backward-shift deletion: walk the run after the hole and move back
@@ -91,24 +84,22 @@ let rec unmap t hole j =
       unmap t j j
     end
 
-let write t addr v =
-  let i = find t.cells t.mask addr (home t.mask addr) in
-  if Int64.equal v 0L then begin
-    if i >= 0 then begin
-      unmap t i i;
-      t.count <- t.count - 1
+(* Inlined, like [read]; growth and unmapping stay out of line. *)
+let[@inline] write t addr v =
+  let cells = t.cells in
+  let i = probe cells t.mask addr in
+  if Int64.equal (value cells i) 0L then begin
+    if not (Int64.equal v 0L) then begin
+      set cells i addr v;
+      t.count <- t.count + 1;
+      if 2 * t.count > t.mask then grow t
     end
   end
-  else if i >= 0 then set_value t.cells i v
-  else begin
-    set t.cells (-1 - i) addr v;
-    t.count <- t.count + 1;
-    if 2 * t.count > t.mask then grow t
+  else if Int64.equal v 0L then begin
+    unmap t i i;
+    t.count <- t.count - 1
   end
-
-let word = 8L
-
-let addr_add addr words = Int64.add addr (Int64.mul word (Int64.of_int words))
+  else set_value cells i v
 
 (** Read [n] consecutive words starting at [addr]. *)
 let read_block t addr n = Array.init n (fun i -> read t (addr_add addr i))

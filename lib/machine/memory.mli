@@ -6,6 +6,10 @@
 type t
 
 val create : unit -> t
+
+(** [read] and [write] probe inline (growth and unmapping do not), so
+    in a release build, where they are inlined into the caller, a word
+    moves between the table and the caller's arithmetic unboxed. *)
 val read : t -> int64 -> int64
 
 (** [read_at t base off] is [read t (addr_add base off)]; it allocates

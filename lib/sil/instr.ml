@@ -55,9 +55,11 @@ let def = function
 
 let is_call = function Call _ -> true | Assign _ | Store _ -> false
 
-let eval_binop op (a : int64) (b : int64) : int64 =
+(* Inlined into the interpreter, so each comparison arm yields its
+   constant directly: an arm that called a closure would keep the
+   result boxed. *)
+let[@inline] eval_binop op (a : int64) (b : int64) : int64 =
   let open Int64 in
-  let of_bool c = if c then 1L else 0L in
   match op with
   | Add -> add a b
   | Sub -> sub a b
@@ -68,9 +70,9 @@ let eval_binop op (a : int64) (b : int64) : int64 =
   | Xor -> logxor a b
   | Shl -> shift_left a (to_int b land 63)
   | Shr -> shift_right_logical a (to_int b land 63)
-  | Eq -> of_bool (equal a b)
-  | Ne -> of_bool (not (equal a b))
-  | Lt -> of_bool (compare a b < 0)
-  | Le -> of_bool (compare a b <= 0)
-  | Gt -> of_bool (compare a b > 0)
-  | Ge -> of_bool (compare a b >= 0)
+  | Eq -> if equal a b then 1L else 0L
+  | Ne -> if equal a b then 0L else 1L
+  | Lt -> if compare a b < 0 then 1L else 0L
+  | Le -> if compare a b <= 0 then 1L else 0L
+  | Gt -> if compare a b > 0 then 1L else 0L
+  | Ge -> if compare a b >= 0 then 1L else 0L

@@ -333,3 +333,89 @@ let suites =
   | [ (name, cases) ] ->
     [ (name, cases @ [ Alcotest.test_case "fork/clone policy inheritance" `Quick test_policy_inheritance ]) ]
   | other -> other
+
+(* Dispatch straight into a booted process, outside any run. *)
+let booted () =
+  run_kernel_prog (fun pb ->
+      let fb = B.func pb "main" ~params:[] in
+      B.halt fb;
+      B.seal fb)
+
+let sys name = Kernel.Syscalls.number name
+
+let test_read_negative_count_on_connection () =
+  let machine, proc = booted () in
+  ignore (Kernel.Net.enqueue proc.net 80 ~request_words:12 ~payload:"GET");
+  let conn =
+    match Kernel.Net.accept proc.net 80 with
+    | Some c -> Kernel.Process.alloc_fd proc (Conn c)
+    | None -> Alcotest.fail "no connection"
+  in
+  let before = machine.stats.cycles in
+  let n =
+    Kernel.dispatch proc machine ~sysno:(sys "read") ~args:[| Int64.of_int conn; 0L; -1000L |]
+  in
+  Alcotest.(check int64) "reads nothing" 0L n;
+  Alcotest.(check int) "charges only kernel entry" machine.config.cost.syscall_base
+    (machine.stats.cycles - before);
+  Alcotest.(check int) "no words in" 0 proc.io_words_in
+
+let test_lseek_negative_offset () =
+  let machine, proc = booted () in
+  Kernel.Vfs.add_file proc.vfs "/f" ~size_words:250;
+  let fd =
+    match Kernel.Vfs.lookup proc.vfs "/f" with
+    | Some file -> Int64.of_int (Kernel.Process.alloc_fd proc (File { file; pos = 0 }))
+    | None -> Alcotest.fail "no file"
+  in
+  Alcotest.(check int64) "-EINVAL" (-22L)
+    (Kernel.dispatch proc machine ~sysno:(sys "lseek") ~args:[| fd; -100L; 0L |]);
+  let before = machine.stats.cycles in
+  Alcotest.(check int64) "offset unchanged: the whole file" 250L
+    (Kernel.dispatch proc machine ~sysno:(sys "read") ~args:[| fd; 0L; 1000L |]);
+  Alcotest.(check int) "I/O charged for the words read"
+    (machine.config.cost.syscall_base + (250 * machine.config.cost.io_per_word))
+    (machine.stats.cycles - before);
+  Alcotest.(check int64) "a non-negative offset still seeks" 200L
+    (Kernel.dispatch proc machine ~sysno:(sys "lseek") ~args:[| fd; 200L; 0L |]);
+  Alcotest.(check int64) "reads from there" 50L
+    (Kernel.dispatch proc machine ~sysno:(sys "read") ~args:[| fd; 0L; 1000L |])
+
+(* An allowed call that touches no fd goes through seccomp, the count
+   and its handler without allocating. *)
+let test_allowed_dispatch_allocates_nothing () =
+  let machine, proc = booted () in
+  let f = Kernel.Seccomp.create () in
+  Kernel.Seccomp.set_rule f (sys "mprotect") Kernel.Seccomp.Trace;
+  proc.filter <- Some f;
+  let args = [| 77L; 0L; 0L; 0L; 0L; 0L |] in
+  List.iter
+    (fun name ->
+      let sysno = sys name in
+      (* The first call allocates the process's count table. *)
+      ignore (Kernel.dispatch proc machine ~sysno ~args);
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Kernel.dispatch proc machine ~sysno ~args)
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.)) (name ^ ": minor words over 1000 dispatches") 0. words)
+    [ "getpid"; "brk"; "close" ];
+  Alcotest.(check int) "all counted" 1001 (Kernel.Process.syscall_count proc (sys "getpid"))
+
+let suites =
+  match suites with
+  | [ (name, cases) ] ->
+    [
+      ( name,
+        cases
+        @ [
+            Alcotest.test_case "read: negative count on a connection" `Quick
+              test_read_negative_count_on_connection;
+            Alcotest.test_case "lseek: negative offset is EINVAL" `Quick
+              test_lseek_negative_offset;
+            Alcotest.test_case "allowed dispatch allocates nothing" `Quick
+              test_allowed_dispatch_allocates_nothing;
+          ] );
+    ]
+  | other -> other

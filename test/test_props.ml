@@ -628,6 +628,236 @@ let prop_verdict_cache_reference =
       && V.hits c = r.hits && V.misses c = r.misses && V.records c = r.records
       && V.epoch c = r.epoch)
 
+(* --- syscall dispatch ---------------------------------------------------- *)
+
+(* Random syscall sequences, dispatched through [Kernel.dispatch] and
+   through the name-matched reference on two processes set up alike:
+   files, a listening socket with queued connections, an accepted
+   connection, paths in memory, optionally a filter (random rules, and
+   an automaton in front of its Trace rules) whose traps reach a tracer
+   with a pseudo-random verdict, and optionally an observer. *)
+type dispatch_case = {
+  dc_filter : (Kernel.Seccomp.action * (int * Kernel.Seccomp.action) list) option;
+      (** default and rules *)
+  dc_flow : Kernel.Seccomp.flow_mode option;
+  dc_verdicts : int;  (** seed of the tracer's verdicts *)
+  dc_observed : bool;
+  dc_calls : (int * int64 array) list;
+}
+
+let dispatch_paths = [ (0x10_0000L, "/a"); (0x10_1000L, "/www/index.html"); (0x10_2000L, "/nope") ]
+
+let table_numbers = List.map (fun (_, nr, _) -> nr) Kernel.Syscalls.table
+
+let gen_sysno =
+  QCheck.Gen.(
+    frequency
+      [ (12, oneofl table_numbers); (2, int_range 0 1000); (1, int_range (-50) (-1));
+        (1, oneofl [ min_int; max_int; 100_000 ]) ])
+
+let gen_dispatch_arg =
+  QCheck.Gen.(
+    frequency
+      [ (6, map Int64.of_int (int_range 0 9)); (2, oneofl (List.map fst dispatch_paths));
+        (2, map Int64.of_int (int_range 10 3000)); (2, map Int64.of_int (int_range (-2000) (-1)));
+        (1, oneofl [ Int64.max_int; Int64.min_int; Int64.shift_left 1L 59; Int64.shift_left 1L 62 ]);
+        (1, ui64) ])
+
+let gen_action = QCheck.Gen.oneofl Kernel.Seccomp.[ Allow; Kill; Trace ]
+
+let gen_dispatch_case =
+  let open QCheck.Gen in
+  let* dc_filter =
+    opt
+      (pair
+         (frequency [ (4, return Kernel.Seccomp.Allow); (1, gen_action) ])
+         (list_size (int_range 0 30) (pair gen_sysno gen_action)))
+  in
+  let* dc_flow = opt (oneofl Kernel.Seccomp.[ Flow_tiered; Flow_standalone ]) in
+  let* dc_verdicts = int_range 0 3 in
+  let* dc_observed = bool in
+  let* dc_calls =
+    list_size (int_range 0 60) (pair gen_sysno (array_size (int_range 0 7) gen_dispatch_arg))
+  in
+  return { dc_filter; dc_flow; dc_verdicts; dc_observed; dc_calls }
+
+let print_dispatch_case c =
+  Printf.sprintf "filter %s, flow %b, verdicts %d, observed %b: %s"
+    (match c.dc_filter with
+    | None -> "none"
+    | Some (default, rules) ->
+      Printf.sprintf "default %s [%s]" (Kernel.Seccomp.action_name default)
+        (String.concat "; "
+           (List.map
+              (fun (nr, a) -> Printf.sprintf "%d %s" nr (Kernel.Seccomp.action_name a))
+              rules)))
+    (c.dc_flow <> None) c.dc_verdicts c.dc_observed
+    (String.concat "; "
+       (List.map
+          (fun (nr, args) ->
+            Printf.sprintf "%s(%s)" (Kernel.Syscalls.name nr)
+              (String.concat ", " (Array.to_list (Array.map Int64.to_string args))))
+          c.dc_calls))
+
+(* One process for a case, and the list its observer appends to. *)
+let dispatch_fixture c =
+  let pb = Sil.Builder.program () in
+  let fb = Sil.Builder.func pb "main" ~params:[] in
+  Sil.Builder.halt fb;
+  Sil.Builder.seal fb;
+  let machine = Machine.create (Sil.Builder.build pb ~entry:"main") in
+  let p = Kernel.boot machine in
+  List.iter (fun (addr, s) -> ignore (Machine.Memory.write_string machine.mem addr s)) dispatch_paths;
+  Kernel.Vfs.add_file p.vfs "/a" ~size_words:250;
+  Kernel.Vfs.add_file p.vfs "/www/index.html" ~size_words:1000;
+  Option.iter
+    (fun file -> ignore (Kernel.Process.alloc_fd p (File { file; pos = 0 })))
+    (Kernel.Vfs.lookup p.vfs "/a");
+  ignore (Kernel.Process.alloc_fd p (Sock { port = 80 }));
+  List.iter
+    (fun words -> ignore (Kernel.Net.enqueue p.net 80 ~request_words:words ~payload:"GET"))
+    [ 7; 0; 12; 3 ];
+  Option.iter
+    (fun conn -> ignore (Kernel.Process.alloc_fd p (Conn conn)))
+    (Kernel.Net.accept p.net 80);
+  (match c.dc_filter with
+  | None -> ()
+  | Some (default, rules) ->
+    let f = Kernel.Seccomp.create ~default () in
+    List.iter (fun (nr, a) -> Kernel.Seccomp.set_rule f nr a) rules;
+    (* Every trap comes from callsite 0: one node, reached from the
+       start and from itself, that resolves mprotect(_, 0 or 4096). *)
+    Option.iter
+      (fun mode ->
+        let fa = Kernel.Seccomp.flow_create ~mode in
+        let succs = Hashtbl.create 1 in
+        Hashtbl.replace succs 0L ();
+        Kernel.Seccomp.flow_add_node fa
+          { fn_rip = 0L; fn_sysno = None; fn_checks = [ (1, [ 0L; 4096L ]) ];
+            fn_resolvable = true; fn_succs = succs };
+        Kernel.Seccomp.flow_add_start fa 0L;
+        List.iter (Kernel.Seccomp.flow_add_indirect_sysno fa) [ 10; 9 ];
+        Kernel.Seccomp.set_flow f (Some fa))
+      c.dc_flow;
+    p.filter <- Some f;
+    p.tracer_hook <-
+      Some
+        (fun p ~sysno ~args:_ ->
+          if (c.dc_verdicts + sysno + p.trap_count) land 3 = 0 then
+            Kernel.Process.Deny { context = "law"; detail = string_of_int sysno }
+          else Kernel.Process.Continue));
+  let seen = ref [] in
+  if c.dc_observed then
+    p.on_syscall_executed <-
+      Some (fun ~sysno ~args ~path -> seen := (sysno, Array.copy args, path) :: !seen);
+  (p, seen)
+
+let dispatch_outcome f =
+  match f () with
+  | v -> Printf.sprintf "returned %Ld" v
+  | exception Machine.Killed fault -> "killed: " ^ Machine.fault_to_string fault
+  | exception Machine.Program_exit v -> Printf.sprintf "exited %Ld" v
+
+let fd_table (p : Kernel.Process.t) =
+  List.sort compare
+    (Hashtbl.fold
+       (fun fd e acc ->
+         let entry =
+           match (e : Kernel.Process.fd_entry) with
+           | File f -> Printf.sprintf "file %s at %d" f.file.path f.pos
+           | Sock s -> Printf.sprintf "socket on %d" s.port
+           | Conn c -> Printf.sprintf "connection %d" c.conn_id
+         in
+         (fd, entry) :: acc)
+       p.fds [])
+
+let prop_dispatch_reference =
+  QCheck.Test.make ~count:300 ~name:"number-indexed dispatch = the name-matched dispatcher"
+    (QCheck.make ~print:print_dispatch_case gen_dispatch_case)
+    (fun c ->
+      let p, seen = dispatch_fixture c in
+      let q, ref_seen = dispatch_fixture c in
+      let r = Testlib.Dispatch_ref.create q in
+      List.iteri
+        (fun i (sysno, args) ->
+          let got = dispatch_outcome (fun () -> Kernel.dispatch p p.machine ~sysno ~args) in
+          let want = dispatch_outcome (fun () -> Testlib.Dispatch_ref.dispatch r ~sysno ~args) in
+          if got <> want then QCheck.Test.fail_reportf "call %d: %s, reference %s" i got want;
+          if p.machine.stats.cycles <> q.machine.stats.cycles then
+            QCheck.Test.fail_reportf "call %d: %d cycles, reference %d" i p.machine.stats.cycles
+              q.machine.stats.cycles)
+        c.dc_calls;
+      let numbers =
+        List.sort_uniq compare
+          ((-1) :: Kernel.Syscalls.count :: table_numbers @ List.map fst c.dc_calls)
+      in
+      List.iter
+        (fun nr ->
+          let got = Kernel.Process.syscall_count p nr
+          and want = Testlib.Dispatch_ref.syscall_count r nr in
+          if got <> want then
+            QCheck.Test.fail_reportf "syscall_count %d: %d, reference %d" nr got want)
+        numbers;
+      let exec_log (p : Kernel.Process.t) =
+        List.map (fun (e : Kernel.Process.exec_event) -> (e.ev_sysno, e.ev_args, e.ev_path)) p.exec_log
+      in
+      let state (p : Kernel.Process.t) =
+        ( (fd_table p, p.next_fd, p.next_pid, List.length p.children),
+          (p.io_words_in, p.io_words_out, p.uid, p.gid, p.machine.brk),
+          (p.trap_count, p.serve_start_cycles) )
+      in
+      if state p <> state q then QCheck.Test.fail_reportf "process state differs";
+      if exec_log p <> exec_log q then QCheck.Test.fail_reportf "exec_log differs";
+      if !seen <> !ref_seen then QCheck.Test.fail_reportf "the observer saw different calls";
+      true)
+
+let prop_dispatch_cycles_nonnegative =
+  QCheck.Test.make ~count:300 ~name:"no dispatch charges negative cycles"
+    (QCheck.make ~print:print_dispatch_case gen_dispatch_case)
+    (fun c ->
+      let p, _ = dispatch_fixture c in
+      List.iteri
+        (fun i (sysno, args) ->
+          let before = p.machine.stats.cycles in
+          ignore (dispatch_outcome (fun () -> Kernel.dispatch p p.machine ~sysno ~args));
+          if p.machine.stats.cycles < before then
+            QCheck.Test.fail_reportf "call %d (%s) charged %d cycles" i (Kernel.Syscalls.name sysno)
+              (p.machine.stats.cycles - before))
+        c.dc_calls;
+      true)
+
+(* The byte-per-number rule table against the hash table it replaced,
+   over numbers inside and outside the syscall table's range, and
+   across a copy that is then changed. *)
+let prop_seccomp_rules =
+  QCheck.Test.make ~count:300 ~name:"seccomp rules = a hash table of rules"
+    QCheck.(
+      make
+        Gen.(
+          triple gen_action
+            (list_size (int_range 0 40) (pair gen_sysno gen_action))
+            (list_size (int_range 0 10) (pair gen_sysno gen_action))))
+    (fun (default, rules, later) ->
+      let f = Kernel.Seccomp.create ~default () in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (nr, a) ->
+          Kernel.Seccomp.set_rule f nr a;
+          Hashtbl.replace model nr a)
+        rules;
+      let g = Kernel.Seccomp.copy f and copied = Hashtbl.copy model in
+      List.iter
+        (fun (nr, a) ->
+          Kernel.Seccomp.set_rule g nr a;
+          Hashtbl.replace copied nr a)
+        later;
+      let agrees f model nr =
+        Kernel.Seccomp.rule f nr = Option.value ~default (Hashtbl.find_opt model nr)
+      in
+      List.for_all
+        (fun nr -> agrees f model nr && agrees g copied nr)
+        ((-1) :: Kernel.Syscalls.count :: table_numbers @ List.map fst (rules @ later)))
+
 let suites =
   [
     ( "properties",
@@ -656,5 +886,7 @@ let suites =
       @ [
           Alcotest.test_case "SWRR by period on the benchmark's 64-tracee fleet" `Quick
             test_swrr_period_bench_shape;
-        ] );
+        ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_dispatch_reference; prop_dispatch_cycles_nonnegative; prop_seccomp_rules ] );
   ]

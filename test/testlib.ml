@@ -917,3 +917,219 @@ let malformed_progs () =
           B.seal c;
           B.emit fb (Sil.Instr.Call { dst = Some ghost; target = Sil.Instr.Direct "callee"; args = [] })) );
   ]
+
+(** The syscall dispatcher as it stood while it matched on names: each
+    call resolves its number to a name through a table lookup, copies
+    its arguments into a fresh six-word array, reads the path of every
+    path-taking call (and [open] and [chmod] read it again), tests
+    sensitivity by list membership and keeps its counts in a hash
+    table.  Only three fixes are applied: a read on a connection clamps
+    a negative count to 0, [lseek] refuses a negative offset with
+    -EINVAL, and read, write and sendfile move at most Linux's
+    MAX_RW_COUNT.  Kept as the reference the dispatch laws in
+    [test_props.ml] hold {!Kernel.dispatch} to. *)
+module Dispatch_ref = struct
+  module Process = Kernel.Process
+  module Seccomp = Kernel.Seccomp
+
+  type t = { proc : Process.t; counts : (int, int) Hashtbl.t }
+
+  let create proc = { proc; counts = Hashtbl.create 64 }
+
+  let syscall_count t nr = Option.value ~default:0 (Hashtbl.find_opt t.counts nr)
+
+  let by_number = Hashtbl.create 64
+
+  let () = List.iter (fun (name, nr, _) -> Hashtbl.replace by_number nr name) Kernel.Syscalls.table
+
+  let name nr =
+    match Hashtbl.find_opt by_number nr with Some name -> name | None -> Printf.sprintf "sys_%d" nr
+
+  let is_sensitive nr = List.mem nr Kernel.Syscalls.sensitive_numbers
+
+  let charge (p : Process.t) n = Machine.charge p.machine n
+  let cost (p : Process.t) = p.machine.config.cost
+  let max_rw_words = 0x7fff_f000 / 8
+
+  let sys_open (p : Process.t) (args : int64 array) =
+    let path = Machine.read_string p.machine args.(0) in
+    match Kernel.Vfs.lookup p.vfs path with
+    | Some file -> Int64.of_int (Process.alloc_fd p (File { file; pos = 0 }))
+    | None -> -2L
+
+  let sys_read (p : Process.t) (args : int64 array) =
+    let fd = Int64.to_int args.(0) in
+    let count = min max_rw_words (Int64.to_int args.(2)) in
+    match Process.find_fd p fd with
+    | Some (File f) ->
+      let n = min count (f.file.size_words - f.pos) in
+      let n = max n 0 in
+      f.pos <- f.pos + n;
+      p.io_words_in <- p.io_words_in + n;
+      charge p ((cost p).io_per_word * n);
+      Int64.of_int n
+    | Some (Conn c) ->
+      let n = min count c.request_words in
+      let n = max n 0 in
+      p.io_words_in <- p.io_words_in + n;
+      charge p ((cost p).io_per_word * n);
+      Int64.of_int n
+    | Some (Sock _) | None -> -1L
+
+  let sys_write (p : Process.t) (args : int64 array) =
+    let fd = Int64.to_int args.(0) in
+    let count = min max_rw_words (max 0 (Int64.to_int args.(2))) in
+    match Process.find_fd p fd with
+    | Some (Conn _) ->
+      p.io_words_out <- p.io_words_out + count;
+      charge p ((cost p).io_per_word * count);
+      Int64.of_int count
+    | Some (File _) ->
+      charge p ((cost p).io_per_word * count);
+      Int64.of_int count
+    | Some (Sock _) | None -> -1L
+
+  let sys_sendfile (p : Process.t) (args : int64 array) =
+    let count = min max_rw_words (max 0 (Int64.to_int args.(3))) in
+    (match Process.find_fd p (Int64.to_int args.(1)) with
+    | Some (File f) -> f.pos <- min f.file.size_words (f.pos + count)
+    | Some (Sock _) | Some (Conn _) | None -> ());
+    p.io_words_out <- p.io_words_out + count;
+    charge p ((cost p).io_per_word * count);
+    Int64.of_int count
+
+  let sys_socket (p : Process.t) _args = Int64.of_int (Process.alloc_fd p (Sock { port = 0 }))
+
+  let sys_bind (p : Process.t) (args : int64 array) =
+    match Process.find_fd p (Int64.to_int args.(0)) with
+    | Some (Sock s) ->
+      s.port <- Int64.to_int args.(1);
+      0L
+    | Some (File _) | Some (Conn _) | None -> -1L
+
+  let sys_listen (p : Process.t) (args : int64 array) =
+    match Process.find_fd p (Int64.to_int args.(0)) with
+    | Some (Sock s) ->
+      Kernel.Net.listen p.net s.port;
+      0L
+    | Some (File _) | Some (Conn _) | None -> -1L
+
+  let sys_accept (p : Process.t) (args : int64 array) =
+    if p.serve_start_cycles = None then
+      p.serve_start_cycles <- Some p.machine.stats.cycles;
+    match Process.find_fd p (Int64.to_int args.(0)) with
+    | Some (Sock s) -> (
+      match Kernel.Net.accept p.net s.port with
+      | Some conn -> Int64.of_int (Process.alloc_fd p (Conn conn))
+      | None -> -1L)
+    | Some (File _) | Some (Conn _) | None -> -1L
+
+  let sys_mmap (p : Process.t) (args : int64 array) =
+    let words = max 1 (Int64.to_int args.(1)) in
+    Machine.alloc_heap p.machine words
+
+  let sys_chmod (p : Process.t) (args : int64 array) =
+    let path = Machine.read_string p.machine args.(0) in
+    Kernel.Vfs.chmod p.vfs path (Int64.to_int args.(1))
+
+  let execute (p : Process.t) ~sysno ~(args : int64 array) : int64 =
+    let arg i = if i < Array.length args then args.(i) else 0L in
+    let args6 = Array.init 6 arg in
+    match name sysno with
+    | "open" | "openat" -> sys_open p args6
+    | "read" | "recvfrom" -> sys_read p args6
+    | "write" | "sendto" -> sys_write p args6
+    | "sendfile" -> sys_sendfile p args6
+    | "close" ->
+      Process.close_fd p (Int64.to_int args6.(0));
+      0L
+    | "fsync" ->
+      charge p (2 * (cost p).syscall_base);
+      0L
+    | "lseek" -> (
+      match Process.find_fd p (Int64.to_int args6.(0)) with
+      | Some (File f) ->
+        if Int64.compare args6.(1) 0L < 0 then -22L
+        else begin
+          f.pos <- Int64.to_int args6.(1);
+          args6.(1)
+        end
+      | Some (Sock _) | Some (Conn _) | None -> -1L)
+    | "stat" | "fstat" -> 0L
+    | "socket" -> sys_socket p args6
+    | "bind" -> sys_bind p args6
+    | "listen" -> sys_listen p args6
+    | "connect" -> 0L
+    | "accept" | "accept4" -> sys_accept p args6
+    | "mmap" -> sys_mmap p args6
+    | "mprotect" | "mremap" | "remap_file_pages" -> 0L
+    | "chmod" -> sys_chmod p args6
+    | "setuid" ->
+      p.uid <- Int64.to_int args6.(0);
+      0L
+    | "setgid" ->
+      p.gid <- Int64.to_int args6.(0);
+      0L
+    | "setreuid" ->
+      p.uid <- Int64.to_int args6.(1);
+      0L
+    | "fork" | "vfork" | "clone" ->
+      let child = Process.spawn_child p in
+      Int64.of_int child.next_pid
+    | "execve" | "execveat" -> 0L
+    | "ptrace" -> 0L
+    | "exit" -> raise (Machine.Program_exit args6.(0))
+    | _ -> 0L
+
+  let dispatch t ~sysno ~(args : int64 array) : int64 =
+    let p = t.proc in
+    charge p (cost p).syscall_base;
+    (match p.filter with
+    | None -> ()
+    | Some filter -> (
+      charge p (cost p).seccomp_eval;
+      match Seccomp.evaluate filter sysno with
+      | Seccomp.Allow -> ()
+      | Seccomp.Kill -> raise (Machine.Killed (Machine.Seccomp_kill { sysno }))
+      | Seccomp.Trace ->
+        let rip = p.machine.trap_rip in
+        let prefilter = Seccomp.flow filter in
+        let resolved =
+          match prefilter with
+          | None -> false
+          | Some fa -> (
+            charge p (cost p).prefilter_eval;
+            match Seccomp.flow_eval fa ~sysno ~rip ~args with
+            | Seccomp.Flow_resolve -> true
+            | Seccomp.Flow_kill -> raise (Machine.Killed (Machine.Seccomp_kill { sysno }))
+            | Seccomp.Flow_fallthrough -> false)
+        in
+        if not resolved then begin
+          p.trap_count <- p.trap_count + 1;
+          charge p (2 * (cost p).trap_context_switch);
+          (match p.tracer_hook with
+          | None -> ()
+          | Some hook -> (
+            p.tracer.cur_sysno <- sysno;
+            match hook p ~sysno ~args with
+            | Process.Continue -> ()
+            | Process.Deny { context; detail } ->
+              raise (Machine.Killed (Machine.Monitor_kill { context; detail }))));
+          match prefilter with
+          | Some fa -> Seccomp.flow_note_allowed fa ~rip
+          | None -> ()
+        end));
+    Hashtbl.replace t.counts sysno (1 + syscall_count t sysno);
+    let path =
+      match name sysno with
+      | ("execve" | "execveat" | "chmod" | "open" | "openat" | "stat")
+        when Array.length args > 0 ->
+        Some (Machine.read_string p.machine args.(0))
+      | _ -> None
+    in
+    if is_sensitive sysno then Process.log_exec p ~sysno ~args ~path;
+    (match p.on_syscall_executed with
+    | Some hook -> hook ~sysno ~args ~path
+    | None -> ());
+    execute p ~sysno ~args
+end
