@@ -1,4 +1,4 @@
-.PHONY: all build test lint check bench bench-fastpath bench-parallel bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
+.PHONY: all build test lint check bench artifacts trace-demo golden replay-golden diff-golden clean
 
 all: build
 
@@ -10,8 +10,8 @@ test:
 
 # The metadata-soundness lint gate: every workload model must produce
 # zero errors (warnings are hygiene), plain and with pre-resolution,
-# which is what reaches lint's SCCP and taint checks (the CI job runs
-# the same nine commands).
+# which is what reaches lint's SCCP and taint checks (CI runs this
+# target).
 lint:
 	dune exec bin/bastion_cli.exe -- lint --app nginx
 	dune exec bin/bastion_cli.exe -- lint --app sqlite
@@ -30,31 +30,17 @@ check: lint
 bench:
 	dune exec bench/main.exe
 
-# The trap fast-path artifact: every Figure 3 / Table 7 run with the
-# verdict cache on and off, cycle totals straight from the interpreter
-# plus per-run registry snapshots (EXPERIMENTS.md).
-bench-fastpath:
-	dune exec bench/main.exe -- --json BENCH_trap_fastpath.json
-
-# The sharded-monitor artifact: 8 NGINX tracees over 1/2/4/8 shards,
-# modelled fields only, so regeneration is byte-identical (EXPERIMENTS.md).
-bench-parallel:
-	dune exec bench/main.exe -- --json-parallel BENCH_parallel_monitor.json
-
-# The tiered-ablation artifact: off / prefilter-only / tiered on all
-# three workloads plus the per-attack tier split (EXPERIMENTS.md).
-bench-prefilter:
-	dune exec bench/main.exe -- --json-prefilter BENCH_prefilter.json
-
-# The static pre-resolution artifact: off / rank-only / full ablation
-# with the SCCP + taint slot breakdown per workload (EXPERIMENTS.md).
-bench-static:
-	dune exec bench/main.exe -- --json-static BENCH_static_pre_resolution.json
-
-# The fleet telemetry artifact: tail latency vs offered load over a
-# heterogeneous 64-tracee fleet on the sharded pool (EXPERIMENTS.md).
-bench-fleet:
-	dune exec bench/main.exe -- --json-fleet BENCH_fleet.json
+# Regenerate every committed artifact: the five BENCH_*.json files
+# (bench/main.ml lists them), then the diff-replay oracle, then the
+# golden corpus.  diff-golden must run before golden: it replays the
+# committed corpus against today's compile pass, and re-recording first
+# would make it replay today's.  Everything is modelled, so on a clean
+# tree this changes nothing (CI runs it, then `git diff --exit-code`).
+# `dune runtest` checks each BENCH artifact's invariants.
+artifacts:
+	dune exec bench/main.exe -- --emit
+	$(MAKE) diff-golden
+	$(MAKE) golden
 
 # Record an NGINX run with the flight recorder and summarise the trace
 # (open nginx.trace.json in Perfetto / chrome://tracing).
@@ -65,7 +51,7 @@ trace-demo:
 # Regenerate the golden-trace corpus: one small-scale benign run and
 # one attack-matrix run per application, recorded with `--audit`.  The
 # model is deterministic, so regeneration must be byte-identical to
-# the checked-in traces (CI enforces this with `git diff`).
+# the checked-in traces (`make artifacts` re-records them).
 golden:
 	dune build bin/bastion_cli.exe
 	dune exec bin/bastion_cli.exe -- run --app nginx --scale small --defense full --audit test/golden/nginx-benign.jsonl
@@ -84,7 +70,7 @@ replay-golden:
 # Differentially replay the whole golden corpus against the in-tree
 # compile pass: the regression oracle.  Exits non-zero on any verdict
 # flip or context move and writes the committed "what moved" artifact
-# (CI enforces it stays byte-identical with `git diff`).
+# (`make artifacts` regenerates it).
 diff-golden:
 	dune build bin/bastion_cli.exe
 	dune exec bin/bastion_cli.exe -- replay test/golden/nginx-benign.jsonl test/golden/sqlite-benign.jsonl test/golden/vsftpd-benign.jsonl test/golden/nginx-attack.jsonl test/golden/sqlite-attack.jsonl test/golden/vsftpd-attack.jsonl --against current --diff DIFF_replay_golden.json

@@ -121,33 +121,10 @@ let depth_sweep () =
 
 (* --- 5. trap verdict cache ------------------------------------------ *)
 
+(* The fast-path artifact's rows, rendered: the runs are measured once. *)
 let trap_cache_ablation () =
   print_endline "-- ablation: trap fast path (CT+CF verdict cache) --";
-  List.iter
-    (fun (app : D.app) ->
-      List.iter
-        (fun defense ->
-          let on = D.run ~trap_cache:true app defense in
-          let off = D.run ~trap_cache:false app defense in
-          let hits, misses, rate =
-            match on.D.m_monitor with
-            | Some m -> Bastion.Monitor.cache_stats m
-            | None -> (0, 0, 0.0)
-          in
-          let t_on = on.D.m_process.Kernel.Process.tracer in
-          let t_off = off.D.m_process.Kernel.Process.tracer in
-          Printf.printf
-            "  %-8s %-22s cycles %9d -> %9d (-%.2f%%), ptrace calls %6d -> \
-             %6d, cache %d/%d hits (%.1f%%)\n"
-            app.D.app_name
-            (D.defense_name on.D.m_defense)
-            off.D.m_cycles on.D.m_cycles
-            (float_of_int (off.D.m_cycles - on.D.m_cycles)
-            /. float_of_int off.D.m_cycles *. 100.0)
-            t_off.Kernel.Ptrace.calls_made t_on.Kernel.Ptrace.calls_made hits
-            (hits + misses) (rate *. 100.0))
-        [ D.Bastion_full; D.Bastion_fs Bastion.Monitor.Fs_full ])
-    [ D.nginx (); D.sqlite (); D.vsftpd () ]
+  Fastpath.print_ablation ()
 
 let run () =
   print_endline "== Ablation benches ==";

@@ -1,5 +1,5 @@
-(* The open-loop fleet bench (`bench/main.exe fleet`,
-   `--json-fleet PATH`, `--fleet-smoke`).
+(* The open-loop fleet bench (BENCH_fleet.json and the `fleet`
+   section).
 
    A heterogeneous fleet (mixed NGINX/SQLite/vsftpd small-scale
    tracees, skewed trap rates) is swept across offered-load points
@@ -11,45 +11,18 @@
    ideal-aggregate capacity.  Everything derives from the modelled
    clock — regenerating the committed BENCH_fleet.json is
    byte-identical — and every point is checked against the serial
-   reference simulation ([matches_serial], asserted in CI). *)
+   reference simulation ([matches_serial], asserted by the artifact's
+   test). *)
 
 module F = Workloads.Fleet
-module J = Report.Json
 
-(* The committed configuration: 64 tracees / 4 shards / 6 points. *)
-let default_tracees = 64
-let default_shards = 4
-let default_arrivals = 6000
-let default_points = 6
+let ablation =
+  lazy (F.ablation ~tracees:64 ~shards:4 ~arrivals:6000 ~points:6 ())
 
-(* The CI smoke configuration: same pipeline, a fraction of the work. *)
-let smoke_tracees = 16
-let smoke_shards = 4
-let smoke_arrivals = 1200
-let smoke_points = 5
-
-let run_ablation ~smoke =
-  if smoke then
-    F.ablation ~tracees:smoke_tracees ~shards:smoke_shards
-      ~arrivals:smoke_arrivals ~points:smoke_points ()
-  else
-    F.ablation ~tracees:default_tracees ~shards:default_shards
-      ~arrivals:default_arrivals ~points:default_points ()
+let document () = F.ablation_json (Lazy.force ablation)
 
 let run () =
   print_endline "== Fleet: open-loop tail latency vs offered load ==";
   print_endline "";
-  let a = run_ablation ~smoke:false in
-  print_string (F.render_ablation a);
+  print_string (F.render_ablation (Lazy.force ablation));
   print_endline ""
-
-let emit ?(smoke = false) path =
-  let a = run_ablation ~smoke in
-  J.to_file path (F.ablation_json a);
-  Printf.printf
-    "fleet ablation (%d tracees, %d shards, %d policies x %d points%s) written to %s\n"
-    a.F.ab_tracees a.F.ab_shards
-    (List.length a.F.ab_sweeps)
-    (match a.F.ab_sweeps with [] -> 0 | s :: _ -> List.length s.F.sw_points)
-    (if smoke then ", smoke" else "")
-    path

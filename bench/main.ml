@@ -1,25 +1,15 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (Figure 3, Tables 3-7), the section-9.2
-   statistics, the ablation benches, and Bechamel micro-benchmarks.
+   statistics and the ablation benches, and writes the committed
+   artifacts.
 
-   Usage:  dune exec bench/main.exe [section ...] [--json PATH]
-                                    [--json-static PATH]
-                                    [--json-parallel PATH] [--parallel-smoke]
-                                    [--json-prefilter PATH]
-                                    [--json-fleet PATH] [--fleet-smoke]
+   Usage:  dune exec bench/main.exe [section ...] [--emit]
    Sections: figure3 table3 table4 table5 table6 table7 stats ablations
-             static prefilter micro throughput fleet all (default: all)
+             static prefilter throughput fleet all (default: all)
 
-   --json PATH writes machine-readable cycle totals / overhead % per
-   configuration (including the trap-cache on/off ablation pair) to
-   PATH; --json-static PATH writes the constant-argument
-   pre-resolution ablation; --json-parallel PATH writes the sharded
-   multi-tracee monitor throughput bench (--parallel-smoke shrinks it
-   to the CI configuration); --json-prefilter PATH writes the tiered
-   trap-resolution (syscall-flow pre-filter) ablation; any given alone
-   skips the printed sections; --json-fleet PATH writes the open-loop
-   fleet tail-latency-vs-load sweep (--fleet-smoke shrinks it to the
-   CI configuration). *)
+   --emit writes every committed BENCH_*.json artifact into the current
+   directory; given alone it skips the printed sections.  A section and
+   its artifact render one set of runs, measured once per process. *)
 
 let sections =
   [
@@ -32,38 +22,27 @@ let sections =
     ("ablations", fun () -> Ablations.run ());
     ("static", fun () -> Static_preres.run ());
     ("prefilter", fun () -> Prefilter.run ());
-    ("micro", fun () -> Micro.run ());
     ("throughput", fun () -> Throughput.run ());
     ("fleet", fun () -> Fleet_bench.run ());
   ]
 
+(* The committed artifacts: file name and the document it holds. *)
+let artifacts =
+  [
+    ("BENCH_trap_fastpath.json", Fastpath.document);
+    ("BENCH_static_pre_resolution.json", Static_preres.document);
+    ("BENCH_parallel_monitor.json", Throughput.document);
+    ("BENCH_prefilter.json", Prefilter.document);
+    ("BENCH_fleet.json", Fleet_bench.document);
+  ]
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* Split off a `--json PATH` pair before section selection. *)
-  let rec extract_json flag acc = function
-    | f :: path :: rest when String.equal f flag -> (Some path, List.rev_append acc rest)
-    | f :: [] when String.equal f flag ->
-      Printf.eprintf "%s requires a PATH argument\n" flag;
-      exit 2
-    | arg :: rest -> extract_json flag (arg :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let json_path, args = extract_json "--json" [] args in
-  let json_static_path, args = extract_json "--json-static" [] args in
-  let json_parallel_path, args = extract_json "--json-parallel" [] args in
-  let json_prefilter_path, args = extract_json "--json-prefilter" [] args in
-  let json_fleet_path, args = extract_json "--json-fleet" [] args in
-  let parallel_smoke = List.mem "--parallel-smoke" args in
-  let fleet_smoke = List.mem "--fleet-smoke" args in
-  let args =
-    List.filter (fun a -> a <> "--parallel-smoke" && a <> "--fleet-smoke") args
-  in
+  let emit = List.mem "--emit" args in
+  let args = List.filter (fun a -> a <> "--emit") args in
   let wanted =
     match args with
-    | [] when json_path <> None || json_static_path <> None
-              || json_parallel_path <> None || json_prefilter_path <> None
-              || json_fleet_path <> None ->
-      []  (* JSON-only invocation *)
+    | [] when emit -> []
     | [] | [ "all" ] -> List.map fst sections
     | args ->
       (* table3 is printed together with figure3. *)
@@ -72,7 +51,7 @@ let () =
   let wanted = List.sort_uniq compare wanted in
   let unknown = List.filter (fun w -> not (List.mem_assoc w sections)) wanted in
   if unknown <> [] then begin
-    Printf.eprintf "unknown sections: %s\nknown: %s\n"
+    Printf.eprintf "unknown arguments: %s\nsections: %s; flag: --emit\n"
       (String.concat ", " unknown)
       (String.concat ", " (List.map fst sections));
     exit 2
@@ -84,16 +63,9 @@ let () =
     Printf.printf "sections: %s\n\n" (String.concat ", " (List.map fst requested));
     List.iter (fun (_, f) -> f ()) requested
   end;
-  (match json_path with None -> () | Some path -> Json_out.emit path);
-  (match json_static_path with
-  | None -> ()
-  | Some path -> Static_preres.emit path);
-  (match json_parallel_path with
-  | None -> ()
-  | Some path -> Throughput.emit ~smoke:parallel_smoke path);
-  (match json_prefilter_path with
-  | None -> ()
-  | Some path -> Prefilter.emit path);
-  match json_fleet_path with
-  | None -> ()
-  | Some path -> Fleet_bench.emit ~smoke:fleet_smoke path
+  if emit then
+    List.iter
+      (fun (file, document) ->
+        Report.Json.to_file file (document ());
+        Printf.printf "%s written\n" file)
+      artifacts

@@ -1,6 +1,6 @@
-(* The static pre-resolution ablation
-   (`bench/main.exe --json-static PATH`): full BASTION per app, trap
-   cache on, in three configurations —
+(* The static pre-resolution ablation (BENCH_static_pre_resolution.json
+   and the `static` section): full BASTION per app, trap cache on, in
+   three configurations —
 
      off          no static results at all
      rank-only    pre-resolution on but the taint cheap path disabled
@@ -14,51 +14,31 @@
    ever REPLACE shadow probes, they never change what a run executes.
    The on-records add the per-mechanism hit counters and the slot
    breakdown (plain / per-context / dead-site) with taint-rank counts;
-   a tainted slot is never pre-resolved, which the emitting code
-   asserts. *)
+   a tainted slot is never pre-resolved, which the artifact records. *)
 
 module D = Workloads.Drivers
 module P = Bastion_analysis.Preresolve
 module J = Report.Json
+module Run = Results.Run
 
-let record ~(app : D.app) ~(baseline : D.measurement) ~config
-    ~(pre_resolve : bool) (m : D.measurement) : J.t =
-  let preres_fields =
-    match m.D.m_monitor with
-    | None -> []
-    | Some monitor ->
-      let ai_tainted, ai_untainted = Bastion.Monitor.ai_rank_stats monitor in
-      [
-        ( "pre_resolved_hits",
-          J.Num (float_of_int (Bastion.Monitor.pre_resolved_hits monitor)) );
-        ( "ctx_resolved_hits",
-          J.Num (float_of_int (Bastion.Monitor.ctx_resolved_hits monitor)) );
-        ("ai_tainted_checks", J.Num (float_of_int ai_tainted));
-        ("ai_untainted_checks", J.Num (float_of_int ai_untainted));
-      ]
-  in
-  J.Obj
-    ([
-       ("app", J.Str app.D.app_name);
-       ("defense", J.Str (D.defense_name m.D.m_defense));
-       ("config", J.Str config);
-       ("pre_resolve", J.Bool pre_resolve);
-       ("metric", J.Num m.D.m_metric);
-       ("metric_name", J.Str app.D.metric_name);
-       ("cycles", J.Num (float_of_int m.D.m_cycles));
-       ( "overhead_pct",
-         J.Num
-           (D.overhead_pct ~baseline m ~higher_is_better:app.D.higher_is_better)
-       );
-       ("traps", J.Num (float_of_int m.D.m_traps));
-       ("syscalls", J.Num (float_of_int m.D.m_syscalls));
-     ]
-    @ preres_fields)
+type config = {
+  name : string;
+  pre_resolve : bool;
+  run : Run.t;
+  (* pre-resolved hits, per-context hits, AI tainted / untainted checks *)
+  hits : (int * int * int * int) option;
+}
 
-let enriched (app : D.app) = D.protected_of ~pre_resolve:true app ~fs:false
+type row = {
+  app : D.app;
+  resolved : int;
+  breakdown : P.breakdown;
+  tainted_pre_resolved : int;
+  configs : config list;  (* off, rank-only, full *)
+}
 
-(* The taint veto, recorded in the artifact (CI asserts it is zero): a
-   slot ranked tainted must appear in no pre-resolution table. *)
+(* The taint veto: a slot ranked tainted must appear in no
+   pre-resolution table. *)
 let tainted_pre_resolved (p : Bastion.Api.protected) : int =
   Hashtbl.fold
     (fun id ranks acc ->
@@ -80,39 +60,76 @@ let tainted_pre_resolved (p : Bastion.Api.protected) : int =
              ranks))
     p.Bastion.Api.slot_ranks 0
 
-let slots_json (app : D.app) : J.t =
-  let p = enriched app in
-  let b = P.breakdown p in
+let config ~app ~baseline name ~pre_resolve (m : D.measurement) =
+  {
+    name;
+    pre_resolve;
+    run = Run.of_measurement ~baseline app m;
+    hits =
+      Option.map
+        (fun monitor ->
+          let ai_tainted, ai_untainted = Bastion.Monitor.ai_rank_stats monitor in
+          ( Bastion.Monitor.pre_resolved_hits monitor,
+            Bastion.Monitor.ctx_resolved_hits monitor,
+            ai_tainted,
+            ai_untainted ))
+        m.D.m_monitor;
+  }
+
+let rows : row list Lazy.t =
+  lazy
+    (List.map
+       (fun (app : D.app) ->
+         let baseline = D.run app D.Vanilla in
+         let configs =
+           [
+             config ~app ~baseline "off" ~pre_resolve:false
+               (D.run app D.Bastion_full);
+             config ~app ~baseline "rank-only" ~pre_resolve:true
+               (D.run ~pre_resolve:true ~taint_cheap_path:false app D.Bastion_full);
+             config ~app ~baseline "full" ~pre_resolve:true
+               (D.run ~pre_resolve:true app D.Bastion_full);
+           ]
+         in
+         let p = D.protected_of ~pre_resolve:true app ~fs:false in
+         {
+           app;
+           resolved = P.resolved_slots p;
+           breakdown = P.breakdown p;
+           tainted_pre_resolved = tainted_pre_resolved p;
+           configs;
+         })
+       (Results.apps ()))
+
+let config_json (c : config) : J.t =
+  Run.json c.run
+    ~key:[ ("config", J.Str c.name); ("pre_resolve", J.Bool c.pre_resolve) ]
+    ~extra:
+      (match c.hits with
+      | None -> []
+      | Some (hits, ctx_hits, ai_tainted, ai_untainted) ->
+        [
+          ("pre_resolved_hits", Run.int hits);
+          ("ctx_resolved_hits", Run.int ctx_hits);
+          ("ai_tainted_checks", Run.int ai_tainted);
+          ("ai_untainted_checks", Run.int ai_untainted);
+        ])
+
+let slots_json (r : row) : J.t =
+  let b = r.breakdown in
   J.Obj
     [
-      ("resolved", J.Num (float_of_int (P.resolved_slots p)));
-      ("plain", J.Num (float_of_int b.P.bk_plain));
-      ("per_context", J.Num (float_of_int b.P.bk_ctx));
-      ("dead_site", J.Num (float_of_int b.P.bk_dead));
-      ("ranked_tainted", J.Num (float_of_int b.P.bk_tainted));
-      ("ranked_untainted", J.Num (float_of_int b.P.bk_untainted));
-      ("tainted_pre_resolved", J.Num (float_of_int (tainted_pre_resolved p)));
+      ("resolved", Run.int r.resolved);
+      ("plain", Run.int b.P.bk_plain);
+      ("per_context", Run.int b.P.bk_ctx);
+      ("dead_site", Run.int b.P.bk_dead);
+      ("ranked_tainted", Run.int b.P.bk_tainted);
+      ("ranked_untainted", Run.int b.P.bk_untainted);
+      ("tainted_pre_resolved", Run.int r.tainted_pre_resolved);
     ]
 
 let document () : J.t =
-  let apps = [ D.nginx (); D.sqlite (); D.vsftpd () ] in
-  let results =
-    List.concat_map
-      (fun (app : D.app) ->
-        let baseline = D.run app D.Vanilla in
-        [
-          record ~app ~baseline ~config:"off" ~pre_resolve:false
-            (D.run app D.Bastion_full);
-          record ~app ~baseline ~config:"rank-only" ~pre_resolve:true
-            (D.run ~pre_resolve:true ~taint_cheap_path:false app D.Bastion_full);
-          record ~app ~baseline ~config:"full" ~pre_resolve:true
-            (D.run ~pre_resolve:true app D.Bastion_full);
-        ])
-      apps
-  in
-  let slots =
-    J.Obj (List.map (fun (app : D.app) -> (app.D.app_name, slots_json app)) apps)
-  in
+  let rows = Lazy.force rows in
   J.Obj
     [
       ("schema", J.Str "bastion-bench-static/2");
@@ -124,40 +141,28 @@ let document () : J.t =
            dead-site pre-resolution with the taint cheap path disabled, \
            'full' also verifies rank-untainted slots through the \
            single-probe cheap path; tainted slots are never pre-resolved" );
-      ("pre_resolved_slots", slots);
-      ("results", J.List results);
+      ( "pre_resolved_slots",
+        J.Obj (List.map (fun r -> (r.app.D.app_name, slots_json r)) rows) );
+      ("results", J.List (List.concat_map (fun r -> List.map config_json r.configs) rows));
     ]
-
-let emit path =
-  let doc = document () in
-  J.to_file path doc;
-  Printf.printf "static pre-resolution bench JSON written to %s\n" path
 
 (* Printed section (`bench/main.exe static`). *)
 let run () =
   print_endline "Static pre-resolution (SCCP + taint ablation)";
   print_endline "---------------------------------------------";
-  let apps = [ D.nginx (); D.sqlite (); D.vsftpd () ] in
   List.iter
-    (fun (app : D.app) ->
-      let p = enriched app in
-      let b = P.breakdown p in
-      let off = D.run app D.Bastion_full in
-      let on = D.run ~pre_resolve:true app D.Bastion_full in
-      let hits, ctx_hits, untainted =
-        match on.D.m_monitor with
-        | Some m ->
-          ( Bastion.Monitor.pre_resolved_hits m,
-            Bastion.Monitor.ctx_resolved_hits m,
-            snd (Bastion.Monitor.ai_rank_stats m) )
-        | None -> (0, 0, 0)
+    (fun r ->
+      let b = r.breakdown in
+      let find name = List.find (fun c -> c.name = name) r.configs in
+      let off = (find "off").run.Run.cycles and full = find "full" in
+      let on = full.run.Run.cycles in
+      let hits, ctx_hits, _, untainted =
+        Option.value full.hits ~default:(0, 0, 0, 0)
       in
       Printf.printf
         "  %-8s slots=%d (plain=%d ctx=%d dead=%d) ranks t/u=%d/%d  cycles \
          off=%d on=%d saved=%d  hits=%d ctx=%d cheap=%d\n"
-        app.D.app_name (P.resolved_slots p) b.P.bk_plain b.P.bk_ctx b.P.bk_dead
-        b.P.bk_tainted b.P.bk_untainted off.D.m_cycles on.D.m_cycles
-        (off.D.m_cycles - on.D.m_cycles)
-        hits ctx_hits untainted)
-    apps;
+        r.app.D.app_name r.resolved b.P.bk_plain b.P.bk_ctx b.P.bk_dead
+        b.P.bk_tainted b.P.bk_untainted off on (off - on) hits ctx_hits untainted)
+    (Lazy.force rows);
   print_newline ()

@@ -1,7 +1,12 @@
 (* A minimal self-contained JSON value type with an emitter and a
-   recursive-descent parser — just enough for the bench harness's
-   machine-readable output (`bench/main.exe --json`) and its round-trip
-   test, with no external dependency. *)
+   strict recursive-descent parser, with no external dependency.  It
+   writes and reads the committed BENCH_*.json artifacts, the golden
+   JSONL traces and their reports, and the metrics and fleet summaries.
+   The parser accepts exactly RFC 8259's grammar: a number is
+   [-]int[.frac][e[+-]digits] with no leading zero, a \u escape is four
+   hex digits, and a number too large for a float is an error at the
+   offset where it starts, so every accepted document re-emits
+   unchanged. *)
 
 type t =
   | Null
@@ -180,12 +185,17 @@ let parse_string_body c =
         advance c;
         if c.pos + 4 > String.length c.text then fail c "short \\u escape";
         let hex = String.sub c.text c.pos 4 in
-        c.pos <- c.pos + 4;
         let code =
-          match int_of_string_opt ("0x" ^ hex) with
-          | Some code -> code
-          | None -> fail c ("bad \\u escape: " ^ hex)
+          String.fold_left
+            (fun acc ch ->
+              match ch with
+              | '0' .. '9' -> (acc * 16) + Char.code ch - Char.code '0'
+              | 'a' .. 'f' -> (acc * 16) + Char.code ch - Char.code 'a' + 10
+              | 'A' .. 'F' -> (acc * 16) + Char.code ch - Char.code 'A' + 10
+              | _ -> fail c ("bad \\u escape: " ^ hex))
+            0 hex
         in
+        c.pos <- c.pos + 4;
         (* Our emitter only writes \u for control chars; anything in the
            Latin-1 range is preserved, the rest degrades to '?'. *)
         Buffer.add_char buf (if code < 256 then Char.chr code else '?');
@@ -199,25 +209,38 @@ let parse_string_body c =
   loop ();
   Buffer.contents buf
 
+(* JSON's number grammar: an optional minus, then 0 or a digit string
+   without a leading zero, then optionally a fraction and an exponent,
+   each with at least one digit. *)
 let parse_number c =
-  let start = c.pos in
-  let is_num_char ch =
-    match ch with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let start = c.pos and len = String.length c.text in
+  (* NUL past the end: it matches none of the cases below. *)
+  let cur () = if c.pos < len then c.text.[c.pos] else '\000' in
+  let digits () =
+    (match cur () with '0' .. '9' -> () | _ -> fail c "expected a digit");
+    while (match cur () with '0' .. '9' -> true | _ -> false) do
+      advance c
+    done
   in
-  let rec loop () =
-    match peek c with
-    | Some ch when is_num_char ch ->
-      advance c;
-      loop ()
-    | _ -> ()
-  in
-  loop ();
+  if cur () = '-' then advance c;
+  if cur () = '0' then advance c else digits ();
+  if cur () = '.' then begin
+    advance c;
+    digits ()
+  end;
+  (match cur () with
+  | 'e' | 'E' ->
+    advance c;
+    (match cur () with '+' | '-' -> advance c | _ -> ());
+    digits ()
+  | _ -> ());
   let s = String.sub c.text start (c.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Num f
-  | None -> fail c ("bad number " ^ s)
+  let f = float_of_string s in
+  if Float.is_finite f then Num f
+  else begin
+    c.pos <- start;
+    fail c ("number out of range " ^ s)
+  end
 
 let rec parse_value c : t =
   skip_ws c;

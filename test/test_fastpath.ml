@@ -330,45 +330,9 @@ let prop_json_roundtrip =
     (fun doc ->
       Report.Json.of_string (Report.Json.to_string doc) = doc)
 
-(* The checked-in bench artifact parses and carries the expected shape:
-   the trap-cache ablation pairs with a strict cycle win. *)
+(* The committed fast-path artifact parses and holds its invariants. *)
 let test_bench_artifact_parses () =
-  let path = "../BENCH_trap_fastpath.json" in
-  if not (Sys.file_exists path) then
-    Alcotest.fail "BENCH_trap_fastpath.json missing (run bench/main.exe --json)";
-  let doc = Report.Json.of_file path in
-  let open Report.Json in
-  (match member "schema" doc with
-  | Some (Str "bastion-bench/1") -> ()
-  | _ -> Alcotest.fail "bad or missing schema field");
-  let results =
-    match Option.bind (member "results" doc) to_list with
-    | Some rs -> rs
-    | None -> Alcotest.fail "missing results list"
-  in
-  Alcotest.(check bool) "has results" true (List.length results > 0);
-  let cycles_of r = Option.bind (member "cycles" r) to_float in
-  let keyed tc =
-    List.filter_map
-      (fun r ->
-        match (member "app" r, member "defense" r, member "trap_cache" r) with
-        | Some (Str app), Some (Str d), Some (Bool b) when b = tc ->
-          Option.map (fun c -> ((app, d), c)) (cycles_of r)
-        | _ -> None)
-      results
-  in
-  let on = keyed true and off = keyed false in
-  Alcotest.(check int) "ablation pairs complete" (List.length off) (List.length on);
-  Alcotest.(check bool) "at least 6 ablation pairs" true (List.length on >= 6);
-  List.iter
-    (fun (k, c_on) ->
-      match List.assoc_opt k off with
-      | None -> Alcotest.fail "unpaired cache-on record"
-      | Some c_off ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s/%s: cache-on cycles < cache-off" (fst k) (snd k))
-          true (c_on < c_off))
-    on
+  Testlib.Artifacts.(holds (fastpath (committed fastpath_file)))
 
 let suites =
   [

@@ -225,114 +225,8 @@ let test_detect_knee () =
 
 (* --- the committed artifact ------------------------------------------- *)
 
-let summary_floats name j =
-  match J.member name j with
-  | Some s -> (
-    match (J.member "p50" s, J.member "p99" s, J.member "p999" s) with
-    | Some (J.Num p50), Some (J.Num p99), Some (J.Num p999) -> (p50, p99, p999)
-    | _ -> Alcotest.fail (Printf.sprintf "summary %s missing percentiles" name))
-  | None -> Alcotest.fail (Printf.sprintf "missing summary %s" name)
-
-let num name j =
-  match J.member name j with
-  | Some (J.Num f) -> f
-  | _ -> Alcotest.fail (Printf.sprintf "missing numeric field %s" name)
-
 let test_bench_fleet_artifact () =
-  let path = "../BENCH_fleet.json" in
-  if not (Sys.file_exists path) then
-    Alcotest.fail "BENCH_fleet.json missing (run bench/main.exe --json-fleet)";
-  let doc = J.of_file path in
-  (match J.member "schema" doc with
-  | Some (J.Str "bastion-fleet/2") -> ()
-  | _ -> Alcotest.fail "bad or missing schema field");
-  let config = Option.get (J.member "config" doc) in
-  let cfg name = int_of_float (num name config) in
-  Alcotest.(check bool) "fleet of at least 64 tracees" true (cfg "tracees" >= 64);
-  Alcotest.(check bool) "at least 4 shards" true (cfg "shards" >= 4);
-  Alcotest.(check bool) "positive capacity" true
-    (num "capacity_traps_per_sec" doc > 0.0);
-  Alcotest.(check bool) "static bottleneck below the ideal aggregate" true
-    (num "capacity_bottleneck_traps_per_sec" doc
-    < num "capacity_traps_per_sec" doc);
-  let policies =
-    match Option.bind (J.member "policies" doc) J.to_list with
-    | Some ps -> ps
-    | None -> Alcotest.fail "missing policies list"
-  in
-  let arm name =
-    match
-      List.find_opt
-        (fun p -> J.member "policy" p = Some (J.Str name))
-        policies
-    with
-    | Some p -> p
-    | None -> Alcotest.fail (Printf.sprintf "missing %s policy arm" name)
-  in
-  let results p =
-    match Option.bind (J.member "results" p) J.to_list with
-    | Some rs -> rs
-    | None -> Alcotest.fail "policy arm missing results list"
-  in
-  List.iter
-    (fun p ->
-      let rs = results p in
-      Alcotest.(check bool) "at least 5 load points" true (List.length rs >= 5);
-      let loads = List.map (num "offered_traps_per_sec") rs in
-      Alcotest.(check bool) "offered loads strictly increase" true
-        (List.for_all2 (fun a b -> a < b) loads (List.tl loads @ [ infinity ]));
-      List.iter
-        (fun r ->
-          (match J.member "matches_serial" r with
-          | Some (J.Bool true) -> ()
-          | _ -> Alcotest.fail "point diverged from the serial reference");
-          List.iter
-            (fun name ->
-              let p50, p99, p999 = summary_floats name r in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s tail ordering p50 <= p99 <= p99.9" name)
-                true
-                (p50 <= p99 && p99 <= p999))
-            [ "queue_wait"; "e2e"; "service" ];
-          Alcotest.(check bool) "spread is at least level" true
-            (num "util_spread" r >= 1.0))
-        rs;
-      match J.member "knee" p with
-      | Some (J.Obj _ as k) -> (
-        match (J.member "index" k, J.member "reason" k) with
-        | Some (J.Num i), Some (J.Str _) ->
-          Alcotest.(check bool) "knee index inside the sweep" true
-            (int_of_float i >= 0 && int_of_float i < List.length rs)
-        | _ -> Alcotest.fail "knee missing index/reason")
-      | _ -> Alcotest.fail "every policy arm must detect a knee")
-    policies;
-  (* The headline: both balancing arms move the knee to a strictly
-     higher load fraction than static pinning, stealing actually
-     fires, and the utilisation spread is lower at every shared
-     sub-saturation point. *)
-  let static = arm "static" in
-  let knee_load p = num "load_fraction" (Option.get (J.member "knee" p)) in
-  List.iter
-    (fun name ->
-      let p = arm name in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s knee beyond the static knee" name)
-        true
-        (knee_load p > knee_load static);
-      List.iter2
-        (fun rs rb ->
-          if num "util_max" rb < 1.0 then
-            Alcotest.(check bool)
-              (Printf.sprintf "%s spread below static at %.2fx" name
-                 (num "load_fraction" rb))
-              true
-              (num "util_spread" rb < num "util_spread" rs))
-        (results static) (results p))
-    [ "least-loaded"; "steal" ];
-  Alcotest.(check bool) "the steal arm stole" true
-    (List.exists (fun r -> num "steals" r > 0.0) (results (arm "steal")));
-  Alcotest.(check bool) "the static arm never steals" true
-    (List.for_all (fun r -> num "steals" r = 0.0) (results static))
+  Testlib.Artifacts.(holds (fleet (committed fleet_file)))
 
 (* A small three-policy ablation end to end: shared capacity yardstick,
    per-arm knees, serial equivalence everywhere, and the JSON document

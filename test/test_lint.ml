@@ -675,70 +675,7 @@ let test_attack_matrix_invariant_under_pre_resolution () =
     off on
 
 let test_bench_static_artifact () =
-  let path = "../BENCH_static_pre_resolution.json" in
-  if not (Sys.file_exists path) then
-    Alcotest.fail
-      "BENCH_static_pre_resolution.json missing (run bench/main.exe --json-static)";
-  let doc = Report.Json.of_file path in
-  let open Report.Json in
-  (match member "schema" doc with
-  | Some (Str "bastion-bench-static/2") -> ()
-  | _ -> Alcotest.fail "bad or missing schema field");
-  let results =
-    match Option.bind (member "results" doc) to_list with
-    | Some rs -> rs
-    | None -> Alcotest.fail "missing results list"
-  in
-  let keyed want =
-    List.filter_map
-      (fun r ->
-        match (member "app" r, member "config" r) with
-        | Some (Str app), Some (Str c) when String.equal c want ->
-          Option.map (fun c -> (app, c)) (Option.bind (member "cycles" r) to_float)
-        | _ -> None)
-      results
-  in
-  let full = keyed "full" and rank = keyed "rank-only" and off = keyed "off" in
-  Alcotest.(check int) "ablation triples complete" (List.length off)
-    (List.length full);
-  Alcotest.(check int) "rank-only rows present" (List.length off)
-    (List.length rank);
-  Alcotest.(check bool) "all three apps present" true (List.length full >= 3);
-  List.iter
-    (fun (app, c_full) ->
-      match (List.assoc_opt app off, List.assoc_opt app rank) with
-      | Some c_off, Some c_rank ->
-        Alcotest.(check bool)
-          (app ^ ": full cycles < baseline") true (c_full < c_off);
-        Alcotest.(check bool)
-          (app ^ ": full cycles <= rank-only") true (c_full <= c_rank)
-      | _ -> Alcotest.fail "unpaired pre-resolution record")
-    full;
-  (* The taint veto, as recorded in the artifact. *)
-  let slots =
-    match member "pre_resolved_slots" doc with
-    | Some (Obj fields) -> fields
-    | _ -> Alcotest.fail "missing pre_resolved_slots object"
-  in
-  Alcotest.(check int) "slot breakdown covers the three apps" 3
-    (List.length slots);
-  List.iter
-    (fun (app, s) ->
-      (match Option.bind (member "tainted_pre_resolved" s) to_float with
-      | Some 0.0 -> ()
-      | Some n ->
-        Alcotest.failf "%s: %g tainted slots pre-resolved (veto broken)" app n
-      | None -> Alcotest.failf "%s: missing tainted_pre_resolved" app);
-      match
-        ( Option.bind (member "resolved" s) to_float,
-          Option.bind (member "plain" s) to_float,
-          Option.bind (member "per_context" s) to_float,
-          Option.bind (member "dead_site" s) to_float )
-      with
-      | Some r, Some p, Some c, Some d ->
-        Alcotest.(check (float 0.0)) (app ^ ": breakdown sums") r (p +. c +. d)
-      | _ -> Alcotest.failf "%s: missing slot-breakdown fields" app)
-    slots
+  Testlib.Artifacts.(holds (static ~fast:(committed fastpath_file) (committed static_file)))
 
 let suites =
   [

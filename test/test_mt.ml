@@ -600,50 +600,7 @@ let test_validate_gate () =
 (* --- the committed bench artifact ---------------------------------- *)
 
 let test_bench_parallel_artifact () =
-  let path = "../BENCH_parallel_monitor.json" in
-  if not (Sys.file_exists path) then
-    Alcotest.fail
-      "BENCH_parallel_monitor.json missing (run bench/main.exe --json-parallel)";
-  let doc = Report.Json.of_file path in
-  let open Report.Json in
-  (match member "schema" doc with
-  | Some (Str "bastion-bench-parallel/1") -> ()
-  | _ -> Alcotest.fail "bad or missing schema field");
-  let results =
-    match Option.bind (member "results" doc) to_list with
-    | Some rs -> rs
-    | None -> Alcotest.fail "missing results list"
-  in
-  Alcotest.(check bool) "at least shard counts 1..4 present" true
-    (List.length results >= 3);
-  let speedup_at shards =
-    List.find_map
-      (fun r ->
-        match member "shards" r with
-        | Some (Num s) when int_of_float s = shards ->
-          Option.bind (member "modelled_speedup" r) to_float
-        | _ -> None)
-      results
-  in
-  List.iter
-    (fun r ->
-      match (member "shards" r, member "matches_serial" r) with
-      | Some (Num s), Some (Bool ok) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "shards=%d matches serial" (int_of_float s))
-          true ok
-      | _ -> Alcotest.fail "result row missing shards/matches_serial")
-    results;
-  (match speedup_at 1 with
-  | Some s ->
-    Alcotest.(check (float 1e-9)) "1 shard is exactly serial" 1.0 s
-  | None -> Alcotest.fail "no shards=1 row");
-  match speedup_at 4 with
-  | Some s ->
-    Alcotest.(check bool)
-      (Printf.sprintf "4 shards >= 2x modelled speedup (got %.2f)" s)
-      true (s >= 2.0)
-  | None -> Alcotest.fail "no shards=4 row"
+  Testlib.Artifacts.(holds (parallel ~fast:(committed fastpath_file) (committed parallel_file)))
 
 let suites =
   [

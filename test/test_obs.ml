@@ -271,10 +271,20 @@ let test_json_control_char_roundtrip () =
   (* Foreign documents may use \b and \f; both parse. *)
   Alcotest.(check bool) "parses \\b and \\f" true
     (J.of_string {|"a\bz\fq"|} = J.Str "a\bz\012q");
-  (* A malformed \u escape is a parse error, not a crash. *)
-  match J.of_string {|"\uZZZZ"|} with
-  | exception J.Parse_error _ -> ()
-  | _ -> Alcotest.fail "bad \\u escape accepted"
+  (* A malformed \u escape is a parse error, not a crash; so is a
+     number outside JSON's grammar, and one too large for a float, which
+     is reported where it starts. *)
+  List.iter
+    (fun text ->
+      match J.of_string text with
+      | exception J.Parse_error _ -> ()
+      | _ -> Alcotest.failf "%s accepted" text)
+    [ {|"\uZZZZ"|}; {|"\u0_41"|}; "+1"; ".5"; "1."; "01"; "-"; "1e"; "1e400" ];
+  match J.of_string "[1, -1e400]" with
+  | exception J.Parse_error msg ->
+    Alcotest.(check bool) "overflow reported at its offset" true
+      (String.ends_with ~suffix:"at offset 4" msg)
+  | _ -> Alcotest.fail "overflowing number accepted"
 
 (* --- recorder arming and the disabled path ---------------------------- *)
 

@@ -1133,3 +1133,359 @@ module Dispatch_ref = struct
     | None -> ());
     execute p ~sysno ~args
 end
+
+(* --- the committed artifacts' invariants ------------------------------ *)
+
+(** One check per committed BENCH artifact.  Each takes the parsed
+    document (the cross-artifact ones also the fast-path document) and
+    returns the invariants it violates, each naming the artifact and the
+    field; [[]] means the artifact holds.  The artifact cases run them
+    on the committed files, and `make artifacts` followed by
+    `git diff --exit-code` proves those are the regenerated ones. *)
+module Artifacts = struct
+  module J = Report.Json
+
+  let fastpath_file = "BENCH_trap_fastpath.json"
+  let static_file = "BENCH_static_pre_resolution.json"
+  let parallel_file = "BENCH_parallel_monitor.json"
+  let prefilter_file = "BENCH_prefilter.json"
+  let fleet_file = "BENCH_fleet.json"
+
+  let apps = [ "NGINX"; "SQLite"; "vsftpd" ]
+
+  (* A missing or mistyped field ends its check with that violation. *)
+  exception Shape of string
+
+  let field k j =
+    match J.member k j with Some v -> v | None -> raise (Shape ("missing field " ^ k))
+
+  let typed what get k j =
+    match get (field k j) with Some v -> v | None -> raise (Shape (k ^ " is not " ^ what))
+
+  let num = typed "a number" J.to_float
+  let str = typed "a string" J.to_str
+  let bool = typed "a boolean" J.to_bool
+  let list = typed "a list" J.to_list
+  let obj = typed "an object" (function J.Obj fields -> Some fields | _ -> None)
+
+  type sink = { file : string; mutable found : string list }
+
+  let report s msg = s.found <- Printf.sprintf "%s: %s" s.file msg :: s.found
+
+  let expect s ok fmt = Printf.ksprintf (fun msg -> if not ok then report s msg) fmt
+
+  let check file body =
+    let s = { file; found = [] } in
+    (try body s with Shape msg -> report s msg);
+    List.rev s.found
+
+  let schema s doc want =
+    expect s (str "schema" doc = want) "schema is %S, want %S" (str "schema" doc) want
+
+  (* The rows of [results] for the three apps, one per value of [key]:
+     [row app value] finds the single row. *)
+  let matrix s results ~key ~values =
+    expect s
+      (List.length results = List.length apps * List.length values)
+      "results has %d rows, want one per app and %s" (List.length results) key;
+    fun app v ->
+      match List.filter (fun r -> str "app" r = app && str key r = v) results with
+      | [ r ] -> r
+      | rs -> raise (Shape (Printf.sprintf "%d %s rows with %s %S, want 1" (List.length rs) app key v))
+
+  (* The fast-path full-BASTION, trap-cache-on record of [app]. *)
+  let cache_on fast app =
+    match
+      List.find_opt
+        (fun r ->
+          str "app" r = app
+          && str "defense" r = "CET+CT+CF+AI"
+          && J.member "trap_cache" r = Some (J.Bool true))
+        (list "results" fast)
+    with
+    | Some r -> r
+    | None -> raise (Shape (fastpath_file ^ " has no trap_cache:true record for " ^ app))
+
+  (* A configuration that adds nothing to full BASTION runs exactly the
+     fast-path cache-on record. *)
+  let matches_cache_on s ~fast app row =
+    let on = cache_on fast app in
+    List.iter
+      (fun k ->
+        expect s (num k row = num k on) "%s off row: %s %g, but %g in %s" app k (num k row)
+          (num k on) fastpath_file)
+      [ "cycles"; "traps"; "syscalls"; "metric"; "overhead_pct" ]
+
+  let fastpath doc =
+    check fastpath_file (fun s ->
+        schema s doc "bastion-bench/1";
+        let results = list "results" doc in
+        expect s (results <> []) "results is empty";
+        let keyed tc =
+          List.filter_map
+            (fun r ->
+              if J.member "trap_cache" r = Some (J.Bool tc) then
+                Some ((str "app" r, str "defense" r), r)
+              else None)
+            results
+        in
+        let on = keyed true and off = keyed false in
+        expect s
+          (List.length on = List.length off)
+          "%d trap_cache:true rows but %d trap_cache:false" (List.length on) (List.length off);
+        expect s (List.length on >= 6) "%d trap_cache pairs, want at least 6" (List.length on);
+        List.iter
+          (fun (((app, d) as k), r) ->
+            match List.assoc_opt k off with
+            | None -> expect s false "%s/%s: trap_cache:true row has no trap_cache:false pair" app d
+            | Some r_off ->
+              expect s
+                (num "cycles" r < num "cycles" r_off)
+                "%s/%s: trap_cache:true cycles %g not below trap_cache:false %g" app d
+                (num "cycles" r)
+                (num "cycles" r_off))
+          on;
+        (* Each monitored run's registry snapshot agrees with its row. *)
+        List.iter
+          (fun ((app, d), r) ->
+            let counters = field "counters" (field "metrics" r) in
+            List.iter
+              (fun (counter, k) ->
+                expect s
+                  (num counter counters = num k r)
+                  "%s/%s: metrics counter %s is %g but %s is %g" app d counter
+                  (num counter counters) k (num k r))
+              [
+                ("machine.cycles", "cycles");
+                ("machine.syscalls", "syscalls");
+                ("monitor.traps_checked", "traps");
+                ("ptrace.calls_made", "ptrace_calls");
+                ("ptrace.words_read", "ptrace_words");
+                ("cache.hits", "cache_hits");
+                ("cache.misses", "cache_misses");
+                ("cache.hit_rate", "cache_hit_rate");
+              ])
+          (on @ off))
+
+  let static ~fast doc =
+    check static_file (fun s ->
+        schema s doc "bastion-bench-static/2";
+        let row = matrix s (list "results" doc) ~key:"config" ~values:[ "off"; "rank-only"; "full" ] in
+        let slots = obj "pre_resolved_slots" doc in
+        expect s
+          (List.map fst slots = apps)
+          "pre_resolved_slots covers %s, want %s"
+          (String.concat ", " (List.map fst slots))
+          (String.concat ", " apps);
+        List.iter
+          (fun (app, plain_constprop) ->
+            let sl = field app (J.Obj slots) in
+            let n k = num k sl in
+            (* SCCP + taint proves strictly more AI slots static than
+               plain constant propagation did. *)
+            expect s
+              (n "resolved" > plain_constprop)
+              "%s: resolved %g slots, not above plain constprop's %g" app (n "resolved")
+              plain_constprop;
+            expect s
+              (n "resolved" = n "plain" +. n "per_context" +. n "dead_site")
+              "%s: resolved %g is not plain + per_context + dead_site (%g + %g + %g)" app
+              (n "resolved") (n "plain") (n "per_context") (n "dead_site");
+            expect s
+              (n "tainted_pre_resolved" = 0.)
+              "%s: tainted_pre_resolved %g, want 0 (taint veto broken)" app
+              (n "tainted_pre_resolved");
+            let off = row app "off" and rank = row app "rank-only" and full = row app "full" in
+            let cycles = num "cycles" in
+            matches_cache_on s ~fast app off;
+            expect s
+              (cycles full < cycles off)
+              "%s: full cycles %g not below off %g" app (cycles full) (cycles off);
+            expect s
+              (cycles full <= cycles rank)
+              "%s: full cycles %g above rank-only %g" app (cycles full) (cycles rank);
+            (* The cheap path buys something wherever untainted slots exist. *)
+            expect s
+              (n "ranked_untainted" = 0. || cycles full < cycles rank)
+              "%s: full cycles %g not below rank-only %g with %g ranked_untainted slots" app
+              (cycles full) (cycles rank) (n "ranked_untainted");
+            expect s
+              (num "ai_untainted_checks" rank = num "ai_untainted_checks" full)
+              "%s: ai_untainted_checks differ, rank-only %g vs full %g" app
+              (num "ai_untainted_checks" rank)
+              (num "ai_untainted_checks" full))
+          [ ("NGINX", 3.); ("SQLite", 1.); ("vsftpd", 1.) ])
+
+  let parallel ~fast doc =
+    check parallel_file (fun s ->
+        schema s doc "bastion-bench-parallel/1";
+        let results = list "results" doc in
+        expect s (List.length results >= 3) "%d shard counts, want at least 3" (List.length results);
+        List.iter
+          (fun r ->
+            expect s (bool "matches_serial" r) "shards=%g: matches_serial is false" (num "shards" r))
+          results;
+        let speedup n =
+          match List.find_opt (fun r -> num "shards" r = float_of_int n) results with
+          | Some r -> num "modelled_speedup" r
+          | None -> raise (Shape (Printf.sprintf "no shards=%d row" n))
+        in
+        expect s
+          (Float.abs (speedup 1 -. 1.0) <= 1e-9)
+          "shards=1: modelled_speedup %g, want exactly 1" (speedup 1);
+        expect s (speedup 4 >= 2.0) "shards=4: modelled_speedup %.2f, want at least 2" (speedup 4);
+        (* The serial reference is [tracees] runs of the fast-path NGINX
+           full-BASTION cache-on record. *)
+        let one = cache_on fast "NGINX" and tracees = num "tracees" doc in
+        let serial = field "serial" doc in
+        List.iter
+          (fun k ->
+            expect s
+              (num k serial = tracees *. num k one)
+              "serial.%s %g is not %g x the NGINX record's %g in %s" k (num k serial) tracees
+              (num k one) fastpath_file)
+          [ "cycles"; "traps" ];
+        List.iter
+          (fun r ->
+            List.iter
+              (fun c ->
+                expect s
+                  (J.to_float c = Some (num "cycles" one))
+                  "shards=%g: a per_tracee_cycles entry is not the NGINX record's %g cycles"
+                  (num "shards" r) (num "cycles" one))
+              (list "per_tracee_cycles" r))
+          results)
+
+  let prefilter ~fast doc =
+    check prefilter_file (fun s ->
+        schema s doc "bastion-bench-prefilter/1";
+        let row =
+          matrix s (list "results" doc) ~key:"prefilter"
+            ~values:[ "off"; "prefilter-only"; "tiered" ]
+        in
+        List.iter
+          (fun app ->
+            let off = row app "off" and tiered = row app "tiered" in
+            matches_cache_on s ~fast app off;
+            (* The automaton resolves the majority of benign traps, and
+               tiered beats the trap-cache fast path alone. *)
+            expect s
+              (2. *. num "prefilter_resolved" tiered > num "traps" off)
+              "%s: tiered prefilter_resolved %g of %g traps is not a majority" app
+              (num "prefilter_resolved" tiered) (num "traps" off);
+            let on = num "cycles" (cache_on fast app) in
+            expect s
+              (num "cycles" tiered < on)
+              "%s: tiered cycles %g not below the cache-on %g of %s" app (num "cycles" tiered)
+              on fastpath_file)
+          apps;
+        let uncaught = num "uncaught" (field "attack_tiers" doc) in
+        expect s (uncaught = 0.) "attack_tiers.uncaught is %g, want 0" uncaught)
+
+  (* The size floors hold for the committed sweep only; a smaller sweep
+     must meet every other invariant. *)
+  let fleet ?(committed = true) doc =
+    check fleet_file (fun s ->
+        schema s doc "bastion-fleet/2";
+        let config = field "config" doc in
+        if committed then begin
+          expect s (num "tracees" config >= 64.) "config.tracees %g, want at least 64"
+            (num "tracees" config);
+          expect s (num "shards" config >= 4.) "config.shards %g, want at least 4"
+            (num "shards" config)
+        end;
+        let capacity = num "capacity_traps_per_sec" doc in
+        expect s (capacity > 0.) "capacity_traps_per_sec %g is not positive" capacity;
+        expect s
+          (num "capacity_bottleneck_traps_per_sec" doc < capacity)
+          "capacity_bottleneck_traps_per_sec %g not below capacity_traps_per_sec %g"
+          (num "capacity_bottleneck_traps_per_sec" doc)
+          capacity;
+        let arms = List.map (fun p -> (str "policy" p, p)) (list "policies" doc) in
+        expect s
+          (List.sort compare (List.map fst arms) = [ "least-loaded"; "static"; "steal" ])
+          "policies are [%s], want static, least-loaded and steal"
+          (String.concat "; " (List.map fst arms));
+        List.iter
+          (fun (name, p) ->
+            let rs = list "results" p in
+            expect s (List.length rs >= 5) "%s: %d load points, want at least 5" name
+              (List.length rs);
+            let loads = List.map (num "offered_traps_per_sec") rs in
+            let rec increasing = function
+              | a :: (b :: _ as rest) -> a < b && increasing rest
+              | _ -> true
+            in
+            expect s (increasing loads) "%s: offered_traps_per_sec does not strictly increase" name;
+            List.iter
+              (fun r ->
+                let at = num "load_fraction" r in
+                expect s (bool "matches_serial" r) "%s at %.2fx: matches_serial is false" name at;
+                List.iter
+                  (fun h ->
+                    let q k = num k (field h r) in
+                    expect s
+                      (q "p50" <= q "p99" && q "p99" <= q "p999" && q "p999" <= q "max")
+                      "%s at %.2fx: %s percentiles out of order (p50 %g, p99 %g, p999 %g, max %g)"
+                      name at h
+                      (q "p50") (q "p99") (q "p999") (q "max"))
+                  [ "queue_wait"; "e2e"; "service" ];
+                expect s
+                  (num "util_spread" r >= 1.0)
+                  "%s at %.2fx: util_spread %g below 1" name at (num "util_spread" r))
+              rs;
+            match field "knee" p with
+            | J.Obj _ as k ->
+              ignore (str "reason" k);
+              expect s
+                (num "index" k >= 0. && num "index" k < float_of_int (List.length rs))
+                "%s: knee.index %g outside the sweep" name (num "index" k)
+            | _ -> expect s false "%s: no knee detected" name)
+          arms;
+        (* The headline: both balancing arms knee beyond static pinning,
+           with a lower utilisation spread at every sub-saturation point;
+           stealing fires, and static never steals. *)
+        let arm name =
+          match List.assoc_opt name arms with
+          | Some p -> p
+          | None -> raise (Shape ("no " ^ name ^ " policy"))
+        in
+        let static = arm "static" in
+        let knee p = num "load_fraction" (field "knee" p) in
+        List.iter
+          (fun name ->
+            let p = arm name in
+            expect s
+              (knee p > knee static)
+              "%s: knee.load_fraction %.2f not beyond the static knee %.2f" name (knee p)
+              (knee static);
+            let rs = list "results" static and rb = list "results" p in
+            expect s
+              (List.length rb = List.length rs)
+              "%s: %d load points, static has %d" name (List.length rb) (List.length rs);
+            List.iteri
+              (fun i b ->
+                match List.nth_opt rs i with
+                | Some r when num "util_max" b < 1.0 ->
+                  expect s
+                    (num "util_spread" b < num "util_spread" r)
+                    "%s at %.2fx: util_spread %.3f not below static's %.3f" name
+                    (num "load_fraction" b) (num "util_spread" b) (num "util_spread" r)
+                | _ -> ())
+              rb)
+          [ "least-loaded"; "steal" ];
+        expect s
+          (List.exists (fun r -> num "steals" r > 0.) (list "results" (arm "steal")))
+          "steal: steals is 0 at every point";
+        expect s
+          (List.for_all (fun r -> num "steals" r = 0.) (list "results" static))
+          "static: steals is not 0 at every point")
+
+  (* A committed artifact, parsed; the tests run in _build/default/test. *)
+  let committed file =
+    let path = Filename.concat ".." file in
+    if not (Sys.file_exists path) then Alcotest.failf "%s missing (run make artifacts)" file;
+    J.of_file path
+
+  let holds = function [] -> () | violations -> Alcotest.fail (String.concat "\n" violations)
+end
