@@ -4,7 +4,7 @@
    A heterogeneous fleet (mixed NGINX/SQLite/vsftpd small-scale
    tracees, skewed trap rates) is swept across offered-load points
    through the sharded monitor pool under each scheduler policy
-   (static / least-loaded / steal); every point reports p50/p99/p99.9
+   (static / steal); every point reports p50/p99/p99.9
    queue-wait and end-to-end latency in modelled cycles plus the
    per-shard utilisation spread and steal/migration counts, and each
    policy arm reports its detected saturation knee against the same

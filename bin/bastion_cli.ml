@@ -355,8 +355,13 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
   match Engine.app_of ~name:app ~scale with
   | Error msg -> `Error (false, msg)
   | Ok a ->
+  let sharded = shards > 1 || tracees > 1 in
   if shards < 1 then `Error (false, "--shards must be >= 1")
-  else if tracees < 0 then `Error (false, "--tracees must be >= 1")
+  else if tracees < 0 then
+    `Error (false, "--tracees must be >= 0 (0 means twice the shard count)")
+  else if sharded && audit <> None then
+    (* The audit log records one session; a sharded run has several. *)
+    `Error (false, "--audit records a single tracee: drop --shards and --tracees")
   else match check_stats stats stats_interval with
   | `Error _ as e -> e
   | `Ok () ->
@@ -368,7 +373,7 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
        pool would race them, so the driver rejects the combination. *)
     `Error
       (false, "--trace/--stats-interval require the static --scheduler")
-  else if shards > 1 || tracees > 1 then
+  else if sharded then
     let tracees = if tracees = 0 then 2 * shards else tracees in
     run_workload_sharded a defense ~trap_cache ~pre_resolve ~prefilter
       ~scheduler ~shards ~tracees ~trace ~stats ~stats_interval metrics
@@ -590,9 +595,9 @@ let run_cmd =
       & opt (scheduler_conv ~policy:Fun.id ~extra:[]) Bastion_mt.Monitor_pool.Static
       & info [ "scheduler" ] ~docv:"POLICY"
           ~doc:"Placement policy for sharded mode: $(b,static) (pin tracees \
-                to their home shard), $(b,least-loaded), or $(b,steal) (idle \
-                shards steal whole-tracee claims).  Verdicts and modelled \
-                cycles are identical under every policy.")
+                to their home shard) or $(b,steal) (idle shards steal \
+                whole-tracee claims).  Verdicts and modelled cycles are \
+                identical under both policies.")
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a workload under a defense configuration")
     Term.(
@@ -628,7 +633,7 @@ let trace_summary_cmd =
 
 module Fleet = Workloads.Fleet
 
-let run_fleet verbose tracees shards arrivals points scheduler json stats
+let run_fleet verbose tracees shards arrivals points policies json stats
     stats_interval =
   setup_logs verbose;
   if tracees < 1 then `Error (false, "--tracees must be >= 1")
@@ -638,26 +643,11 @@ let run_fleet verbose tracees shards arrivals points scheduler json stats
   else match check_stats stats stats_interval with
   | `Error _ as e -> e
   | `Ok () ->
-    (* --scheduler all sweeps every policy over one fleet; a single
-       policy keeps the old one-sweep shape.  Either way the JSON is a
-       schema-v2 document (`policies` array). *)
+    (* --scheduler all sweeps every policy over one fleet, a single
+       policy sweeps just that one; either way the JSON is a schema-v2
+       document (`policies` array). *)
     let a =
-      match scheduler with
-      | `All ->
-        Fleet.ablation ?stats_interval ~tracees ~shards ~arrivals ~points ()
-      | `One policy ->
-        let s =
-          Fleet.sweep ?stats_interval ~policy ~tracees ~shards ~arrivals
-            ~points ()
-        in
-        {
-          Fleet.ab_tracees = tracees;
-          ab_shards = shards;
-          ab_arrivals = arrivals;
-          ab_capacity = s.Fleet.sw_capacity;
-          ab_capacity_bottleneck = s.Fleet.sw_capacity_bottleneck;
-          ab_sweeps = [ s ];
-        }
+      Fleet.ablation ?stats_interval ~policies ~tracees ~shards ~arrivals ~points ()
     in
     (match a.Fleet.ab_sweeps with
     | [ s ] -> print_string (Fleet.render_sweep s)
@@ -718,15 +708,16 @@ let fleet_cmd =
                 the modelled capacity.")
   in
   let scheduler =
+    let module Pool = Bastion_mt.Monitor_pool in
     Arg.(
       value
       & opt
-          (scheduler_conv ~policy:(fun p -> `One p) ~extra:[ ("all", `All) ])
-          (`One Bastion_mt.Monitor_pool.Static)
+          (scheduler_conv ~policy:(fun p -> [ p ]) ~extra:[ ("all", Pool.all_policies) ])
+          [ Pool.Static ]
       & info [ "scheduler" ] ~docv:"POLICY"
-          ~doc:"Placement policy for the sweep: $(b,static), \
-                $(b,least-loaded), $(b,steal), or $(b,all) for the full \
-                ablation (every policy over the same fleet and capacity).")
+          ~doc:"Placement policy for the sweep: $(b,static), $(b,steal), or \
+                $(b,all) for the full ablation (both policies over the same \
+                fleet and capacity).")
   in
   let json =
     Arg.(
@@ -763,8 +754,8 @@ let fleet_cmd =
 (* --- fleet-summary ----------------------------------------------------- *)
 
 (* Offline reader for the telemetry artifacts: the fleet sweep JSON
-   (schema bastion-fleet/1 or the per-policy /2) and the stats JSONL
-   stream (bastion-stats/1), told apart by the schema tag. *)
+   (schema bastion-fleet/2) and the stats JSONL stream
+   (bastion-stats/1), told apart by the schema tag. *)
 
 let fleet_num ?(default = 0.0) name j =
   match Report.Json.member name j with
@@ -825,23 +816,6 @@ let render_fleet_doc doc =
   let num = fleet_num in
   let config = Option.value ~default:Null (member "config" doc) in
   Printf.printf
-    "fleet sweep: %.0f tracees, %.0f shards, %.0f arrivals/point\n\
-     capacity (bottleneck shard util = 1): %.0f traps/sec\n\n"
-    (num "tracees" config) (num "shards" config) (num "arrivals" config)
-    (num "capacity_traps_per_sec" doc);
-  let results =
-    match member "results" doc with Some (List l) -> l | _ -> []
-  in
-  render_fleet_results results;
-  print_newline ();
-  render_fleet_knee (member "knee" doc);
-  `Ok ()
-
-let render_fleet_doc_v2 doc =
-  let open Report.Json in
-  let num = fleet_num in
-  let config = Option.value ~default:Null (member "config" doc) in
-  Printf.printf
     "fleet ablation: %.0f tracees, %.0f shards, %.0f arrivals/point\n\
      capacity (mean shard util = 1): %.0f traps/sec (static bottleneck: %.0f)\n"
     (num "tracees" config) (num "shards" config) (num "arrivals" config)
@@ -879,8 +853,7 @@ let fleet_summary file =
   | exception Report.Json.Parse_error _ -> render_stats_file file
   | doc -> (
     match Report.Json.member "schema" doc with
-    | Some (Report.Json.Str "bastion-fleet/1") -> render_fleet_doc doc
-    | Some (Report.Json.Str "bastion-fleet/2") -> render_fleet_doc_v2 doc
+    | Some (Report.Json.Str "bastion-fleet/2") -> render_fleet_doc doc
     | Some (Report.Json.Str s) when String.equal s Obs.Timeseries.schema ->
       render_stats_file file
     | Some (Report.Json.Str s) ->

@@ -3,31 +3,24 @@
    Layout: one bounded Trap_queue and one worker Domain per shard; the
    calling domain is the feeder.  Under the default [Static] policy a
    tracee's work always goes to [shard_of_tracee] of its id; under
-   [Least_loaded] and [Steal] the deterministic virtual-clock {!Plan}
-   below decides placement per tracee batch.  Whatever the policy,
-   per-tracee order stays total: a tracee's batch is owned by exactly
-   one shard at a time (the claim), migration happens only at batch
-   boundaries (the tracee is quiescent on the virtual clock), and for
-   stateful stream verification the claim handoff carries the tracee's
-   state through a blocking {!Trap_queue.Cell} so the acquiring shard
-   cannot run ahead of the releasing one.  The feeder blocks when a
-   queue is full (backpressure, never drops) and merges results in
+   [Steal] an idle shard may take it instead — whole tracees from a
+   {!Trap_queue.Deque} in [run_tracees], and quiescent trap runs by
+   the deterministic virtual-clock {!Plan} below for the fleet.
+   Whatever the policy, a tracee's work is owned by exactly one shard
+   at a time, so per-tracee order stays total.  The feeder blocks when
+   a queue is full (backpressure, never drops) and merges results in
    tracee order after joining every worker. *)
 
-type policy = Static | Least_loaded | Steal
+type policy = Static | Steal
 
-let policy_name = function
-  | Static -> "static"
-  | Least_loaded -> "least-loaded"
-  | Steal -> "steal"
+let policy_name = function Static -> "static" | Steal -> "steal"
 
 let policy_of_string = function
   | "static" -> Some Static
-  | "least-loaded" | "least_loaded" -> Some Least_loaded
   | "steal" -> Some Steal
   | _ -> None
 
-let all_policies = [ Static; Least_loaded; Steal ]
+let all_policies = [ Static; Steal ]
 
 type config = {
   shards : int;
@@ -58,23 +51,20 @@ let shard_of_tracee ~shards tracee =
    the feeder routes every item through one [Plan] in feed order, and a
    serial replay of the same stream routes identically — which is what
    lets the fleet driver's sharded runs stay [Metrics.equal] to the
-   serial reference under every policy.
+   serial reference under both policies.
 
    The claim rule: a tracee's claim may move only when the tracee is
    *quiescent* — its last trap has (virtually) finished before the new
    one arrives — so there is never pending work on two shards at once
    and per-tracee FIFO order stays total.
 
-   - [Static]       : claim = shard_of_tracee, forever.
-   - [Least_loaded] : a quiescent tracee's next batch is placed on the
-                      shard whose virtual clock is smallest (ties keep
-                      the current claim, then the lowest shard id).
-   - [Steal]        : claims start static; when a quiescent tracee's
-                      next trap would *wait* (its claim shard's clock
-                      is past the arrival) and a less-loaded shard
-                      would start it earlier, that shard steals the
-                      batch.  Idle thieves, loaded victims — and no
-                      movement at all while nothing queues. *)
+   - [Static] : claim = shard_of_tracee, forever.
+   - [Steal]  : claims start static; when a quiescent tracee's next
+                trap would *wait* (its claim shard's clock is past the
+                arrival) and a less-loaded shard would start it
+                earlier, that shard steals the batch.  Idle thieves,
+                loaded victims — and no movement at all while nothing
+                queues. *)
 module Plan = struct
   (* A tracee's claim: the shard that owns its batch, and its last
      trap's virtual finish ([unrouted] before its first trap). *)
@@ -87,13 +77,7 @@ module Plan = struct
     pl_claims : (int, claim) Hashtbl.t;  (* tracee -> its claim *)
     pl_items : int array;  (* per-shard items routed *)
     pl_busy : int array;  (* per-shard service cycles routed *)
-    mutable pl_steals : int;
-    mutable pl_migrations : int;
-  }
-
-  type decision = {
-    d_shard : int;  (** where this trap goes *)
-    d_from : int option;  (** previous claim when the batch migrated *)
+    mutable pl_steals : int;  (* claim moves; every one is a steal *)
   }
 
   (* Below every arrival, so a tracee's first trap finds it quiescent;
@@ -111,17 +95,7 @@ module Plan = struct
       pl_items = Array.make shards 0;
       pl_busy = Array.make shards 0;
       pl_steals = 0;
-      pl_migrations = 0;
     }
-
-  (* Least-loaded shard by virtual clock; ties prefer [prefer], then
-     the lowest shard id. *)
-  let least_loaded t ~prefer =
-    let best = ref prefer in
-    for s = 0 to t.pl_shards - 1 do
-      if t.pl_clock.(s) < t.pl_clock.(!best) then best := s
-    done;
-    !best
 
   let route t ~tracee ~at ~service =
     if service < 0 then invalid_arg "Monitor_pool.Plan.route: negative service";
@@ -136,34 +110,32 @@ module Plan = struct
         c
     in
     let current = claim.cl_shard in
-    let quiescent = claim.cl_done <= at in
     let target =
       match t.pl_policy with
       | Static -> current
-      | Least_loaded ->
-        if quiescent then least_loaded t ~prefer:current else current
       | Steal ->
-        if quiescent && t.pl_clock.(current) > at then begin
-          let thief = least_loaded t ~prefer:current in
-          if t.pl_clock.(thief) < t.pl_clock.(current) then thief else current
-        end
-        else current
+        (* A quiescent tracee whose claim shard is backlogged moves to
+           the shard with the smallest clock, if one is strictly
+           smaller; ties keep the claim, then go to the lowest id. *)
+        let thief = ref current in
+        if claim.cl_done <= at && t.pl_clock.(current) > at then
+          for s = 0 to t.pl_shards - 1 do
+            if t.pl_clock.(s) < t.pl_clock.(!thief) then thief := s
+          done;
+        !thief
     in
-    let migrated = claim.cl_done <> unrouted && target <> current in
-    if migrated then begin
-      t.pl_migrations <- t.pl_migrations + 1;
-      if t.pl_policy = Steal then t.pl_steals <- t.pl_steals + 1
-    end;
+    if claim.cl_done <> unrouted && target <> current then
+      t.pl_steals <- t.pl_steals + 1;
     let start = Int.max at t.pl_clock.(target) in
     t.pl_clock.(target) <- start + service;
     claim.cl_shard <- target;
     claim.cl_done <- t.pl_clock.(target);
     t.pl_items.(target) <- t.pl_items.(target) + 1;
     t.pl_busy.(target) <- t.pl_busy.(target) + service;
-    { d_shard = target; d_from = (if migrated then Some current else None) }
+    target
 
   let steals t = t.pl_steals
-  let migrations t = t.pl_migrations
+  let migrations = steals
   let items_per_shard t = Array.copy t.pl_items
   let busy_per_shard t = Array.copy t.pl_busy
 end
@@ -177,9 +149,7 @@ end
    not execution).  [Steal] seeds each shard's FIFO with its static
    tracees and replays the work-stealing discipline on virtual clocks:
    the shard that goes idle earliest acts next, popping its own front
-   or stealing the *back* of the victim with the most pending cycles.
-   [Least_loaded] is greedy earliest-finish placement in tracee
-   order. *)
+   or stealing the *back* of the victim with the most pending cycles. *)
 type job_plan = {
   jp_policy : policy;
   jp_assignment : int array;  (* tracee -> shard *)
@@ -202,17 +172,6 @@ let plan_jobs ~policy ~shards (costs : int array) : job_plan =
         let s = shard_of_tracee ~shards t in
         assignment.(t) <- s;
         cycles.(s) <- cycles.(s) + c)
-      costs
-  | Least_loaded ->
-    Array.iteri
-      (fun t c ->
-        let home = shard_of_tracee ~shards t in
-        let best = ref home in
-        for s = 0 to shards - 1 do
-          if cycles.(s) < cycles.(!best) then best := s
-        done;
-        assignment.(t) <- !best;
-        cycles.(!best) <- cycles.(!best) + c)
       costs
   | Steal ->
     (* Per-shard pending FIFOs, seeded statically in tracee order. *)
@@ -299,16 +258,12 @@ type stats = {
   p_migrations : int;
 }
 
-(* Feeder/worker skeleton shared by both granularities: spawn one
-   worker per shard over its own queue, push every item to its shard,
-   close, join.  [worker] consumes batches until the queue drains; its
-   return value is the shard's result.  [arrival], when given, stamps
-   each item with its modelled-cycle arrival time (the open-loop load
-   driver's clock) so workers can pop stamped batches and price queue
-   wait into end-to-end latency.  [route], when given, overrides the
-   static [shard_of_tracee] placement — this is how the {!Plan}'s
-   decisions reach the queues. *)
-let with_pool ?arrival ?route (cfg : config) ~(items : (int * 'item) Seq.t)
+(* Feeder/worker skeleton: spawn one worker per shard over its own
+   queue, push every item to its shard, close, join.  [worker] consumes
+   batches until the queue drains; its return value is the shard's
+   result.  [route], when given, overrides the static [shard_of_tracee]
+   placement — this is how the {!Plan}'s decisions reach the queues. *)
+let with_pool ?route (cfg : config) ~(items : (int * 'item) Seq.t)
     ~(worker : shard:int -> (int * 'item) Trap_queue.t -> 'acc) :
     'acc array * (int -> Trap_queue.stats) =
   let queues =
@@ -317,7 +272,6 @@ let with_pool ?arrival ?route (cfg : config) ~(items : (int * 'item) Seq.t)
   let domains =
     Array.init cfg.shards (fun s -> Domain.spawn (fun () -> worker ~shard:s queues.(s)))
   in
-  let at = match arrival with None -> fun _ -> 0 | Some f -> f in
   let dest =
     match route with
     | Some f -> f
@@ -327,9 +281,7 @@ let with_pool ?arrival ?route (cfg : config) ~(items : (int * 'item) Seq.t)
   (* Feed on the calling domain; a full shard queue blocks us here —
      that is the backpressure, not a drop. *)
   (try
-     Seq.iter
-       (fun item -> Trap_queue.push_at ~at:(at item) queues.(dest item) item)
-       items
+     Seq.iter (fun item -> Trap_queue.push queues.(dest item) item) items
    with e ->
      (* Never leave workers running: close and join before re-raising.
         A worker that *also* raised must not shadow the feeder's
@@ -352,44 +304,38 @@ let with_pool ?arrival ?route (cfg : config) ~(items : (int * 'item) Seq.t)
   in
   (accs, fun s -> Trap_queue.stats queues.(s))
 
-let drain (queue : 'a Trap_queue.t) ~batch ~f =
-  let rec loop () =
-    match Trap_queue.pop_batch queue ~max:batch with
-    | [] -> ()
-    | items ->
-      List.iter f items;
-      loop ()
-  in
-  loop ()
-
 (* ------------------------------------------------------------------ *)
 (* Whole-tracee jobs                                                   *)
 
 (* The static path feeds each job through its home shard's bounded
-   queue.  Under [Least_loaded] and [Steal] the pool switches to real
-   work stealing over {!Trap_queue.Deque}s: every deque is seeded with
-   its shard's static tracees, owners pop from the front, and a worker
-   whose deque runs dry steals whole-tracee claims from the *back* of
-   the longest victim.  (At whole-job granularity the two non-static
-   policies share this execution — job costs are unknown until the job
-   runs, so there is nothing for least-loaded placement to weigh; the
-   deterministic cost-aware split between them lives in {!plan_jobs},
-   which the drivers use for modelled accounting.)  Each result slot is
-   written by exactly one domain and read only after the joins. *)
+   queue.  Under [Steal] the pool switches to real work stealing over
+   {!Trap_queue.Deque}s: every deque is seeded with its shard's static
+   tracees, owners pop from the front, and a worker whose deque runs
+   dry steals whole-tracee claims from the *back* of the longest
+   victim.  (Job costs are unknown until the job runs; the
+   deterministic cost-aware split lives in {!plan_jobs}, which the
+   drivers use for modelled accounting.)  Each result slot is written
+   by exactly one domain and read only after the joins. *)
 let run_tracees (type r) ~(config : config) (jobs : (unit -> r) array) :
     r array * stats =
   let n = Array.length jobs in
   let results : (r, exn) result option array = Array.make n None in
   if config.policy = Static then begin
+    (* Each queue item is one whole tracee, so a shard's item count
+       is its tracee count. *)
     let worker ~shard:_ queue =
-      let items = ref 0 in
-      let tracees = ref 0 in
-      drain queue ~batch:config.batch ~f:(fun (tracee, ()) ->
-          incr items;
-          incr tracees;
-          results.(tracee) <-
-            Some (match jobs.(tracee) () with v -> Ok v | exception e -> Error e));
-      (!items, !tracees)
+      let rec drain ran =
+        match Trap_queue.pop_batch queue ~max:config.batch with
+        | [] -> ran
+        | batch ->
+          List.iter
+            (fun (tracee, ()) ->
+              results.(tracee) <-
+                Some (match jobs.(tracee) () with v -> Ok v | exception e -> Error e))
+            batch;
+          drain (ran + List.length batch)
+      in
+      drain 0
     in
     let accs, queue_stats =
       with_pool config
@@ -398,9 +344,8 @@ let run_tracees (type r) ~(config : config) (jobs : (unit -> r) array) :
     in
     let shard_stats =
       Array.mapi
-        (fun s (items, tracees) ->
-          { sh_shard = s; sh_tracees = tracees; sh_items = items;
-            sh_queue = queue_stats s })
+        (fun s ran ->
+          { sh_shard = s; sh_tracees = ran; sh_items = ran; sh_queue = queue_stats s })
         accs
     in
     let stats =
@@ -516,157 +461,6 @@ let run_tracees (type r) ~(config : config) (jobs : (unit -> r) array) :
     in
     (values, stats)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Trap-granular stream                                                *)
-
-(* Worker commands.  [Work] carries the trap's global feed sequence
-   (for the order-restoring merge) and, when the trap is the first on
-   a new claim shard, the handoff cell to adopt the tracee's state
-   from.  [Release] tells the old claim shard to surrender the state
-   into the cell after it has processed everything before it — queue
-   FIFO gives exactly that. *)
-type ('s, 'trap) stream_cmd =
-  | Work of int * 'trap * 's Trap_queue.Cell.t option
-  | Release of 's Trap_queue.Cell.t
-
-let process_stream (type s v) ?(service = fun _ -> 1) ~(config : config)
-    ~tracees ~(init : int -> s) ~(verify : tracee:int -> s -> 'trap -> v)
-    (stream : (int * 'trap) list) : v list array * stats =
-  List.iter
-    (fun (tracee, _) ->
-      if tracee < 0 || tracee >= tracees then
-        invalid_arg
-          (Printf.sprintf "Monitor_pool.process_stream: tracee %d not in [0,%d)"
-             tracee tracees))
-    stream;
-  (* Route the whole stream through one deterministic plan, in feed
-     order.  With no arrival process of its own, a trap's virtual
-     arrival is the ideal-balance completion time of everything before
-     it: cumulative service over the shard count.  Under [Static] the
-     plan degenerates to [shard_of_tracee] and no Release is ever
-     emitted. *)
-  let plan = Plan.create ~policy:config.policy ~shards:config.shards () in
-  let cum = ref 0 in
-  let seq = ref 0 in
-  let routed =
-    List.concat_map
-      (fun (tracee, trap) ->
-        let sv = service trap in
-        if sv < 0 then
-          invalid_arg "Monitor_pool.process_stream: negative service";
-        let at = !cum / config.shards in
-        cum := !cum + sv;
-        let d = Plan.route plan ~tracee ~at ~service:sv in
-        let i = !seq in
-        incr seq;
-        match d.Plan.d_from with
-        | None -> [ (tracee, (d.Plan.d_shard, Work (i, trap, None))) ]
-        | Some old ->
-          (* Release strictly before the acquiring Work: the feed-order
-             edge the deadlock-freedom argument leans on (DESIGN §13). *)
-          let cell = Trap_queue.Cell.create () in
-          [
-            (tracee, (old, Release cell));
-            (tracee, (d.Plan.d_shard, Work (i, trap, Some cell)));
-          ])
-      stream
-  in
-  let worker ~shard:_ queue =
-    let states : (int, s) Hashtbl.t = Hashtbl.create 8 in
-    let seen : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let verdicts : (int, (int * v) list) Hashtbl.t = Hashtbl.create 8 in
-    let items = ref 0 in
-    drain queue ~batch:config.batch ~f:(fun (tracee, (_, cmd)) ->
-        match cmd with
-        | Release cell ->
-          let state =
-            match Hashtbl.find_opt states tracee with
-            | Some s -> s
-            | None -> assert false (* claim discipline: state is here *)
-          in
-          Hashtbl.remove states tracee;
-          Trap_queue.Cell.fill cell state
-        | Work (i, trap, adopt) ->
-          incr items;
-          Hashtbl.replace seen tracee ();
-          let state =
-            match adopt with
-            | Some cell ->
-              let s = Trap_queue.Cell.take cell in
-              Hashtbl.replace states tracee s;
-              s
-            | None -> (
-              match Hashtbl.find_opt states tracee with
-              | Some s -> s
-              | None ->
-                let s = init tracee in
-                Hashtbl.replace states tracee s;
-                s)
-          in
-          let v = verify ~tracee state trap in
-          Hashtbl.replace verdicts tracee
-            ((i, v)
-            :: Option.value ~default:[] (Hashtbl.find_opt verdicts tracee)));
-    let per_tracee =
-      Hashtbl.fold (fun tracee vs acc -> (tracee, vs) :: acc) verdicts []
-    in
-    (!items, Hashtbl.length seen, per_tracee)
-  in
-  let accs, queue_stats =
-    with_pool config
-      ~route:(fun (_, (shard, _)) -> shard)
-      ~items:(List.to_seq routed) ~worker
-  in
-  (* A migrated tracee's verdicts are spread over several shards; the
-     feed-sequence tags restore the per-tracee total order exactly. *)
-  let tagged = Array.make tracees [] in
-  Array.iter
-    (fun (_, _, per_tracee) ->
-      List.iter
-        (fun (tracee, vs) -> tagged.(tracee) <- List.rev_append vs tagged.(tracee))
-        per_tracee)
-    accs;
-  let merged =
-    Array.map
-      (fun vs ->
-        List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) vs))
-      tagged
-  in
-  let shard_stats =
-    Array.mapi
-      (fun s (items, tracees, _) ->
-        { sh_shard = s; sh_tracees = tracees; sh_items = items;
-          sh_queue = queue_stats s })
-      accs
-  in
-  ( merged,
-    { p_config = config; p_tracees = tracees; p_shards = shard_stats;
-      p_steals = Plan.steals plan; p_migrations = Plan.migrations plan } )
-
-let process_stream_serial (type s v) ~tracees ~(init : int -> s)
-    ~(verify : tracee:int -> s -> 'trap -> v) (stream : (int * 'trap) list) :
-    v list array =
-  let states : (int, s) Hashtbl.t = Hashtbl.create 8 in
-  let merged = Array.make tracees [] in
-  List.iter
-    (fun (tracee, trap) ->
-      if tracee < 0 || tracee >= tracees then
-        invalid_arg
-          (Printf.sprintf
-             "Monitor_pool.process_stream_serial: tracee %d not in [0,%d)" tracee
-             tracees);
-      let state =
-        match Hashtbl.find_opt states tracee with
-        | Some s -> s
-        | None ->
-          let s = init tracee in
-          Hashtbl.replace states tracee s;
-          s
-      in
-      merged.(tracee) <- verify ~tracee state trap :: merged.(tracee))
-    stream;
-  Array.map List.rev merged
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)

@@ -11,43 +11,34 @@
     tracee's claim*.
 
     Placement is a {!policy}.  Under the default {!Static} every tracee
-    is pinned to [shard_of_tracee] of its id forever.  Under
-    {!Least_loaded} and {!Steal} the deterministic virtual-clock
-    {!Plan} may migrate a tracee's claim between shards — but only at
-    batch boundaries when the tracee is quiescent, and the handoff
-    moves the verifier state through a blocking {!Trap_queue.Cell}, so
-    a tracee's work is still owned by exactly one shard at a time and
-    per-tracee trap order stays total (DESIGN §13).  Verdicts, modelled
-    cycles and denials are byte-identical to a serial run under every
-    policy; results are merged back in tracee order.
+    is pinned to [shard_of_tracee] of its id forever.  Under {!Steal}
+    an idle shard may take a tracee's work, but a tracee is still owned
+    by exactly one shard at a time (DESIGN §13).  Verdicts, modelled
+    cycles and denials are byte-identical to a serial run under both
+    policies; results are merged back in tracee order.
 
-    Two granularities:
+    Two callers:
     - {!run_tracees}: whole-tracee jobs (boot a session, run the
       machine, verify its traps in-domain as they stop) — what the
       multi-tracee workload driver and the attack runner use;
-    - {!process_stream}: an interleaved per-trap stream dispatched to
-      the claim-owning shard — the event-loop shape of a real
-      multi-tracee ptrace monitor, and what the equivalence property
-      tests drive. *)
+    - {!with_pool} fed through a {!Plan}: the open-loop fleet driver's
+      routed trap runs. *)
 
 (** How tracee work is placed on shards. *)
 type policy =
   | Static  (** pin to [shard_of_tracee], never move — the baseline *)
-  | Least_loaded
-      (** place each quiescent batch on the least-loaded shard
-          (virtual clock); the simpler ablation arm *)
   | Steal
       (** static homes, but an idle shard steals a quiescent tracee's
           next batch when its claim shard would make it wait *)
 
 val policy_name : policy -> string
-(** ["static"], ["least-loaded"], ["steal"] — the CLI spelling. *)
+(** ["static"], ["steal"] — the CLI spelling. *)
 
 val policy_of_string : string -> policy option
-(** Inverse of {!policy_name} (also accepts ["least_loaded"]). *)
+(** Inverse of {!policy_name}. *)
 
 val all_policies : policy list
-(** [[Static; Least_loaded; Steal]] — ablation sweep order. *)
+(** [[Static; Steal]] — ablation sweep order. *)
 
 type config = {
   shards : int;          (** worker domains; >= 1 *)
@@ -66,39 +57,36 @@ val config :
   config
 
 (** The *home* shard of a tracee: stable by id.  Under {!Static} this
-    is final; under the other policies it seeds the claim. *)
+    is final; under {!Steal} it seeds the claim. *)
 val shard_of_tracee : shards:int -> int -> int
 
 (** The deterministic trap-stream scheduler.  One plan routes a whole
     stream in feed order on modelled virtual clocks — never host
     timing — so a sharded run and a serial replay of the same stream
     place every trap identically, which is what keeps sharded metrics
-    [Metrics.equal] to the serial reference under every policy.  A
+    [Metrics.equal] to the serial reference under both policies.  A
     tracee's claim may move only when the tracee is quiescent (its
     previous trap's virtual finish is at or before the new arrival), so
     there is never pending work on two shards at once. *)
 module Plan : sig
   type t
 
-  type decision = {
-    d_shard : int;  (** where this trap goes *)
-    d_from : int option;  (** previous claim when the batch migrated *)
-  }
-
   val create : ?policy:policy -> shards:int -> unit -> t
   (** Fresh plan, all clocks zero.  @raise Invalid_argument on
       [shards < 1]. *)
 
-  val route : t -> tracee:int -> at:int -> service:int -> decision
+  val route : t -> tracee:int -> at:int -> service:int -> int
   (** Route one trap arriving at modelled cycle [at] costing [service]
-      cycles, advancing the target shard's clock.  Must be called in
-      feed order.  @raise Invalid_argument on negative [service]. *)
+      cycles to its shard, advancing that shard's clock.  Must be
+      called in feed order.  @raise Invalid_argument on negative
+      [service]. *)
 
   val steals : t -> int
-  (** Migrations performed by the {!Steal} policy so far. *)
+  (** Claims the {!Steal} policy moved so far. *)
 
   val migrations : t -> int
-  (** Claim moves under any policy so far (= {!steals} for [Steal]). *)
+  (** Claim moves so far: every move is a steal, so this equals
+      {!steals}. *)
 
   val items_per_shard : t -> int array
 
@@ -110,11 +98,9 @@ end
 (** Deterministic placement of whole-tracee jobs with known costs:
     the modelled-deployment counterpart of {!run_tracees}' real
     stealing, used by the drivers for makespan accounting.  [Static]
-    groups by home shard; [Least_loaded] greedily places each tracee
-    (in id order) on the shard with the least accumulated cycles;
-    [Steal] replays the stealing discipline on virtual clocks — the
-    earliest-idle shard pops its own FIFO front or steals the back of
-    the victim with the most pending cycles. *)
+    groups by home shard; [Steal] replays the stealing discipline on
+    virtual clocks — the earliest-idle shard pops its own FIFO front or
+    steals the back of the victim with the most pending cycles. *)
 type job_plan = {
   jp_policy : policy;
   jp_assignment : int array;   (** tracee -> shard *)
@@ -140,16 +126,14 @@ type stats = {
   p_tracees : int;
   p_shards : shard_stats array;
   p_steals : int;      (** claims/batches moved by stealing *)
-  p_migrations : int;  (** claim moves under any non-static policy *)
+  p_migrations : int;  (** tracees run away from their home shard *)
 }
 
-(** The feeder/worker skeleton under both granularities, exposed for
-    harnesses that need raw shard workers (the open-loop fleet driver):
-    one worker domain and one bounded queue per shard; every item is
-    pushed to its tracee's home shard, or to [route item] when [route]
-    is given — how a {!Plan}'s decisions reach the queues.  [arrival],
-    when given, stamps each item with the modelled-cycle arrival time
-    for {!Trap_queue.pop_batch_stamped}.  Queues close when the item
+(** The feeder/worker skeleton, exposed for harnesses that need raw
+    shard workers (the open-loop fleet driver): one worker domain and
+    one bounded queue per shard; every item is pushed to its tracee's
+    home shard, or to [route item] when [route] is given — how a
+    {!Plan}'s decisions reach the queues.  Queues close when the item
     sequence ends and workers' results come back in shard order, with
     a post-join accessor for each queue's lifetime stats.
 
@@ -159,7 +143,6 @@ type stats = {
     raise, every domain is joined first and the lowest-numbered
     shard's exception wins deterministically. *)
 val with_pool :
-  ?arrival:(int * 'item -> int) ->
   ?route:(int * 'item -> int) ->
   config ->
   items:(int * 'item) Seq.t ->
@@ -168,47 +151,15 @@ val with_pool :
 
 (** Run one job per tracee (index = tracee id).  Under {!Static} each
     job runs on its home shard's domain, serially in queue order.
-    Under {!Least_loaded}/{!Steal} the pool work-steals for real: each
-    shard's {!Trap_queue.Deque} is seeded with its home tracees,
-    owners pop the front, and an idle worker steals whole-tracee
-    claims from the back of the longest victim (job costs are unknown
-    until run, so both non-static policies share this execution; the
+    Under {!Steal} the pool work-steals for real: each shard's
+    {!Trap_queue.Deque} is seeded with its home tracees, owners pop
+    the front, and an idle worker steals whole-tracee claims from the
+    back of the longest victim (job costs are unknown until run; the
     cost-aware modelled split lives in {!plan_jobs}).  Results come
     back in tracee order.  If jobs raised, the exception of the
     lowest-numbered failing tracee is re-raised after every domain has
     been joined (deterministic, no orphaned domains). *)
 val run_tracees : config:config -> (unit -> 'r) array -> 'r array * stats
-
-(** Dispatch an interleaved trap stream [(tracee, trap); ...] to the
-    claim-owning shards, routing every trap through one {!Plan} in
-    feed order ([service], default [fun _ -> 1], prices each trap; a
-    trap's virtual arrival is the ideal-balance completion time of the
-    stream before it).  [init tracee] creates the tracee's verifier
-    state on its first shard; on migration the releasing shard
-    surrenders that state through a blocking {!Trap_queue.Cell} after
-    its last pre-migration trap, so the acquiring shard cannot run
-    ahead — per-tracee verdict order equals stream order under every
-    policy, and the returned verdicts are bit-identical to
-    {!process_stream_serial}.  Tracee ids must lie in [0, tracees).
-    Returns the per-tracee verdict lists, tracee order. *)
-val process_stream :
-  ?service:('trap -> int) ->
-  config:config ->
-  tracees:int ->
-  init:(int -> 's) ->
-  verify:(tracee:int -> 's -> 'trap -> 'v) ->
-  (int * 'trap) list ->
-  'v list array * stats
-
-(** The serial reference: same contract as {!process_stream}, executed
-    inline on the calling domain with no queueing — the baseline the
-    equivalence properties compare against. *)
-val process_stream_serial :
-  tracees:int ->
-  init:(int -> 's) ->
-  verify:(tracee:int -> 's -> 'trap -> 'v) ->
-  (int * 'trap) list ->
-  'v list array
 
 val util_spread : stats -> float
 (** Imbalance in one number: the hottest shard's items over the mean

@@ -10,10 +10,7 @@ type 'a t = {
   lock : Mutex.t;
   not_full : Condition.t;
   not_empty : Condition.t;
-  (* Each slot carries its arrival stamp (modelled cycles at enqueue,
-     0 when the producer does not track time) so the consumer can
-     price queue wait into the trap's end-to-end latency. *)
-  items : (int * 'a) Queue.t;
+  items : 'a Queue.t;
   capacity : int;
   mutable closed : bool;
   (* statistics *)
@@ -59,14 +56,7 @@ let locked (t : 'a t) f =
     Mutex.unlock t.lock;
     raise e
 
-let enqueue_locked (t : 'a t) ~at x =
-  Queue.push (at, x) t.items;
-  t.pushed <- t.pushed + 1;
-  let d = Queue.length t.items in
-  if d > t.max_depth then t.max_depth <- d;
-  Condition.signal t.not_empty
-
-let push_at (t : 'a t) ~at x =
+let push (t : 'a t) x =
   locked t (fun () ->
       if t.closed then raise Closed;
       if Queue.length t.items >= t.capacity then begin
@@ -76,20 +66,13 @@ let push_at (t : 'a t) ~at x =
         done
       end;
       if t.closed then raise Closed;
-      enqueue_locked t ~at x)
+      Queue.push x t.items;
+      t.pushed <- t.pushed + 1;
+      let d = Queue.length t.items in
+      if d > t.max_depth then t.max_depth <- d;
+      Condition.signal t.not_empty)
 
-let push (t : 'a t) x = push_at t ~at:0 x
-
-let try_push (t : 'a t) x =
-  locked t (fun () ->
-      if t.closed then raise Closed;
-      if Queue.length t.items >= t.capacity then false
-      else begin
-        enqueue_locked t ~at:0 x;
-        true
-      end)
-
-let pop_batch_stamped (t : 'a t) ~max =
+let pop_batch (t : 'a t) ~max =
   locked t (fun () ->
       while Queue.is_empty t.items && not t.closed do
         Condition.wait t.not_empty t.lock
@@ -107,8 +90,6 @@ let pop_batch_stamped (t : 'a t) ~max =
       end;
       batch)
 
-let pop_batch (t : 'a t) ~max = List.map snd (pop_batch_stamped t ~max)
-
 let close (t : 'a t) =
   locked t (fun () ->
       if not t.closed then begin
@@ -116,10 +97,6 @@ let close (t : 'a t) =
         Condition.broadcast t.not_full;
         Condition.broadcast t.not_empty
       end)
-
-let is_closed (t : 'a t) = locked t (fun () -> t.closed)
-
-let depth (t : 'a t) = locked t (fun () -> Queue.length t.items)
 
 let stats (t : 'a t) =
   locked t (fun () ->
@@ -131,29 +108,6 @@ let stats (t : 'a t) =
         q_blocked_pushes = t.blocked_pushes;
         q_batches = t.batches;
       })
-
-let mean_batch (s : stats) =
-  if s.q_batches = 0 then Float.nan
-  else float_of_int s.q_popped /. float_of_int s.q_batches
-
-(** Register this queue's backpressure accounting as sampled probes on
-    [reg] under [prefix] (e.g. ["mt.shard0.queue"]): live depth plus
-    the lifetime counters.  Probes read under the queue's lock at
-    snapshot time, so the registry and {!stats} can never disagree. *)
-let register_probes (t : 'a t) reg ~prefix =
-  let probe name read =
-    Obs.Metrics.register_probe reg (prefix ^ "." ^ name) (fun () ->
-        locked t (fun () -> read ()))
-  in
-  probe "depth" (fun () -> float_of_int (Queue.length t.items));
-  probe "pushed" (fun () -> float_of_int t.pushed);
-  probe "popped" (fun () -> float_of_int t.popped);
-  probe "max_depth" (fun () -> float_of_int t.max_depth);
-  probe "blocked_pushes" (fun () -> float_of_int t.blocked_pushes);
-  probe "batches" (fun () -> float_of_int t.batches);
-  probe "mean_batch" (fun () ->
-      if t.batches = 0 then 0.0
-      else float_of_int t.popped /. float_of_int t.batches)
 
 (* ------------------------------------------------------------------ *)
 (* The stealable deque of whole-tracee claims                          *)
@@ -256,53 +210,3 @@ module Deque = struct
           dq_max_len = t.d_max_len;
         })
 end
-
-(* ------------------------------------------------------------------ *)
-(* The claim-handoff cell                                              *)
-
-(* A single-shot blocking box carrying a migrating tracee's
-   verification state between shard domains.  The releasing shard
-   fills it exactly once when it has processed the tracee's last
-   pre-migration trap; the acquiring shard blocks in [take] until then,
-   which is the happens-before edge that keeps per-tracee order total
-   across the handoff.  Deadlock-freedom: a worker blocked in [take]
-   waits on a cell filled at a strictly earlier feed position (the
-   release is enqueued before the acquire), so any waits-for chain
-   walks strictly backwards through the feed order and can never
-   cycle — see DESIGN §13. *)
-module Cell = struct
-  type 'a t = {
-    c_lock : Mutex.t;
-    c_cond : Condition.t;
-    mutable c_value : 'a option;
-  }
-
-  let create () =
-    { c_lock = Mutex.create (); c_cond = Condition.create (); c_value = None }
-
-  let fill (t : 'a t) v =
-    Mutex.lock t.c_lock;
-    (match t.c_value with
-    | Some _ ->
-      Mutex.unlock t.c_lock;
-      invalid_arg "Trap_queue.Cell.fill: cell already filled"
-    | None ->
-      t.c_value <- Some v;
-      Condition.signal t.c_cond;
-      Mutex.unlock t.c_lock)
-
-  let take (t : 'a t) =
-    Mutex.lock t.c_lock;
-    let rec wait () =
-      match t.c_value with
-      | Some v ->
-        t.c_value <- None;
-        Mutex.unlock t.c_lock;
-        v
-      | None ->
-        Condition.wait t.c_cond t.c_lock;
-        wait ()
-    in
-    wait ()
-end
-

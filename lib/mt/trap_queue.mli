@@ -20,30 +20,13 @@ val push : 'a t -> 'a -> unit
 (** Enqueue, blocking while the queue is full.
     @raise Closed if the queue is (or becomes, while waiting) closed. *)
 
-val push_at : 'a t -> at:int -> 'a -> unit
-(** {!push} with an arrival stamp ([at]: modelled cycles at enqueue),
-    recoverable via {!pop_batch_stamped} so the consumer can price
-    queue wait.  [push] is [push_at ~at:0]. *)
-
-val try_push : 'a t -> 'a -> bool
-(** Non-blocking enqueue; [false] when full.
-    @raise Closed if the queue is closed. *)
-
 val pop_batch : 'a t -> max:int -> 'a list
 (** Dequeue up to [max] items in FIFO order, blocking while the queue
     is empty and still open.  Returns [[]] only when the queue is
     closed and fully drained. *)
 
-val pop_batch_stamped : 'a t -> max:int -> (int * 'a) list
-(** {!pop_batch}, with each item's arrival stamp. *)
-
 val close : 'a t -> unit
 (** Idempotent.  Pending items remain poppable. *)
-
-val is_closed : 'a t -> bool
-
-val depth : 'a t -> int
-(** Current occupancy (racy snapshot, exact under the internal lock). *)
 
 (** Lifetime statistics, all maintained under the queue's lock. *)
 type stats = {
@@ -56,15 +39,6 @@ type stats = {
 }
 
 val stats : 'a t -> stats
-
-val mean_batch : stats -> float
-(** Mean items per non-empty batch; [nan] before the first batch. *)
-
-val register_probes : 'a t -> Obs.Metrics.t -> prefix:string -> unit
-(** Register the queue's backpressure accounting (live depth, pushed,
-    popped, max_depth, blocked_pushes, batches, mean_batch) as sampled
-    probes named [prefix ^ "." ^ field].  Probes read under the
-    queue's lock, so they never disagree with {!stats}. *)
 
 (** A mutex-guarded stealable deque of whole-tracee claims for the
     work-stealing scheduler: the owning shard pops from the front
@@ -87,25 +61,4 @@ module Deque : sig
   val steal_back : 'a t -> 'a option
   val length : 'a t -> int
   val stats : 'a t -> stats
-end
-
-(** A single-shot blocking box for claim handoff: when the scheduler
-    migrates a tracee between shards, the releasing shard [fill]s the
-    cell with the tracee's verification state after processing its last
-    pre-migration trap, and the acquiring shard blocks in [take] until
-    it does.  That wait is the happens-before edge that keeps
-    per-tracee trap order total across the migration.  Deadlock-free:
-    a release is always enqueued at a strictly earlier feed position
-    than its acquire, so waits-for chains walk strictly backwards
-    through the feed order and cannot cycle (DESIGN §13). *)
-module Cell : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val fill : 'a t -> 'a -> unit
-  (** @raise Invalid_argument if the cell is already filled. *)
-
-  val take : 'a t -> 'a
-  (** Blocks until {!fill}; consumes the value. *)
 end

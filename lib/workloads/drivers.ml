@@ -323,11 +323,11 @@ let run_multi ?cost ?trap_cache ?pre_resolve ?prefilter ?queue_capacity ?batch
     invalid_arg "Drivers.run_multi: shard_recorders must have one slot per shard"
   | _ -> ());
   (* A shard recorder's lane stamping relies on the static pin (its
-     tracees run serially on its own domain); under a stealing policy
-     a tracee may execute anywhere, so the combination is rejected
-     rather than silently racy. *)
+     tracees run serially on its own domain); under stealing a tracee
+     may execute anywhere, so the combination is rejected rather than
+     silently racy. *)
   (match (shard_recorders, scheduler) with
-  | Some _, (Pool.Least_loaded | Pool.Steal) ->
+  | Some _, Pool.Steal ->
     invalid_arg
       "Drivers.run_multi: shard_recorders requires the static scheduler"
   | _ -> ());

@@ -23,13 +23,13 @@
      offered load is a knob, not an outcome;
    - the sharded run drives real worker domains through the real
      bounded trap queues (one item per run of consecutive arrivals
-     bound for one shard, stamped via [Trap_queue.push_at] with the
-     run's first arrival), but all latency math runs on per-shard
-     *virtual clocks* in modelled cycles, so the measured waits are
-     deterministic and a serial reference simulation must agree
-     exactly: the per-domain shard registries ([Metrics.Shards])
-     merged at join are required to [Metrics.equal] the serial
-     registry (asserted per sweep point and by the qcheck laws).
+     bound for one shard), but all latency math runs on per-shard
+     *virtual clocks* in modelled cycles from each trap's own arrival
+     time, so the measured waits are deterministic and a serial
+     reference simulation must agree exactly: the per-domain shard
+     registries ([Metrics.Shards]) merged at join are required to
+     [Metrics.equal] the serial registry (asserted per sweep point and
+     by the qcheck laws).
 
    The sweep fixes the arrival *schedule* (rate only scales spacing),
    so total busy cycles are load-independent and the saturation point
@@ -37,18 +37,18 @@
    utilisation reaches 1 — the ideal aggregate capacity a perfectly
    balanced pool could reach.  A static fleet hits its bottleneck
    shard's limit well below that (the [capacity_bottleneck] rate);
-   the scheduler ablation measures how much of the gap least-loaded
-   placement and work stealing recover.  Points past a policy's own
-   saturation let queues grow without bound — the p99/p99.9 blow-up
-   the knee detector looks for.
+   the scheduler ablation measures how much of the gap work stealing
+   recovers.  Points past a policy's own saturation let queues grow
+   without bound — the p99/p99.9 blow-up the knee detector looks
+   for.
 
-   Placement under a non-static policy runs through the pool's
-   deterministic virtual-clock [Pool.Plan], fed in arrival order with
-   the same arrivals and service costs on the sharded and serial
-   paths, so the merged shard registries still [Metrics.equal] the
-   serial reference exactly: migration needs no state handoff here —
-   each trap's observation is a pure function of its arrival, its
-   profile entry and the destination shard's clock. *)
+   Placement runs through the pool's deterministic virtual-clock
+   [Pool.Plan], fed in arrival order with the same arrivals and service
+   costs on the sharded and serial paths, so the merged shard
+   registries still [Metrics.equal] the serial reference exactly: a
+   stolen trap needs no state handoff — each trap's observation is a
+   pure function of its arrival, its profile entry and the destination
+   shard's clock. *)
 
 module Pool = Bastion_mt.Monitor_pool
 module Queue_ = Bastion_mt.Trap_queue
@@ -366,9 +366,7 @@ let plan_schedule ~policy (t : t) sched ~spacing =
   let dests =
     Array.mapi
       (fun i (tracee, tp) ->
-        (Pool.Plan.route plan ~tracee ~at:(arrival_time ~spacing i)
-           ~service:(service tp))
-          .Pool.Plan.d_shard)
+        Pool.Plan.route plan ~tracee ~at:(arrival_time ~spacing i) ~service:(service tp))
       sched
   in
   (plan, dests)
@@ -418,11 +416,8 @@ let run_at ?stats_interval ?(policy = Pool.Static) (t : t) ~arrivals ~rate :
   let plan, dests = plan_schedule ~policy t sched ~spacing in
   (* One queue item per run of up to [batch] consecutive arrivals bound
      for one shard: [(shard, (first, stop))] carries arrivals [first]
-     to [stop - 1], stamped with the first one's open-loop arrival
-     time.  The runs are cut here, where every destination is known in
-     advance; [with_pool] keeps one push per item, because buffering
-     per shard there could hold back a [Release] that a stream's next
-     shard is waiting on (DESIGN §13). *)
+     to [stop - 1].  The runs are cut here, where every destination is
+     known in advance, so the queue lock is taken once per run. *)
   let runs =
     Seq.unfold
       (fun first ->
@@ -439,7 +434,6 @@ let run_at ?stats_interval ?(policy = Pool.Static) (t : t) ~arrivals ~rate :
         end)
       0
   in
-  let arrival (_, (first, _)) = arrival_time ~spacing first in
   let route (shard, _) = shard in
   let worker ~shard queue =
     let sink = sink (Obs.Metrics.Shards.my shards_reg) in
@@ -466,8 +460,7 @@ let run_at ?stats_interval ?(policy = Pool.Static) (t : t) ~arrivals ~rate :
           next_sample := !next_sample + iv
         done
     in
-    (* Each trap is observed at its own arrival time, not its run's
-       stamp. *)
+    (* Each trap is observed at its own arrival time. *)
     let rec drain () =
       match Queue_.pop_batch queue ~max:config.Pool.batch with
       | [] -> sample (Int.max !clock horizon)
@@ -487,7 +480,7 @@ let run_at ?stats_interval ?(policy = Pool.Static) (t : t) ~arrivals ~rate :
     stats
   in
   let stats_accs, _queue_stats =
-    Pool.with_pool ~arrival ~route config ~items:runs ~worker
+    Pool.with_pool ~route config ~items:runs ~worker
   in
   let merged = Obs.Metrics.Shards.merged shards_reg in
   let serial = simulate_serial ~policy t sched ~spacing in
@@ -565,7 +558,7 @@ let detect_knee (points : (float * float * float) list) : (int * string) option 
 (* Load fractions for an n-point sweep: evenly spaced from a fifth of
    capacity to 15% past it, so the knee is always inside the sweep. *)
 let fractions ~points =
-  if points < 2 then invalid_arg "Fleet.sweep: points must be >= 2";
+  if points < 2 then invalid_arg "Fleet.ablation: points must be >= 2";
   List.init points (fun i ->
       0.2 +. (0.95 *. float_of_int i /. float_of_int (points - 1)))
 
@@ -618,16 +611,10 @@ let sweep_fleet ?stats_interval ~policy (t : t) ~arrivals ~points : sweep =
     sw_knee_reason = Option.map snd knee;
   }
 
-(** Sweep offered load across [points] fractions of {!capacity} under
-    one placement [policy] (default static). *)
-let sweep ?stats_interval ?(policy = Pool.Static) ~tracees ~shards ~arrivals
-    ~points () : sweep =
-  let t = build ~tracees ~shards in
-  sweep_fleet ?stats_interval ~policy t ~arrivals ~points
-
 (** The scheduler ablation: build the fleet once, sweep every policy
-    in [policies] (default all three) over the identical schedule and
-    capacity yardstick. *)
+    in [policies] (default both) over the identical schedule and
+    capacity yardstick, each across [points] fractions of
+    {!capacity}. *)
 let ablation ?stats_interval ?(policies = Pool.all_policies) ~tracees ~shards
     ~arrivals ~points () : ablation =
   let t = build ~tracees ~shards in
@@ -733,19 +720,6 @@ let ablation_json (a : ablation) : Report.Json.t =
       ("capacity_bottleneck_traps_per_sec", Num a.ab_capacity_bottleneck);
       ("policies", List (List.map policy_json a.ab_sweeps));
     ]
-
-(** A single sweep as a one-arm v2 document ([bastion fleet --json]
-    with one scheduler selected). *)
-let sweep_json (s : sweep) : Report.Json.t =
-  ablation_json
-    {
-      ab_tracees = s.sw_tracees;
-      ab_shards = s.sw_shards;
-      ab_arrivals = s.sw_arrivals;
-      ab_capacity = s.sw_capacity;
-      ab_capacity_bottleneck = s.sw_capacity_bottleneck;
-      ab_sweeps = [ s ];
-    }
 
 (** Render a sweep for the terminal ([bastion fleet]). *)
 let render_sweep (s : sweep) : string =

@@ -228,12 +228,12 @@ let test_detect_knee () =
 let test_bench_fleet_artifact () =
   Testlib.Artifacts.(holds (fleet (committed fleet_file)))
 
-(* A small three-policy ablation end to end: shared capacity yardstick,
+(* A small two-policy ablation end to end: shared capacity yardstick,
    per-arm knees, serial equivalence everywhere, and the JSON document
    round-trips with the v2 schema. *)
 let test_fleet_ablation_small () =
   let a = F.ablation ~tracees:8 ~shards:4 ~arrivals:200 ~points:3 () in
-  Alcotest.(check int) "three arms" 3 (List.length a.F.ab_sweeps);
+  Alcotest.(check int) "two arms" 2 (List.length a.F.ab_sweeps);
   List.iter
     (fun (s : F.sweep) ->
       Alcotest.(check (float 1e-9)) "shared capacity" a.F.ab_capacity
@@ -275,7 +275,7 @@ let suites =
       [
         Alcotest.test_case "BENCH_fleet.json shape" `Quick
           test_bench_fleet_artifact;
-        Alcotest.test_case "small three-policy ablation" `Quick
+        Alcotest.test_case "small two-policy ablation" `Quick
           test_fleet_ablation_small;
       ] );
   ]

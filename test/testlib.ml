@@ -455,7 +455,6 @@ module Plan_ref = struct
     done;
     !best
 
-  (* The decision as [(d_shard, d_from)]. *)
   let route t ~tracee ~at ~service =
     let current =
       match Hashtbl.find_opt t.pl_claim tracee with
@@ -469,7 +468,6 @@ module Plan_ref = struct
     let target =
       match t.pl_policy with
       | Pool.Static -> current
-      | Pool.Least_loaded -> if quiescent then least_loaded t ~prefer:current else current
       | Pool.Steal ->
         if quiescent && t.pl_clock.(current) > at then begin
           let thief = least_loaded t ~prefer:current in
@@ -488,7 +486,7 @@ module Plan_ref = struct
     Hashtbl.replace t.pl_done tracee t.pl_clock.(target);
     t.pl_items.(target) <- t.pl_items.(target) + 1;
     t.pl_busy.(target) <- t.pl_busy.(target) + service;
-    (target, if migrated then Some current else None)
+    target
 end
 
 (** A function whose address escapes only through a terminator: [pick]
@@ -1403,8 +1401,8 @@ module Artifacts = struct
           capacity;
         let arms = List.map (fun p -> (str "policy" p, p)) (list "policies" doc) in
         expect s
-          (List.sort compare (List.map fst arms) = [ "least-loaded"; "static"; "steal" ])
-          "policies are [%s], want static, least-loaded and steal"
+          (List.sort compare (List.map fst arms) = [ "static"; "steal" ])
+          "policies are [%s], want static and steal"
           (String.concat "; " (List.map fst arms));
         List.iter
           (fun (name, p) ->
@@ -1442,43 +1440,39 @@ module Artifacts = struct
                 "%s: knee.index %g outside the sweep" name (num "index" k)
             | _ -> expect s false "%s: no knee detected" name)
           arms;
-        (* The headline: both balancing arms knee beyond static pinning,
-           with a lower utilisation spread at every sub-saturation point;
+        (* The headline: stealing knees beyond static pinning, with a
+           lower utilisation spread at every sub-saturation point;
            stealing fires, and static never steals. *)
         let arm name =
           match List.assoc_opt name arms with
           | Some p -> p
           | None -> raise (Shape ("no " ^ name ^ " policy"))
         in
-        let static = arm "static" in
+        let static = arm "static" and steal = arm "steal" in
         let knee p = num "load_fraction" (field "knee" p) in
-        List.iter
-          (fun name ->
-            let p = arm name in
-            expect s
-              (knee p > knee static)
-              "%s: knee.load_fraction %.2f not beyond the static knee %.2f" name (knee p)
-              (knee static);
-            let rs = list "results" static and rb = list "results" p in
-            expect s
-              (List.length rb = List.length rs)
-              "%s: %d load points, static has %d" name (List.length rb) (List.length rs);
-            List.iteri
-              (fun i b ->
-                match List.nth_opt rs i with
-                | Some r when num "util_max" b < 1.0 ->
-                  expect s
-                    (num "util_spread" b < num "util_spread" r)
-                    "%s at %.2fx: util_spread %.3f not below static's %.3f" name
-                    (num "load_fraction" b) (num "util_spread" b) (num "util_spread" r)
-                | _ -> ())
-              rb)
-          [ "least-loaded"; "steal" ];
         expect s
-          (List.exists (fun r -> num "steals" r > 0.) (list "results" (arm "steal")))
+          (knee steal > knee static)
+          "steal: knee.load_fraction %.2f not beyond the static knee %.2f" (knee steal)
+          (knee static);
+        let rs = list "results" static and rb = list "results" steal in
+        expect s
+          (List.length rb = List.length rs)
+          "steal: %d load points, static has %d" (List.length rb) (List.length rs);
+        List.iteri
+          (fun i b ->
+            match List.nth_opt rs i with
+            | Some r when num "util_max" b < 1.0 ->
+              expect s
+                (num "util_spread" b < num "util_spread" r)
+                "steal at %.2fx: util_spread %.3f not below static's %.3f"
+                (num "load_fraction" b) (num "util_spread" b) (num "util_spread" r)
+            | _ -> ())
+          rb;
+        expect s
+          (List.exists (fun r -> num "steals" r > 0.) rb)
           "steal: steals is 0 at every point";
         expect s
-          (List.for_all (fun r -> num "steals" r = 0.) (list "results" static))
+          (List.for_all (fun r -> num "steals" r = 0.) rs)
           "static: steals is not 0 at every point")
 
   (* A committed artifact, parsed; the tests run in _build/default/test. *)
