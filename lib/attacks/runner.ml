@@ -41,14 +41,15 @@ let attack_fuel = 20_000_000
 (* The compile cache.
 
    A victim is compiled once, as BASTION compiles a binary once: the
-   built program, its protected bundle's deployment and the bundle's
-   syscall-flow spec are pure functions of (victim, filesystem scope,
-   pre-resolution), so every run of every attack on that victim shares
-   them.  Sharded matrices fill the cache from several domains; the
-   lock makes each key compile exactly once. *)
+   built program and its code image, its protected bundle's deployment
+   and the bundle's syscall-flow spec are pure functions of (victim,
+   filesystem scope, pre-resolution), so every run of every attack on
+   that victim shares them.  Sharded matrices fill the cache from
+   several domains; the lock makes each key compile exactly once. *)
 
 type compiled = {
   c_prog : Sil.Prog.t;
+  c_layout : Machine.Layout.t;  (** [c_prog]'s, for the undefended runs *)
   c_deployment : Bastion.Api.deployment;
   c_flow : Defenses.Flow_prefilter.spec;
 }
@@ -60,7 +61,7 @@ let compile (attack : Attack.t) ~pre_resolve =
   let prog = attack.a_victim.v_build () in
   let p = Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope prog in
   let p = if pre_resolve then Bastion_analysis.Preresolve.enrich p else p in
-  { c_prog = prog; c_deployment = Bastion.Api.deploy p;
+  { c_prog = prog; c_layout = Machine.Layout.build prog; c_deployment = Bastion.Api.deploy p;
     c_flow = Bastion_analysis.Flowgraph.extract p }
 
 let compiled (attack : Attack.t) ~pre_resolve =
@@ -82,7 +83,8 @@ let run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ?bundle ?recorder
   let machine, process =
     match config with
     | Undefended ->
-      Bastion.Api.launch_unprotected ~machine_config (compiled attack ~pre_resolve).c_prog
+      let c = compiled attack ~pre_resolve in
+      Bastion.Api.launch_unprotected ~machine_config ~layout:c.c_layout c.c_prog
     | _ ->
       let monitor_config =
         {

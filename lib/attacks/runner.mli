@@ -31,10 +31,10 @@ val attack_fuel : int
     execution — the replay engine's hook for swapping the monitor's
     trap source (never called for undefended runs, which have no
     session).  Each victim is compiled once per process and filesystem
-    scope and pre-resolution setting: the built program, its bundle's
-    deployment ({!Bastion.Api.deploy}) and its syscall-flow spec are
-    cached under that key, and every run starts a fresh session from
-    them.  The cache is safe to fill from several domains at once.
+    scope and pre-resolution setting: the built program and its code
+    image, its bundle's deployment ({!Bastion.Api.deploy}) and its
+    syscall-flow spec are cached under that key, and every run starts a
+    fresh session from them.  The cache is safe to fill from several domains at once.
     [bundle] overrides the compile pass with a restored (possibly
     edited) metadata bundle, launched and extracted fresh — the
     differential replay seam; it bypasses the lint gate on purpose. *)

@@ -97,28 +97,35 @@ type session = {
   monitor : Monitor.t;
 }
 
-(* A deployment is what the monitor loads at start-up (§7.1): the
-   bundle's post-layout metadata, built once.  Every machine of one
-   program has the same layout, and [Metadata.load] replays the string
-   interning [Metadata.build] did, so the metadata holds on each fresh
-   machine as if built there. *)
-type deployment = { bundle : protected; meta : Metadata.t }
+(* A deployment is what a program's processes share: its code image
+   and the bundle's post-layout metadata, which the monitor loads at
+   start-up (§7.1), each built once.  The image is a pure function of
+   the program, and [Metadata.load] replays the string interning
+   [Metadata.build] did, so the metadata holds on each fresh machine as
+   if built there. *)
+type deployment = { bundle : protected; layout : Machine.Layout.t; meta : Metadata.t }
 
-let build_meta (p : protected) machine =
-  Metadata.build ~calltype:p.calltype ~cfg:p.cfg ~analysis:p.analysis ~inst:p.inst
-    ~pre_resolved:p.pre_resolved ~pre_resolved_ctx:p.pre_resolved_ctx
-    ~slot_ranks:p.slot_ranks ~dead_sites:p.dead_sites machine
-
-(** Build a bundle's post-layout metadata once, on a machine that never
-    runs. *)
+(** Build a bundle's code image, and its post-layout metadata on a
+    machine of that image that never runs. *)
 let deploy (p : protected) : deployment =
-  { bundle = p; meta = build_meta p (Machine.create p.inst.iprog) }
+  let layout = Machine.Layout.build p.inst.iprog in
+  let meta =
+    Metadata.build ~calltype:p.calltype ~cfg:p.cfg ~analysis:p.analysis ~inst:p.inst
+      ~pre_resolved:p.pre_resolved ~pre_resolved_ctx:p.pre_resolved_ctx
+      ~slot_ranks:p.slot_ranks ~dead_sites:p.dead_sites
+      (Machine.create ~layout p.inst.iprog)
+  in
+  { bundle = p; layout; meta }
 
-(* The one session wiring: boot the instrumented program on a fresh
-   machine, wire the runtime library, obtain the metadata for that
-   machine with [meta_on], and attach the monitor. *)
-let wire ~machine_config ~monitor_config ?recorder (p : protected) meta_on : session =
-  let machine = Machine.create ~config:machine_config p.inst.iprog in
+(** The one session wiring: boot the instrumented program on a fresh
+    machine of the deployment's image, wire the runtime library, load
+    the metadata and attach the monitor.  [recorder] wires the flight
+    recorder through the whole pipeline (runtime intrinsics, monitor
+    phase spans, legacy-counter probes); observation never charges
+    modelled cycles. *)
+let start ?(machine_config = Machine.default_config)
+    ?(monitor_config = Monitor.default_config) ?recorder (d : deployment) () : session =
+  let machine = Machine.create ~config:machine_config ~layout:d.layout d.bundle.inst.iprog in
   let process = Kernel.boot machine in
   let runtime = Runtime.create () in
   Runtime.install runtime machine;
@@ -126,33 +133,19 @@ let wire ~machine_config ~monitor_config ?recorder (p : protected) meta_on : ses
   (match recorder with
   | Some r -> Runtime.attach_recorder runtime r
   | None -> ());
-  let meta = meta_on machine in
-  let monitor = Monitor.create ?recorder ~meta ~runtime ~config:monitor_config machine in
+  Metadata.load d.meta machine;
+  let monitor = Monitor.create ?recorder ~meta:d.meta ~runtime ~config:monitor_config machine in
   Monitor.attach monitor process;
   { machine; process; runtime; monitor }
 
-(** Boot a deployment on a fresh machine and attach the monitor with its
-    metadata. *)
-let start ?(machine_config = Machine.default_config)
-    ?(monitor_config = Monitor.default_config) ?recorder (d : deployment) () : session =
-  wire ~machine_config ~monitor_config ?recorder d.bundle (fun machine ->
-      Metadata.load d.meta machine;
-      d.meta)
-
-(** Boot the instrumented program on a fresh machine, wire the runtime
-    library, build post-layout metadata on that machine, and attach the
-    monitor.  [recorder] wires the flight recorder through the whole
-    pipeline (runtime intrinsics, monitor phase spans, legacy-counter
-    probes); observation never charges modelled cycles. *)
-let launch ?(machine_config = Machine.default_config)
-    ?(monitor_config = Monitor.default_config) ?recorder (p : protected) () : session =
-  wire ~machine_config ~monitor_config ?recorder p (build_meta p)
+let launch ?machine_config ?monitor_config ?recorder p () =
+  start ?machine_config ?monitor_config ?recorder (deploy p) ()
 
 (** Launch without any BASTION protection (the unprotected baseline):
     same machine and kernel, no filter, no instrumentation. *)
-let launch_unprotected ?(machine_config = Machine.default_config) (prog : Sil.Prog.t) :
-    Machine.t * Kernel.Process.t =
-  let machine = Machine.create ~config:machine_config prog in
+let launch_unprotected ?(machine_config = Machine.default_config) ?layout
+    (prog : Sil.Prog.t) : Machine.t * Kernel.Process.t =
+  let machine = Machine.create ~config:machine_config ?layout prog in
   let process = Kernel.boot machine in
   (machine, process)
 

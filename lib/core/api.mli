@@ -2,10 +2,10 @@
 
     Compile side: {!protect} runs the whole pass (call-type analysis,
     control-flow metadata, argument-integrity analysis,
-    instrumentation).  Runtime side: {!launch} boots the instrumented
-    program with the runtime library wired in and the monitor attached;
-    {!deploy} builds the post-layout metadata once and {!start} boots
-    sessions over it.
+    instrumentation).  Runtime side: {!deploy} builds the program's code
+    image and post-layout metadata once, {!start} boots sessions over
+    them with the runtime library wired in and the monitor attached,
+    and {!launch} is [start (deploy p)].
 
     {[
       let protected = Api.protect prog in
@@ -72,35 +72,32 @@ type session = {
   monitor : Monitor.t;
 }
 
-(** Boot the instrumented program, wire the ctx_* runtime, build
-    post-layout metadata, seed the shadow from the loader-visible
-    globals and attach the monitor.  [recorder] wires the flight
-    recorder through the whole pipeline; observation never charges
-    modelled cycles. *)
-val launch :
-  ?machine_config:Machine.config ->
-  ?monitor_config:Monitor.config ->
-  ?recorder:Obs.Recorder.t ->
-  protected ->
-  unit ->
-  session
-
-(** A bundle's post-layout metadata, built once — what the monitor
-    loads at start-up (§7.1) — for any number of {!start}s.  The
-    metadata is never mutated after {!deploy}; its fingerprint is
+(** What the processes of one protected program share, each part
+    built once: the instrumented program's code image and the bundle's
+    post-layout metadata, which the monitor loads at start-up (§7.1).
+    Neither is mutated after {!deploy}; the metadata's fingerprint is
     rendered at most once.  Safe to share across domains.  Only
-    {!deploy} builds one, so [meta] is always [bundle]'s. *)
-type deployment = private { bundle : protected; meta : Metadata.t }
+    {!deploy} builds one, so [layout] and [meta] are always
+    [bundle]'s. *)
+type deployment = private {
+  bundle : protected;
+  layout : Machine.Layout.t;  (** [bundle.inst.iprog]'s code image *)
+  meta : Metadata.t;
+}
 
-(** Build the bundle's post-layout metadata on a machine that never
-    runs. *)
+(** Build the bundle's code image, and its post-layout metadata on a
+    machine of that image that never runs. *)
 val deploy : protected -> deployment
 
-(** {!launch} with the deployment's metadata: boot and wire exactly as
-    {!launch} does, re-intern the metadata's string constants at the
-    addresses it holds ({!Metadata.load}) and attach a monitor over it.
-    A session started from a deployment equals one launched from its
-    bundle, cycle for cycle. *)
+(** Boot a session: a fresh machine on the deployment's code image,
+    the kernel process, the ctx_* runtime wired in and its shadow
+    seeded from the loader-visible globals, the metadata's string
+    constants re-interned at the addresses it holds
+    ({!Metadata.load}), and the monitor attached over the metadata.
+    Every session of one deployment shares its image and metadata and
+    runs the same, cycle for cycle.  [recorder] wires the flight
+    recorder through the whole pipeline; observation never charges
+    modelled cycles. *)
 val start :
   ?machine_config:Machine.config ->
   ?monitor_config:Monitor.config ->
@@ -109,10 +106,23 @@ val start :
   unit ->
   session
 
+(** [start (deploy p)]: a session with a deployment of its own, which
+    dies with it. *)
+val launch :
+  ?machine_config:Machine.config ->
+  ?monitor_config:Monitor.config ->
+  ?recorder:Obs.Recorder.t ->
+  protected ->
+  unit ->
+  session
+
 (** The unprotected baseline: same machine and kernel, no filter, no
-    instrumentation. *)
+    instrumentation.  [layout], when given, is [prog]'s code image. *)
 val launch_unprotected :
-  ?machine_config:Machine.config -> Sil.Prog.t -> Machine.t * Kernel.Process.t
+  ?machine_config:Machine.config ->
+  ?layout:Machine.Layout.t ->
+  Sil.Prog.t ->
+  Machine.t * Kernel.Process.t
 
 (** Table 5 statistics. *)
 type instrumentation_stats = {

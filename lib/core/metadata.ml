@@ -60,7 +60,7 @@ let resolve_spec (m : Machine.t) interned (binding : Arg_analysis.binding) : arg
   match binding with
   | Bind_const c -> Spec_const c
   | Bind_cstr s ->
-    let addr = Machine.Layout.intern_string m.layout m.mem s in
+    let addr = Machine.intern_string m s in
     if not (List.mem_assoc s !interned) then interned := (s, addr) :: !interned;
     Spec_const addr
   | Bind_faddr f -> Spec_const (Machine.Layout.func_entry m.layout f)
@@ -220,7 +220,7 @@ let build ~(calltype : Calltype.t) ~(cfg : Cfg_analysis.t)
 let load (t : t) (m : Machine.t) =
   Array.iter
     (fun (s, addr) ->
-      if not (Int64.equal (Machine.Layout.intern_string m.layout m.mem s) addr) then
+      if not (Int64.equal (Machine.intern_string m s) addr) then
         invalid_arg
           (Printf.sprintf "Metadata.load: %S interned at a different address" s))
     t.rodata

@@ -80,13 +80,15 @@ let[@inline] value t i = get64 t.cells ((i lsl 4) + 8)
    [hash key mod capacity], one slot at a time, to the slot holding it
    or the empty slot that ends the run; returns that slot and leaves the
    number of slots examined in [last_probes].  Growth keeps the load at
-   most 70%, so every run ends at an empty slot. *)
+   most 70%, so every run ends at an empty slot.  The capacity is a
+   power of two and [hash] is non-negative, so masking with
+   [capacity - 1] takes the residue without a division. *)
 let walk t =
   let key = get64 t.key 0 in
-  let cap = t.cap in
-  let i = ref (hash key mod cap) and steps = ref 1 in
+  let mask = t.cap - 1 in
+  let i = ref (hash key land mask) and steps = ref 1 in
   while occupied t !i && not (Int64.equal (get64 t.cells (!i lsl 4)) key) do
-    i := (!i + 1) mod cap;
+    i := (!i + 1) land mask;
     incr steps
   done;
   t.last_probes <- !steps;

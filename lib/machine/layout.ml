@@ -17,7 +17,13 @@
    number convert with one subtraction and one shift.  A name that does
    not resolve is decoded into a node that raises the same
    [Invalid_argument] when executed, so failures surface where they
-   always did. *)
+   always did.
+
+   A layout is a pure function of its program and is never written
+   after [build], so every machine of the program shares one, on any
+   domain.  What a machine interns in rodata is the machine's own
+   ([Machine.intern_string]); a string literal carries only an id into
+   the machine's table of literal addresses. *)
 
 type code_point =
   | Instr_at of Sil.Loc.t
@@ -34,7 +40,7 @@ let stack_base = 0x7fff_0000L
 (* ------------------------------------------------------------------ *)
 (* The code image                                                      *)
 
-type literal = { text : string; mutable interned : int64 }
+type literal = { text : string; id : int }
 
 type operand =
   | Imm of int64
@@ -76,7 +82,6 @@ type block = {
   base : int64;
   first_point : int;
   instrs : instr array;
-  locs : Sil.Loc.t array;
   term : term;
 }
 
@@ -92,16 +97,18 @@ type func = {
 
 type image = { funcs : func array; blocks : block array; point_block : int array }
 
+module Smap = Map.Make (String)
+
 type t = {
+  program : Sil.Prog.t;
   image : image;
-  func_index : (string, int) Hashtbl.t;
-  global_addr : (string, int64) Hashtbl.t;
-  global_size : (string, int) Hashtbl.t;     (** words *)
-  rodata : (string, int64) Hashtbl.t;        (** interned strings *)
-  mutable rodata_next : int64;
+  globals : (int64 * int) Smap.t;  (** address, words *)
+  literals : int;                  (** distinct string literals *)
 }
 
 let image t = t.image
+let program t = t.program
+let literals t = t.literals
 
 let var_missing fname vid = Printf.sprintf "Layout.var_offset: %s has no var #%d" fname vid
 let func_missing fname = "Layout.func_entry: unknown function " ^ fname
@@ -124,10 +131,30 @@ let frame_layout structs (f : Sil.Func.t) =
     vars;
   (slots, !off)
 
+(* The index of the function named [fname] in the name-sorted [funcs],
+   or -1.  Of several functions of one name (a program edited with
+   [Hashtbl.add]) the last one wins. *)
+let index_of (funcs : func array) fname =
+  let lo = ref 0 and hi = ref (Array.length funcs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if String.compare funcs.(mid).name fname <= 0 then lo := mid + 1 else hi := mid
+  done;
+  if !lo > 0 && String.equal funcs.(!lo - 1).name fname then !lo - 1 else -1
+
+(* Decoded nodes are immutable, so a build keeps one copy of each:
+   [sharing ()] maps a node to the first equal node it was given. *)
+let sharing () =
+  let seen = Hashtbl.create 1024 in
+  fun v ->
+    match Hashtbl.find_opt seen v with
+    | Some first -> first
+    | None ->
+      Hashtbl.add seen v v;
+      v
+
 let build (prog : Sil.Prog.t) : t =
   let defs = Array.of_list (Sil.Prog.functions prog) in
-  let func_index = Hashtbl.create (2 * Array.length defs) in
-  Array.iteri (fun i (f : Sil.Func.t) -> Hashtbl.replace func_index f.fname i) defs;
   (* Number blocks and code points: functions in sorted order, one point
      per instruction and per terminator.  A function starts at its first
      block and point. *)
@@ -144,6 +171,7 @@ let build (prog : Sil.Prog.t) : t =
         start)
       defs
   in
+  let share_offsets = sharing () in
   let funcs =
     Array.mapi
       (fun i (f : Sil.Func.t) ->
@@ -155,49 +183,64 @@ let build (prog : Sil.Prog.t) : t =
           entry = Int64.add code_base (Int64.of_int (8 * first_point));
           entry_block = (if f.blocks = [] then -1 else first_block);
           frame_words;
-          slots;
+          slots = share_offsets slots;
           params =
-            Array.of_list
-              (List.map (fun ((v : Sil.Operand.var), _) -> slot_of slots v.vid) f.params);
+            share_offsets
+              (Array.of_list
+                 (List.map (fun ((v : Sil.Operand.var), _) -> slot_of slots v.vid) f.params));
         })
       defs
   in
-  (* Globals. *)
-  let global_addr = Hashtbl.create 64 and global_size = Hashtbl.create 64 in
-  let gnext = ref data_base in
-  List.iter
-    (fun (g : Sil.Prog.global) ->
-      let words = max 1 (Sil.Types.size_words prog.structs g.gty) in
-      Hashtbl.replace global_addr g.gname !gnext;
-      Hashtbl.replace global_size g.gname words;
-      gnext := Int64.add !gnext (Int64.of_int (8 * words)))
-    prog.globals;
+  (* Globals, laid out in declaration order. *)
+  let globals, _ =
+    List.fold_left
+      (fun (globals, next) (g : Sil.Prog.global) ->
+        let words = max 1 (Sil.Types.size_words prog.structs g.gty) in
+        (Smap.add g.gname (next, words) globals, Int64.add next (Int64.of_int (8 * words))))
+      (Smap.empty, data_base) prog.globals
+  in
+  let global_at g = Option.map fst (Smap.find_opt g globals) in
   (* Decode.  A jump to a label the function lacks targets a block
-     appended past the real ones that raises when reached. *)
+     appended past the real ones that raises when reached.  Each
+     distinct literal text gets the next id. *)
   let missing = ref [] and nmissing = ref 0 in
+  let literals = Hashtbl.create 16 in
+  let literal text =
+    match Hashtbl.find_opt literals text with
+    | Some l -> l
+    | None ->
+      let l = { text; id = Hashtbl.length literals } in
+      Hashtbl.add literals text l;
+      l
+  in
+  let share_operand = sharing () and share_place = sharing () in
+  let share_rvalue = sharing () and share_instr = sharing () in
   let decode_block fi (f : Sil.Func.t) first_point (b : Sil.Func.block) =
     let slots = funcs.(fi).slots in
-    let operand : Sil.Operand.t -> operand = function
-      | Const n -> Imm n
-      | Null -> Imm 0L
-      | Cstr s -> Lit { text = s; interned = 0L }
-      | Var v -> (
-        match slot_of slots v.vid with
-        | -1 -> Unresolved (var_missing f.fname v.vid)
-        | off -> Slot off)
-      | Global g -> (
-        match Hashtbl.find_opt global_addr g with
-        | Some a -> Word_at a
-        | None -> Unresolved (global_missing g))
-      | Func_addr fname -> (
-        match Hashtbl.find_opt func_index fname with
-        | Some j -> Imm funcs.(j).entry
-        | None -> Unresolved (func_missing fname))
+    let operand (op : Sil.Operand.t) : operand =
+      share_operand
+        (match op with
+        | Const n -> Imm n
+        | Null -> Imm 0L
+        | Cstr s -> Lit (literal s)
+        | Var v -> (
+          match slot_of slots v.vid with
+          | -1 -> Unresolved (var_missing f.fname v.vid)
+          | off -> Slot off)
+        | Global g -> (
+          match global_at g with
+          | Some a -> Word_at a
+          | None -> Unresolved (global_missing g))
+        | Func_addr fname -> (
+          match index_of funcs fname with
+          | -1 -> Unresolved (func_missing fname)
+          | j -> Imm funcs.(j).entry))
     in
     let var_place (v : Sil.Operand.var) =
-      match slot_of slots v.vid with
-      | -1 -> Punresolved ([], var_missing f.fname v.vid)
-      | off -> Pslot off
+      share_place
+        (match slot_of slots v.vid with
+        | -1 -> Punresolved ([], var_missing f.fname v.vid)
+        | off -> Pslot off)
     in
     let sized base evaluated k =
       match k () with
@@ -206,40 +249,46 @@ let build (prog : Sil.Prog.t) : t =
     in
     let place : Sil.Place.t -> place = function
       | Lvar v -> var_place v
-      | Lglobal g -> (
-        match Hashtbl.find_opt global_addr g with
-        | Some a -> Pabs a
-        | None -> Punresolved ([], global_missing g))
+      | Lglobal g ->
+        share_place
+          (match global_at g with
+          | Some a -> Pabs a
+          | None -> Punresolved ([], global_missing g))
       | Lfield (base, sname, field) ->
         let base = operand base in
-        sized (fun off -> Pfield (base, off)) [ base ] (fun () ->
-            Sil.Types.field_offset prog.structs sname field)
+        share_place
+          (sized (fun off -> Pfield (base, off)) [ base ] (fun () ->
+               Sil.Types.field_offset prog.structs sname field))
       | Lindex (base, index, elem_ty) ->
         let base = operand base and index = operand index in
-        sized (fun n -> Pindex (base, index, n)) [ base; index ] (fun () ->
-            max 1 (Sil.Types.size_words prog.structs elem_ty))
-      | Lderef p -> Pderef (operand p)
+        share_place
+          (sized (fun n -> Pindex (base, index, n)) [ base; index ] (fun () ->
+               max 1 (Sil.Types.size_words prog.structs elem_ty)))
+      | Lderef p -> share_place (Pderef (operand p))
     in
-    let rvalue : Sil.Instr.rvalue -> rvalue = function
-      | Use op -> Use (operand op)
-      | Load p -> Load (place p)
-      | Addr_of p -> Addr_of (place p)
-      | Binop (op, a, b) -> Binop (op, operand a, operand b)
+    let rvalue (rv : Sil.Instr.rvalue) : rvalue =
+      share_rvalue
+        (match rv with
+        | Use op -> Use (operand op)
+        | Load p -> Load (place p)
+        | Addr_of p -> Addr_of (place p)
+        | Binop (op, a, b) -> Binop (op, operand a, operand b))
     in
-    let instr : Sil.Instr.t -> instr = function
-      | Assign (v, rv) -> Assign (var_place v, rvalue rv)
-      | Store (p, op) -> Store (place p, operand op)
-      | Call { dst; target; args } ->
-        let target =
-          match target with
-          | Direct name -> (
-            match Hashtbl.find_opt func_index name with
-            | Some j -> Direct j
-            | None -> Unknown_callee name)
-          | Indirect op -> Indirect (operand op)
-        in
-        Call
-          { dst = Option.map var_place dst; target; args = Array.of_list (List.map operand args) }
+    let instr (ins : Sil.Instr.t) : instr =
+      share_instr
+        (match ins with
+        | Assign (v, rv) -> Assign (var_place v, rvalue rv)
+        | Store (p, op) -> Store (place p, operand op)
+        | Call { dst; target; args } ->
+          let target =
+            match target with
+            | Direct name -> (
+              match index_of funcs name with -1 -> Unknown_callee name | j -> Direct j)
+            | Indirect op -> Indirect (operand op)
+          in
+          Call
+            { dst = Option.map var_place dst; target;
+              args = Array.of_list (List.map operand args) })
     in
     let label l =
       let rec find k = function
@@ -255,7 +304,6 @@ let build (prog : Sil.Prog.t) : t =
               base = 0L;
               first_point = -1;
               instrs = [||];
-              locs = [||];
               term =
                 Missing_block (Printf.sprintf "Func.find_block: %s has no block %s" f.fname l);
             }
@@ -276,7 +324,6 @@ let build (prog : Sil.Prog.t) : t =
       base = Int64.add code_base (Int64.of_int (8 * first_point));
       first_point;
       instrs = Array.map instr b.instrs;
-      locs = Array.init (Array.length b.instrs) (Sil.Loc.make f.fname b.label);
       term = term b.term;
     }
   in
@@ -298,14 +345,8 @@ let build (prog : Sil.Prog.t) : t =
          (Array.to_list defs))
   in
   let blocks = Array.of_list (decoded @ List.rev !missing) in
-  {
-    image = { funcs; blocks; point_block };
-    func_index;
-    global_addr;
-    global_size;
-    rodata = Hashtbl.create 64;
-    rodata_next = rodata_base;
-  }
+  { program = prog; image = { funcs; blocks; point_block }; globals;
+    literals = Hashtbl.length literals }
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -321,7 +362,10 @@ let point_index t addr =
 
 let block_of_point t p = t.image.blocks.(t.image.point_block.(p))
 
-let find_func t fname = Hashtbl.find_opt t.func_index fname
+let find_func t fname = match index_of t.image.funcs fname with -1 -> None | fi -> Some fi
+
+(** The location of instruction [i] of [blk]. *)
+let loc_at t (blk : block) i = Sil.Loc.make t.image.funcs.(blk.owner).name blk.label i
 
 (** The decoded call instruction at a code address, if the address
     holds one (a terminator or any other instruction is no call). *)
@@ -370,7 +414,7 @@ let point_of_addr t addr =
   | p ->
     let blk = block_of_point t p in
     let i = p - blk.first_point in
-    if i < Array.length blk.instrs then Some (Instr_at blk.locs.(i))
+    if i < Array.length blk.instrs then Some (Instr_at (loc_at t blk i))
     else Some (Term_of (t.image.funcs.(blk.owner).name, blk.label))
 
 let func_entry t fname =
@@ -397,25 +441,14 @@ let func_of_entry_addr t addr =
   match entry_func t addr with -1 -> None | fi -> Some t.image.funcs.(fi).name
 
 let global_addr t gname =
-  match Hashtbl.find_opt t.global_addr gname with
-  | Some a -> a
+  match Smap.find_opt gname t.globals with
+  | Some (a, _) -> a
   | None -> invalid_arg (global_missing gname)
 
 let global_words t gname =
-  match Hashtbl.find_opt t.global_size gname with
-  | Some n -> n
+  match Smap.find_opt gname t.globals with
+  | Some (_, n) -> n
   | None -> invalid_arg ("Layout.global_words: unknown global " ^ gname)
-
-(** Intern a string literal in rodata; idempotent per content. *)
-let intern_string t (mem : Memory.t) s =
-  match Hashtbl.find_opt t.rodata s with
-  | Some a -> a
-  | None ->
-    let addr = t.rodata_next in
-    let words = Memory.write_string mem addr s in
-    t.rodata_next <- Int64.add addr (Int64.of_int (8 * (words + 1)));
-    Hashtbl.replace t.rodata s addr;
-    addr
 
 let var_offset t fname vid =
   match Option.map (fun fi -> slot_of t.image.funcs.(fi).slots vid) (find_func t fname) with

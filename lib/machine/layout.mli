@@ -5,7 +5,12 @@
     addresses are plain words, function pointers are code addresses,
     and monitor metadata is keyed by callsite address exactly as the
     paper keys it by binary offset.  {!build} also decodes the program
-    once into the dense code image the interpreter runs. *)
+    once into the dense code image the interpreter runs.
+
+    A layout is a pure function of its program and is never written
+    after {!build}: every machine of the program shares one, on any
+    domain.  Rodata interning is per machine
+    ([Machine.intern_string]). *)
 
 type code_point =
   | Instr_at of Sil.Loc.t
@@ -23,9 +28,12 @@ val stack_base : int64
 
 type t
 
-(** Lay out and decode a program.  The result holds the machine's
-    rodata interning state, so each machine builds its own. *)
+(** Lay out and decode a program.  Equal decoded instructions,
+    operands, places and offset arrays are one value. *)
 val build : Sil.Prog.t -> t
+
+(** The program a layout was built from. *)
+val program : t -> Sil.Prog.t
 
 (** @raise Invalid_argument for points the program does not have. *)
 val addr_of_point : t -> code_point -> int64
@@ -45,9 +53,6 @@ val func_of_entry_addr : t -> int64 -> string option
 val global_addr : t -> string -> int64
 val global_words : t -> string -> int
 
-(** Intern a string literal in rodata (idempotent per content). *)
-val intern_string : t -> Memory.t -> string -> int64
-
 (** Word offset of a variable slot from its frame base. *)
 val var_offset : t -> string -> int -> int
 
@@ -60,9 +65,10 @@ val frame_words : t -> string -> int
     name that does not resolve decodes to a node carrying the
     [Invalid_argument] message the interpreter raises on reaching it. *)
 
-(** A string literal; [interned] is its rodata address once first
-    evaluated (0 before). *)
-type literal = { text : string; mutable interned : int64 }
+(** A string literal.  Literals of one text share an [id], numbered
+    from 0 in decode order: the index of the literal's address in a
+    machine's table of them ({!literals} entries). *)
+type literal = { text : string; id : int }
 
 type operand =
   | Imm of int64            (** constants, [Null], function addresses *)
@@ -111,7 +117,6 @@ type block = {
   first_point : int;         (** code point number of [base]; -1 for a
                                  missing-label block *)
   instrs : instr array;
-  locs : Sil.Loc.t array;    (** each instruction's location *)
   term : term;
 }
 
@@ -132,6 +137,13 @@ type image = {
 }
 
 val image : t -> image
+
+(** The number of distinct literal texts: literal ids run from 0 to
+    [literals t - 1]. *)
+val literals : t -> int
+
+(** The location of an instruction of a block, by index. *)
+val loc_at : t -> block -> int -> Sil.Loc.t
 
 (** The code point number of an address: [(addr - code_base) / 8] when
     that is an aligned point of the image, else -1. *)

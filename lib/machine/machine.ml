@@ -80,11 +80,14 @@ let default_config = { cet = false; cost = Cost.default; fuel = 500_000_000 }
 
 type t = {
   prog : Sil.Prog.t;
-  layout : Layout.t;
+  layout : Layout.t;  (** [prog]'s code image, which machines may share *)
   mem : Memory.t;
   config : config;
   stats : stats;
   shadow_stack : Cet.Shadow_stack.t;
+  rodata : (string, int64) Hashtbl.t;  (** interned strings *)
+  mutable rodata_next : int64;
+  literal_addrs : int array;  (** literal id -> rodata address, 0 until first evaluated *)
   mutable sp : int64;
   mutable brk : int64;
   mutable frames : frame list;  (** top of stack first *)
@@ -102,6 +105,18 @@ let charge (t : t) n = t.stats.cycles <- t.stats.cycles + n
 (* ------------------------------------------------------------------ *)
 (* Creation and data initialisation                                    *)
 
+(** Intern a string in rodata; idempotent per content.  Addresses are
+    handed out in first-interning order, so they are this machine's. *)
+let intern_string (t : t) s =
+  match Hashtbl.find_opt t.rodata s with
+  | Some a -> a
+  | None ->
+    let addr = t.rodata_next in
+    let words = Memory.write_string t.mem addr s in
+    t.rodata_next <- Int64.add addr (Int64.of_int (8 * (words + 1)));
+    Hashtbl.replace t.rodata s addr;
+    addr
+
 let init_globals (t : t) =
   List.iter
     (fun (g : Sil.Prog.global) ->
@@ -110,14 +125,17 @@ let init_globals (t : t) =
       | Zero -> ()
       | Word v -> Memory.write t.mem addr v
       | Words ws -> Memory.write_block t.mem addr (Array.of_list ws)
-      | Str s ->
-        let saddr = Layout.intern_string t.layout t.mem s in
-        Memory.write t.mem addr saddr
+      | Str s -> Memory.write t.mem addr (intern_string t s)
       | Fptr f -> Memory.write t.mem addr (Layout.func_entry t.layout f))
     t.prog.globals
 
-let create ?(config = default_config) (prog : Sil.Prog.t) : t =
-  let layout = Layout.build prog in
+let create ?(config = default_config) ?layout (prog : Sil.Prog.t) : t =
+  let layout =
+    match layout with
+    | None -> Layout.build prog
+    | Some l when Layout.program l == prog -> l
+    | Some _ -> invalid_arg "Machine.create: the layout belongs to another program"
+  in
   let t =
     {
       prog;
@@ -126,6 +144,9 @@ let create ?(config = default_config) (prog : Sil.Prog.t) : t =
       config;
       stats = stats_create ();
       shadow_stack = Cet.Shadow_stack.create ();
+      rodata = Hashtbl.create 64;
+      rodata_next = Layout.rodata_base;
+      literal_addrs = Array.make (Layout.literals layout) 0;
       sp = Layout.stack_base;
       brk = Layout.heap_base;
       frames = [];
@@ -160,9 +181,9 @@ let[@inline] slot_addr (frame : frame) off = Memory.addr_add frame.frame_base of
 (* [n], computed afresh rather than returned as the box it came in. *)
 let[@inline] fresh (n : int64) = Int64.add n 0L
 
-(* First evaluation of a literal: intern it in rodata. *)
+(* First evaluation of a literal on this machine: intern it in rodata. *)
 let intern_literal (t : t) (l : Layout.literal) =
-  l.interned <- Layout.intern_string t.layout t.mem l.text
+  t.literal_addrs.(l.id) <- Int64.to_int (intern_string t l.text)
 
 let[@inline] eval (t : t) (frame : frame) (op : Layout.operand) : int64 =
   match op with
@@ -170,8 +191,8 @@ let[@inline] eval (t : t) (frame : frame) (op : Layout.operand) : int64 =
   | Slot off -> Memory.read t.mem (slot_addr frame off)
   | Word_at a -> Memory.read t.mem a
   | Lit l ->
-    if Int64.equal l.interned 0L then intern_literal t l;
-    fresh l.interned
+    if t.literal_addrs.(l.id) = 0 then intern_literal t l;
+    Int64.of_int t.literal_addrs.(l.id)
   | Unresolved msg -> raise (Invalid_argument msg)
 
 (* An unresolved place still evaluates its operands before it fails. *)
@@ -324,10 +345,12 @@ let exec_call (t : t) (frame : frame) (blk : Layout.block) idx (c : Layout.call)
       (match t.on_indirect_call with
       | Some h ->
         let resolved = if fi < 0 then None else Some (Layout.image t.layout).funcs.(fi).name in
-        h t ~callsite:blk.locs.(idx) ~target:addr ~resolved
+        h t ~callsite:(Layout.loc_at t.layout blk idx) ~target:addr ~resolved
       | None -> ());
       if fi < 0 then
-        raise (Killed (Bad_indirect_target { callsite = blk.locs.(idx); target = addr }));
+        raise
+          (Killed
+             (Bad_indirect_target { callsite = Layout.loc_at t.layout blk idx; target = addr }));
       fi
   in
   let callee = (Layout.image t.layout).funcs.(fi) in
@@ -382,7 +405,7 @@ let step (t : t) (blocks : Layout.block array) =
   let idx = frame.findex in
   if idx >= Array.length blk.instrs then exec_terminator t frame blk.term
   else begin
-    (match t.on_instr with Some h -> h t blk.locs.(idx) | None -> ());
+    (match t.on_instr with Some h -> h t (Layout.loc_at t.layout blk idx) | None -> ());
     t.stats.instrs <- t.stats.instrs + 1;
     match blk.instrs.(idx) with
     | Assign (dst, rv) ->

@@ -67,11 +67,16 @@ val default_config : config
 
 type t = {
   prog : Sil.Prog.t;
-  layout : Layout.t;
+  layout : Layout.t;  (** [prog]'s code image, which machines may share *)
   mem : Memory.t;
   config : config;
   stats : stats;
   shadow_stack : Cet.Shadow_stack.t;
+  rodata : (string, int64) Hashtbl.t;  (** this machine's interned strings *)
+  mutable rodata_next : int64;         (** where the next one goes *)
+  literal_addrs : int array;
+      (** literal id -> this machine's rodata address for it, 0 until
+          the machine first evaluates a literal of that text *)
   mutable sp : int64;
   mutable brk : int64;
   mutable frames : frame list;  (** innermost first *)
@@ -88,9 +93,16 @@ type t = {
 (** Add cycles to the machine's clock. *)
 val charge : t -> int -> unit
 
-(** Build a machine for a program: assigns the layout, initialises
-    globals and rodata. *)
-val create : ?config:config -> Sil.Prog.t -> t
+(** Build a machine for a program: initialises globals and rodata.
+    [layout] is the program's code image, built once and shared by any
+    number of machines; without it the machine builds its own.
+    @raise Invalid_argument if [layout] was built from another
+    program. *)
+val create : ?config:config -> ?layout:Layout.t -> Sil.Prog.t -> t
+
+(** Intern a string in this machine's rodata (idempotent per content):
+    its address, given out in first-interning order. *)
+val intern_string : t -> string -> int64
 
 exception Program_exit of int64
 

@@ -135,9 +135,9 @@ let protected_of ?(pre_resolve = false) (app : app) ~fs =
       p
   end
 
-(* Each cached bundle's deployment: its post-layout metadata, built
-   once.  Every monitored [prepare] without a [bundle] override starts
-   its session from it. *)
+(* Each cached bundle's deployment: its code image and post-layout
+   metadata, built once.  Every monitored [prepare] without a [bundle]
+   override starts its session from it. *)
 let deployment_cache : (string, Bastion.Api.deployment) Hashtbl.t = Hashtbl.create 8
 
 let deployment_of ?(pre_resolve = false) (app : app) ~fs =

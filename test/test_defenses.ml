@@ -128,7 +128,7 @@ let test_filter_lets_corrupted_args_through () =
   let prog = Testlib.exec_program () in
   let machine, proc = Bastion.Api.launch_unprotected prog in
   Defenses.Syscall_filter.install prog proc;
-  let evil = Machine.Layout.intern_string machine.layout machine.mem "/bin/sh" in
+  let evil = Machine.intern_string machine "/bin/sh" in
   let fired = ref false in
   machine.on_instr <-
     Some

@@ -52,12 +52,58 @@ let test_layout () =
 let test_rodata_interning () =
   let prog = Testlib.exec_program () in
   let m = Machine.create prog in
-  let a = Machine.Layout.intern_string m.layout m.mem "/bin/id" in
-  let b = Machine.Layout.intern_string m.layout m.mem "/bin/id" in
-  let c = Machine.Layout.intern_string m.layout m.mem "/bin/ls" in
+  let a = Machine.intern_string m "/bin/id" in
+  let b = Machine.intern_string m "/bin/id" in
+  let c = Machine.intern_string m "/bin/ls" in
   Alcotest.(check int64) "idempotent" a b;
   Alcotest.(check bool) "distinct strings distinct addrs" true (not (Int64.equal a c));
   Alcotest.(check string) "contents" "/bin/id" (Machine.read_string m a)
+
+(* Rodata is per machine.  [main] stores the addresses of the literals
+   "x" and "y" in [g_x] and [g_y], evaluating "x" first when [g_order]
+   is 0 and "y" first otherwise. *)
+let literal_order_program () =
+  let pb = B.program () in
+  List.iter (fun g -> B.global pb g i64 Sil.Prog.Zero) [ "g_order"; "g_x"; "g_y" ];
+  let fb = B.func pb "main" ~params:[] in
+  let order = B.local fb "order" i64 in
+  B.load fb order (Sil.Place.Lglobal "g_order");
+  B.branch fb (Var order) "y_first" "x_first";
+  B.block fb "x_first";
+  B.store fb (Sil.Place.Lglobal "g_x") (Cstr "x");
+  B.store fb (Sil.Place.Lglobal "g_y") (Cstr "y");
+  B.halt fb;
+  B.block fb "y_first";
+  B.store fb (Sil.Place.Lglobal "g_y") (Cstr "y");
+  B.store fb (Sil.Place.Lglobal "g_x") (Cstr "x");
+  B.halt fb;
+  B.seal fb;
+  B.build pb ~entry:"main"
+
+(* A second machine of one image that evaluates the literals in the
+   other order gets the addresses a machine of a fresh image gets for
+   that order. *)
+let test_rodata_per_machine () =
+  let prog = literal_order_program () in
+  let layout = Machine.Layout.build prog in
+  let run ?layout order =
+    let m = Machine.create ?layout prog in
+    Machine.poke m (Machine.global_address m "g_order") order;
+    Testlib.check_exit (Machine.run m);
+    let addr g = Machine.peek m (Machine.global_address m g) in
+    (m, (addr "g_x", addr "g_y"))
+  in
+  let first, x_first = run ~layout 0L in
+  let second, y_first = run ~layout 1L in
+  let _, fresh = run 1L in
+  Alcotest.(check bool) "one image" true (first.layout == second.layout);
+  Alcotest.(check (pair int64 int64)) "a fresh image's addresses" fresh y_first;
+  Alcotest.(check bool) "the order moves them" true (x_first <> y_first);
+  Alcotest.(check (pair string string)) "the strings" ("x", "y")
+    (Machine.read_string second (fst y_first), Machine.read_string second (snd y_first));
+  Alcotest.check_raises "another program's image"
+    (Invalid_argument "Machine.create: the layout belongs to another program") (fun () ->
+      ignore (Machine.create ~layout (literal_order_program ())))
 
 (* --- interpreter ------------------------------------------------------ *)
 
@@ -451,5 +497,6 @@ let suites =
           test_ret_token_pivot_reported;
         Alcotest.test_case "code image laws on the three models" `Quick test_code_image_models;
         Alcotest.test_case "cost accounting" `Quick test_cost_accounting;
+        Alcotest.test_case "rodata is per machine" `Quick test_rodata_per_machine;
       ] );
   ]

@@ -83,7 +83,7 @@ let test_restored_bundle_blocks_attacks () =
   let _, _, restored = roundtrip (Testlib.exec_program ()) in
   let session = Bastion.Api.launch restored () in
   let m = session.machine in
-  let evil = Machine.Layout.intern_string m.layout m.mem "/bin/sh" in
+  let evil = Machine.intern_string m "/bin/sh" in
   let fired = ref false in
   m.on_instr <-
     Some

@@ -144,7 +144,9 @@ let victims =
 
 (* A deployment started twice gives the same session as a launch of its
    bundle: the same rodata address for every string constant the
-   metadata binds, the same fingerprint, the same run to the cycle. *)
+   metadata binds, the same fingerprint, the same run to the cycle and
+   the same executed sensitive syscalls.  The started sessions share
+   the deployment's metadata and code image. *)
 let test_deployment_sessions () =
   let constants = ref 0 in
   List.iter
@@ -155,7 +157,8 @@ let test_deployment_sessions () =
       let started = [ Bastion.Api.start d (); Bastion.Api.start d () ] in
       List.iter
         (fun (s : Bastion.Api.session) ->
-          Alcotest.(check bool) (v.v_name ^ ": metadata shared") true (s.monitor.meta == d.meta))
+          Alcotest.(check bool) (v.v_name ^ ": metadata shared") true (s.monitor.meta == d.meta);
+          Alcotest.(check bool) (v.v_name ^ ": image shared") true (s.machine.layout == d.layout))
         started;
       List.iter
         (fun (cm : Bastion.Instrument.callsite_meta) ->
@@ -189,13 +192,22 @@ let test_deployment_sessions () =
           | Machine.Exited code -> Int64.to_string code
           | Machine.Faulted f -> Machine.fault_to_string f
         in
+        let exec_log =
+          List.rev_map
+            (fun (e : Kernel.Process.exec_event) ->
+              Printf.sprintf "%d(%s)%s" e.ev_sysno
+                (String.concat "," (Array.to_list (Array.map Int64.to_string e.ev_args)))
+                (Option.value ~default:"" e.ev_path))
+            s.process.exec_log
+        in
         ( (outcome, Bastion.Monitor.fingerprint s.monitor),
-          (s.machine.stats.cycles, s.machine.stats.instrs, s.process.trap_count) )
+          (s.machine.stats.cycles, s.machine.stats.instrs, s.process.trap_count),
+          exec_log )
       in
       let want = run launched in
       List.iter
         (fun s ->
-          Alcotest.(check (pair (pair string string) (triple int int int)))
+          Alcotest.(check (triple (pair string string) (triple int int int) (list string)))
             (v.v_name ^ ": started = launched") want (run s))
         started)
     victims;
@@ -213,7 +225,7 @@ let test_load_checks_rodata () =
       let d = Bastion.Api.deploy p in
       Bastion.Metadata.load d.meta (Machine.create p.inst.iprog);
       let shifted = Machine.create p.inst.iprog in
-      ignore (Machine.Layout.intern_string shifted.layout shifted.mem "not in any program");
+      ignore (Machine.intern_string shifted "not in any program");
       match Bastion.Metadata.load d.meta shifted with
       | () -> ()
       | exception Invalid_argument _ -> incr refused)
@@ -291,6 +303,42 @@ let test_filler_targets () =
         Workloads.Vsftpd_model.table5_indirect_callsites );
     ]
 
+(* Sessions only read the code image: a digest of its marshalled bytes
+   is the same before and after a benign run of each small model, and
+   before and after a full Table 6 row on each victim. *)
+let image_digest (l : Machine.Layout.t) = Digest.to_hex (Digest.string (Marshal.to_string l []))
+
+let test_image_unchanged_by_runs () =
+  List.iter
+    (fun (name, app) ->
+      let pr = Workloads.Drivers.prepare app Workloads.Drivers.Bastion_full in
+      let image = pr.pr_machine.layout in
+      let before = image_digest image in
+      ignore (Workloads.Drivers.execute pr);
+      let again = Workloads.Drivers.prepare app Workloads.Drivers.Bastion_full in
+      Alcotest.(check bool) (name ^ ": sessions share the image") true
+        (again.pr_machine.layout == image);
+      Alcotest.(check string) (name ^ ": image unchanged by a run") before (image_digest image))
+    (Workloads.Fleet.small_apps ());
+  List.iter
+    (fun (v : Attacks.Victims.t) ->
+      match
+        List.find_opt
+          (fun (a : Attacks.Attack.t) -> String.equal a.a_victim.v_name v.v_name)
+          Attacks.Catalog.all
+      with
+      | None -> ()
+      | Some a ->
+        let image = ref None in
+        let capture (s : Bastion.Api.session) = image := Some s.machine.layout in
+        ignore (Attacks.Runner.run ~on_session:capture a Attacks.Runner.Full_bastion);
+        let image = Option.get !image in
+        let before = image_digest image in
+        ignore (Attacks.Runner.evaluate a);
+        Alcotest.(check string) (v.v_name ^ ": image unchanged by a Table 6 row") before
+          (image_digest image))
+    victims
+
 let suites =
   match suites with
   | [ (name, cases) ] ->
@@ -305,6 +353,8 @@ let suites =
               test_deployment_sessions;
             Alcotest.test_case "loading refuses moved string constants" `Quick
               test_load_checks_rodata;
+            Alcotest.test_case "runs leave the shared image unchanged" `Quick
+              test_image_unchanged_by_runs;
           ] );
     ]
   | other -> other

@@ -38,7 +38,7 @@ let test_attack_corrupt_global_arg () =
   let protected_prog = Bastion.Api.protect prog in
   let session = Bastion.Api.launch protected_prog () in
   let m = session.machine in
-  let evil = Machine.Layout.intern_string m.layout m.mem "/bin/sh" in
+  let evil = Machine.intern_string m "/bin/sh" in
   let gctx = Machine.global_address m "gctx" in
   let fired = ref false in
   m.on_instr <-

@@ -192,6 +192,23 @@ let code_image_violations (prog : Sil.Prog.t) =
       if L.point_of_addr layout a <> None || L.func_of_addr layout a <> None then
         fail "address %Lx outside the image decodes" a)
     [ Int64.sub L.code_base 8L; !next; Int64.logor L.code_base Int64.min_int ];
+  (* The location the machine's hooks and faults report at an
+     instruction, built from its block, is the program's.  Blocks are in
+     layout order. *)
+  let blocks = (L.image layout).blocks and k = ref 0 in
+  List.iter
+    (fun (f : Sil.Func.t) ->
+      List.iter
+        (fun (b : Sil.Func.block) ->
+          let blk = blocks.(!k) in
+          incr k;
+          for i = 0 to Array.length b.instrs - 1 do
+            let want = Sil.Loc.make f.fname b.label i and got = L.loc_at layout blk i in
+            if not (Sil.Loc.equal got want) then
+              fail "%s: the image reports %s" (Sil.Loc.to_string want) (Sil.Loc.to_string got)
+          done)
+        f.blocks)
+    (Sil.Prog.functions prog);
   List.rev !bad
 
 (** Run a protected session to completion, returning outcome + session. *)
