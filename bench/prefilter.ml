@@ -38,14 +38,14 @@ let row ~app ~baseline mode (m : D.measurement) =
     | None, _ | _, None -> None
     | Some _, Some monitor ->
       Option.map
-        (fun fa ->
+        (fun (fa : Kernel.Seccomp.flow_automaton) ->
           let resolved, fallthroughs, kills = Bastion.Monitor.prefilter_stats monitor in
           {
             resolved;
             fallthroughs;
             kills;
-            nodes = Kernel.Seccomp.flow_node_count fa;
-            edges = Kernel.Seccomp.flow_edge_count fa;
+            nodes = Kernel.Seccomp.flow_node_count fa.fa_graph;
+            edges = Kernel.Seccomp.flow_edge_count fa.fa_graph;
           })
         (Bastion.Monitor.prefilter monitor)
   in

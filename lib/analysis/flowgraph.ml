@@ -373,17 +373,18 @@ let extract (p : Bastion.Api.protected) : Defenses.Flow_prefilter.spec =
 (* ------------------------------------------------------------------ *)
 (* Deployment glue                                                     *)
 
-(** Extract (or reuse) the spec and install it on a launched session:
-    resolve node locations through the machine layout, attach the
-    monitor's deploy-time argument knowledge, and hand the automaton to
-    both the monitor and the process's seccomp filter. *)
-let attach ?spec ~(mode : Kernel.Seccomp.flow_mode) (p : Bastion.Api.protected)
+(** Resolve the spec against a deployment: node locations through its
+    code image, deploy-time argument knowledge from its metadata. *)
+let deploy (spec : Defenses.Flow_prefilter.spec) (d : Bastion.Api.deployment) :
+    Kernel.Seccomp.flow_graph =
+  Defenses.Flow_prefilter.deploy spec ~layout:d.layout
+    ~info:(Bastion.Monitor.prefilter_site_info d.meta)
+
+(** Start a session's walk over a deployed graph and hand it to both
+    the monitor and the process's seccomp filter. *)
+let attach ~(mode : Kernel.Seccomp.flow_mode) (graph : Kernel.Seccomp.flow_graph)
     ~(monitor : Bastion.Monitor.t) ~(process : Kernel.Process.t) :
     Kernel.Seccomp.flow_automaton =
-  let spec = match spec with Some s -> s | None -> extract p in
-  let fa =
-    Defenses.Flow_prefilter.deploy spec ~layout:monitor.machine.layout ~mode
-      ~info:(fun ~addr ~sysno -> Bastion.Monitor.prefilter_site_info monitor ~addr ~sysno)
-  in
+  let fa = Kernel.Seccomp.flow_create ~mode graph in
   Bastion.Monitor.install_prefilter monitor process fa;
   fa

@@ -13,14 +13,18 @@
 
 val extract : Bastion.Api.protected -> Defenses.Flow_prefilter.spec
 
-(** [attach ?spec ~mode p ~monitor ~process] extracts (or reuses) the
-    spec, resolves it against the session's layout and metadata, and
-    installs the automaton on the monitor and the process's seccomp
-    filter.  Returns the deployed automaton. *)
+(** [deploy spec d] resolves the spec against the deployment's code
+    image and metadata: the automaton graph every session of [d]
+    shares. *)
+val deploy :
+  Defenses.Flow_prefilter.spec -> Bastion.Api.deployment -> Kernel.Seccomp.flow_graph
+
+(** [attach ~mode graph ~monitor ~process] starts a fresh walk over
+    [graph] in [mode] and installs it on the monitor and the process's
+    seccomp filter.  Returns the session's automaton. *)
 val attach :
-  ?spec:Defenses.Flow_prefilter.spec ->
   mode:Kernel.Seccomp.flow_mode ->
-  Bastion.Api.protected ->
+  Kernel.Seccomp.flow_graph ->
   monitor:Bastion.Monitor.t ->
   process:Kernel.Process.t ->
   Kernel.Seccomp.flow_automaton

@@ -41,17 +41,20 @@ let attack_fuel = 20_000_000
 (* The compile cache.
 
    A victim is compiled once, as BASTION compiles a binary once: the
-   built program and its code image, its protected bundle's deployment
-   and the bundle's syscall-flow spec are pure functions of (victim,
-   filesystem scope, pre-resolution), so every run of every attack on
-   that victim shares them.  Sharded matrices fill the cache from
-   several domains; the lock makes each key compile exactly once. *)
+   built program and its code image, its protected bundle's deployment,
+   the bundle's syscall-flow spec and that spec's graph deployed
+   against the deployment are pure functions of (victim, filesystem
+   scope, pre-resolution), so every run of every attack on that victim
+   shares them.  Sharded matrices fill the cache from several domains;
+   the lock makes each key compile exactly once, and nothing compiled
+   is written afterwards. *)
 
 type compiled = {
   c_prog : Sil.Prog.t;
   c_layout : Machine.Layout.t;  (** [c_prog]'s, for the undefended runs *)
   c_deployment : Bastion.Api.deployment;
   c_flow : Defenses.Flow_prefilter.spec;
+  c_graph : Kernel.Seccomp.flow_graph;  (** [c_flow] deployed on [c_deployment] *)
 }
 
 let compiled_lock = Mutex.create ()
@@ -61,8 +64,9 @@ let compile (attack : Attack.t) ~pre_resolve =
   let prog = attack.a_victim.v_build () in
   let p = Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope prog in
   let p = if pre_resolve then Bastion_analysis.Preresolve.enrich p else p in
-  { c_prog = prog; c_layout = Machine.Layout.build prog; c_deployment = Bastion.Api.deploy p;
-    c_flow = Bastion_analysis.Flowgraph.extract p }
+  let d = Bastion.Api.deploy p and flow = Bastion_analysis.Flowgraph.extract p in
+  { c_prog = prog; c_layout = Machine.Layout.build prog; c_deployment = d; c_flow = flow;
+    c_graph = Bastion_analysis.Flowgraph.deploy flow d }
 
 let compiled (attack : Attack.t) ~pre_resolve =
   let key = (attack.a_victim.v_name, attack.a_fs_scope, pre_resolve) in
@@ -97,23 +101,30 @@ let run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ?bundle ?recorder
         }
       in
       (* [bundle] overrides the compile pass: the differential replay
-         engine deploys a restored (possibly edited) metadata bundle
-         through the exact path a recorded attack used. *)
-      let session, protected_prog, spec =
+         engine deploys a restored (possibly edited) metadata bundle,
+         with a graph of its own, through the exact path a recorded
+         attack used. *)
+      let deployment, cached_graph =
         match bundle with
-        | Some b ->
-          (Bastion.Api.launch ~machine_config ~monitor_config ?recorder b (), b, None)
+        | Some b -> (Bastion.Api.deploy b, None)
         | None ->
           let c = compiled attack ~pre_resolve in
-          ( Bastion.Api.start ~machine_config ~monitor_config ?recorder c.c_deployment (),
-            c.c_deployment.bundle,
-            Some c.c_flow )
+          (c.c_deployment, Some c.c_graph)
+      in
+      let session =
+        Bastion.Api.start ~machine_config ~monitor_config ?recorder deployment ()
       in
       (match prefilter with
       | Some mode ->
+        let graph =
+          match cached_graph with
+          | Some g -> g
+          | None ->
+            Bastion_analysis.Flowgraph.(deploy (extract deployment.bundle) deployment)
+        in
         ignore
-          (Bastion_analysis.Flowgraph.attach ?spec ~mode protected_prog
-             ~monitor:session.monitor ~process:session.process)
+          (Bastion_analysis.Flowgraph.attach ~mode graph ~monitor:session.monitor
+             ~process:session.process)
       | None -> ());
       (* Let the replay engine reach in before execution (swap the trap
          source, wrap the hook); never called for undefended runs. *)

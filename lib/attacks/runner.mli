@@ -32,12 +32,14 @@ val attack_fuel : int
     trap source (never called for undefended runs, which have no
     session).  Each victim is compiled once per process and filesystem
     scope and pre-resolution setting: the built program and its code
-    image, its bundle's deployment ({!Bastion.Api.deploy}) and its
-    syscall-flow spec are cached under that key, and every run starts a
-    fresh session from them.  The cache is safe to fill from several domains at once.
+    image, its bundle's deployment ({!Bastion.Api.deploy}, check image
+    included), its syscall-flow spec and the spec's automaton graph are
+    cached under that key, and every run starts a fresh session from
+    them.  The cache is safe to fill from several domains at once.
     [bundle] overrides the compile pass with a restored (possibly
-    edited) metadata bundle, launched and extracted fresh — the
-    differential replay seam; it bypasses the lint gate on purpose. *)
+    edited) metadata bundle, deployed, extracted and its graph built
+    fresh — the differential replay seam; it bypasses the lint gate on
+    purpose. *)
 val run :
   ?trap_cache:bool -> ?pre_resolve:bool ->
   ?prefilter:Kernel.Seccomp.flow_mode ->

@@ -97,16 +97,22 @@ type session = {
   monitor : Monitor.t;
 }
 
-(* A deployment is what a program's processes share: its code image
-   and the bundle's post-layout metadata, which the monitor loads at
-   start-up (§7.1), each built once.  The image is a pure function of
-   the program, and [Metadata.load] replays the string interning
-   [Metadata.build] did, so the metadata holds on each fresh machine as
-   if built there. *)
-type deployment = { bundle : protected; layout : Machine.Layout.t; meta : Metadata.t }
+(* A deployment is what a program's processes share: its code image,
+   the bundle's post-layout metadata, which the monitor loads at
+   start-up (§7.1), and the monitor's check image decoded from it, each
+   built once.  The code image is a pure function of the program,
+   [Metadata.load] replays the string interning [Metadata.build] did,
+   so the metadata holds on each fresh machine as if built there, and
+   the check image does not depend on the monitor configuration. *)
+type deployment = {
+  bundle : protected;
+  layout : Machine.Layout.t;
+  meta : Metadata.t;
+  image : Monitor.image;
+}
 
-(** Build a bundle's code image, and its post-layout metadata on a
-    machine of that image that never runs. *)
+(** Build a bundle's code image, its post-layout metadata on a machine
+    of that image that never runs, and the check image. *)
 let deploy (p : protected) : deployment =
   let layout = Machine.Layout.build p.inst.iprog in
   let meta =
@@ -115,7 +121,7 @@ let deploy (p : protected) : deployment =
       ~slot_ranks:p.slot_ranks ~dead_sites:p.dead_sites
       (Machine.create ~layout p.inst.iprog)
   in
-  { bundle = p; layout; meta }
+  { bundle = p; layout; meta; image = Monitor.decode meta layout }
 
 (** The one session wiring: boot the instrumented program on a fresh
     machine of the deployment's image, wire the runtime library, load
@@ -134,7 +140,10 @@ let start ?(machine_config = Machine.default_config)
   | Some r -> Runtime.attach_recorder runtime r
   | None -> ());
   Metadata.load d.meta machine;
-  let monitor = Monitor.create ?recorder ~meta:d.meta ~runtime ~config:monitor_config machine in
+  let monitor =
+    Monitor.create ?recorder ~meta:d.meta ~image:d.image ~runtime ~config:monitor_config
+      machine
+  in
   Monitor.attach monitor process;
   { machine; process; runtime; monitor }
 

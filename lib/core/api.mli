@@ -3,9 +3,9 @@
     Compile side: {!protect} runs the whole pass (call-type analysis,
     control-flow metadata, argument-integrity analysis,
     instrumentation).  Runtime side: {!deploy} builds the program's code
-    image and post-layout metadata once, {!start} boots sessions over
-    them with the runtime library wired in and the monitor attached,
-    and {!launch} is [start (deploy p)].
+    image, post-layout metadata and the monitor's check image once,
+    {!start} boots sessions over them with the runtime library wired in
+    and the monitor attached, and {!launch} is [start (deploy p)].
 
     {[
       let protected = Api.protect prog in
@@ -73,29 +73,31 @@ type session = {
 }
 
 (** What the processes of one protected program share, each part
-    built once: the instrumented program's code image and the bundle's
-    post-layout metadata, which the monitor loads at start-up (§7.1).
-    Neither is mutated after {!deploy}; the metadata's fingerprint is
-    rendered at most once.  Safe to share across domains.  Only
-    {!deploy} builds one, so [layout] and [meta] are always
-    [bundle]'s. *)
+    built once: the instrumented program's code image, the bundle's
+    post-layout metadata, which the monitor loads at start-up (§7.1),
+    and the monitor's check image decoded from it.  None is mutated
+    after {!deploy}; the metadata's fingerprint is rendered at most
+    once.  Safe to share across domains.  Only {!deploy} builds one, so
+    [layout], [meta] and [image] are always [bundle]'s. *)
 type deployment = private {
   bundle : protected;
   layout : Machine.Layout.t;  (** [bundle.inst.iprog]'s code image *)
   meta : Metadata.t;
+  image : Monitor.image;  (** [Monitor.decode meta layout] *)
 }
 
-(** Build the bundle's code image, and its post-layout metadata on a
-    machine of that image that never runs. *)
+(** Build the bundle's code image, its post-layout metadata on a
+    machine of that image that never runs, and the check image. *)
 val deploy : protected -> deployment
 
 (** Boot a session: a fresh machine on the deployment's code image,
     the kernel process, the ctx_* runtime wired in and its shadow
     seeded from the loader-visible globals, the metadata's string
     constants re-interned at the addresses it holds
-    ({!Metadata.load}), and the monitor attached over the metadata.
-    Every session of one deployment shares its image and metadata and
-    runs the same, cycle for cycle.  [recorder] wires the flight
+    ({!Metadata.load}), and the monitor attached over the metadata and
+    check image.  Every session of one deployment shares its images and
+    metadata and runs the same, cycle for cycle, as a {!launch} under
+    the same configuration.  [recorder] wires the flight
     recorder through the whole pipeline; observation never charges
     modelled cycles. *)
 val start :

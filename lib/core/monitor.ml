@@ -54,13 +54,19 @@ let live_source = { ts_regs = Ptrace.getregs; ts_snapshot = Ptrace.snapshot }
 (* ------------------------------------------------------------------ *)
 (* The check image                                                     *)
 
-(* [create] decodes the deployed metadata once into arrays the per-trap
-   checks index by integer: traced callsites by code point, functions
-   by their code-image index, checked globals by position.  Every
-   per-position decision the metadata and the configuration fix — the
+(* [decode] turns the deployed metadata, once per deployment, into
+   arrays the per-trap checks index by integer: traced callsites by
+   code point, functions by their code-image index, checked globals by
+   position.  Every per-position decision the metadata fixes — the
    pre-resolved constant, the per-caller constants, the taint rank and
-   its cheap recipe, the syscall's direct/extended rule, the binding
-   key — is taken here rather than on every trap. *)
+   its cheap recipe, the syscall's direct/extended/sockaddr rule, the
+   binding key, each function's verdict-cache name hash — is taken
+   here rather than on every trap.  The image does not depend on the
+   monitor configuration and nothing in it is written after [decode],
+   so every session of a deployment, on any domain, reads the same
+   one.  Two checks read the configuration where they use the image:
+   the cheap recipe ([taint_cheap_path]) and the one-read sockaddr
+   check ([sockaddr_fastpath]). *)
 
 (** How one argument value of a traced callsite is verified. *)
 type value_check =
@@ -74,8 +80,8 @@ and mem_check = {
   ctx_values : int64 array;  (** ... and those constants *)
   rank : bool option;  (** taint rank: [Some true] = attacker-reachable *)
   cheap : Metadata.cheap_recipe option;
-      (** the single-probe recipe, when the slot is ranked untainted and
-          the cheap path is enabled *)
+      (** the single-probe recipe, when the slot is ranked untainted;
+          used when the cheap path is enabled *)
   binding : int64;  (** binding-table key of (callsite, position) *)
 }
 
@@ -83,7 +89,9 @@ and mem_check = {
     value, recovered from the syscall identity, not instrumented. *)
 type pointee =
   | Value_only
-  | Sockaddr_read  (** the specialised accept/accept4 check: one fixed-size read *)
+  | Sockaddr
+      (** accept/accept4's address: one fixed-size read with the sockaddr
+          fast path, else checked like [Contents] *)
   | Contents  (** verify the pointee contents word by word *)
 
 type arg_plan = { pos : int; check : value_check; pointee : pointee }
@@ -103,13 +111,13 @@ type image = {
       (** by function: word offsets of its sensitive locals, metadata order *)
   span_lo : int array;  (** by function: first word of its slot span *)
   span_words : int array;  (** by function: its slot span in words, 0 if none *)
-  names : Verdict_cache.names;  (** by function: its name hash, once keyed *)
+  names : Verdict_cache.names;  (** by function: its name hash *)
   global_names : string array;  (** checked globals, metadata order *)
   global_addrs : int64 array;
   global_words : int array;
 }
 
-let decode_plan (config : config) (e : Metadata.cs_entry) =
+let decode_plan (e : Metadata.cs_entry) =
   let arg (pos, spec) =
     let check =
       match (spec : Metadata.arg_spec) with
@@ -125,10 +133,7 @@ let decode_plan (config : config) (e : Metadata.cs_entry) =
               ctx_callers = Array.of_list (List.map fst alts);
               ctx_values = Array.of_list (List.map snd alts);
               rank;
-              cheap =
-                (if rank = Some false && config.taint_cheap_path then
-                   List.assoc_opt pos e.e_cheap
-                 else None);
+              cheap = (if rank = Some false then List.assoc_opt pos e.e_cheap else None);
               binding = Shadow_memory.binding_key ~id:e.e_id ~pos;
             })
     in
@@ -138,18 +143,18 @@ let decode_plan (config : config) (e : Metadata.cs_entry) =
       | Some nr -> (
         match Arg_rules.kind ~sysno:nr ~pos with
         | Arg_rules.Direct -> Value_only
-        | Arg_rules.Sockaddr when config.sockaddr_fastpath -> Sockaddr_read
-        | Arg_rules.Sockaddr | Arg_rules.Extended -> Contents)
+        | Arg_rules.Sockaddr -> Sockaddr
+        | Arg_rules.Extended -> Contents)
     in
     { pos; check; pointee }
   in
   Array.of_list (List.map arg e.e_specs)
 
-let decode (config : config) (meta : Metadata.t) (layout : Machine.Layout.t) : image =
+let decode (meta : Metadata.t) (layout : Machine.Layout.t) : image =
   let code = Machine.Layout.image layout in
   let entries = Hashtbl.fold (fun addr e acc -> (addr, e) :: acc) meta.cs_by_addr [] in
   let sites =
-    Array.of_list (List.map (fun (_, e) -> { entry = e; plan = decode_plan config e }) entries)
+    Array.of_list (List.map (fun (_, e) -> { entry = e; plan = decode_plan e }) entries)
   in
   let rec pow2 n = if n >= 2 * Array.length sites then n else pow2 (2 * n) in
   let width = pow2 1 in
@@ -184,7 +189,8 @@ let decode (config : config) (meta : Metadata.t) (layout : Machine.Layout.t) : i
     slots;
     span_lo;
     span_words;
-    names = Verdict_cache.names nfuncs;
+    names =
+      Verdict_cache.names (Array.map (fun (f : Machine.Layout.func) -> f.name) code.funcs);
     global_names = Array.map (fun (name, _, _) -> name) globals;
     global_addrs = Array.map (fun (_, addr, _) -> addr) globals;
     global_words = Array.map (fun (_, _, words) -> words) globals;
@@ -192,7 +198,7 @@ let decode (config : config) (meta : Metadata.t) (layout : Machine.Layout.t) : i
 
 type t = {
   meta : Metadata.t;
-  image : image;  (** [meta], decoded for the per-trap checks *)
+  image : image;  (** [meta], decoded for the per-trap checks; the deployment's *)
   runtime : Runtime.t;
   config : config;
   machine : Machine.t;
@@ -217,9 +223,6 @@ type t = {
   mutable cur_tier : int;
       (** deepest {!Obs.Event.tier} rank engaged by the trap in flight
           (-1: none yet); folded into the event at {!obs_finish} *)
-  tier_counts : int array;
-      (** per-tier trap totals, indexed by {!Obs.Event.tier_rank} (the
-          prefilter slot stays 0 here — resolved calls never trap) *)
   (* §9.2 statistics: call-stack depth observed at each verified trap. *)
   mutable depth_total : int;
   mutable depth_min : int;
@@ -229,14 +232,14 @@ type t = {
 
 exception Deny of string * string  (** context, detail *)
 
-let create ?recorder ~(meta : Metadata.t) ~(runtime : Runtime.t) ~config
+let create ?recorder ~(meta : Metadata.t) ~(image : image) ~(runtime : Runtime.t) ~config
     (machine : Machine.t) =
   (* Loading metadata: a linear pass over all entries (the paper reports
      10-20 ms; we report cycles in stats, not on the tracee's clock). *)
   let init_cycles = 40 * meta.entry_count in
   {
     meta;
-    image = decode config meta machine.layout;
+    image;
     runtime;
     config;
     machine;
@@ -252,7 +255,6 @@ let create ?recorder ~(meta : Metadata.t) ~(runtime : Runtime.t) ~config
     ai_untainted = 0;
     denials = [];
     cur_tier = -1;
-    tier_counts = Array.make 6 0;
     depth_total = 0;
     depth_min = max_int;
     depth_max = 0;
@@ -487,7 +489,7 @@ let check_mem (t : t) (site : site) (frame : Ptrace.frame_view) ~rest pos (m : m
     | Some false -> t.ai_untainted <- t.ai_untainted + 1
     | None -> ());
     match m.cheap with
-    | Some recipe ->
+    | Some recipe when t.config.taint_cheap_path ->
       (* Untainted slot: the bound object's address is statically
          known, so the expected value is one shadow probe away — the
          binding-table lookup is skipped.  Denial semantics are
@@ -502,7 +504,7 @@ let check_mem (t : t) (site : site) (frame : Ptrace.frame_view) ~rest pos (m : m
       if slot < 0 then deny_untraced pos site;
       if differs t slot actual then
         deny_corrupted pos site (Shadow_memory.value t.runtime.shadow slot) actual
-    | None ->
+    | Some _ | None ->
       (* The full two-lookup path: binding table, then shadow. *)
       note_tier t Obs.Event.Tier_full;
       let bound = lookup_at t m.binding 0 in
@@ -540,8 +542,8 @@ let check_callsite_args (t : t) (tracer : Ptrace.t) (site : site)
     if not (Int64.equal actual 0L) then
       match pointee with
       | Value_only -> ()
-      | Sockaddr_read -> Ptrace.charge_read tracer 2
-      | Contents -> check_extended t tracer actual
+      | Sockaddr when t.config.sockaddr_fastpath -> Ptrace.charge_read tracer 2
+      | Sockaddr | Contents -> check_extended t tracer actual
   done
 
 (* Deny when the sensitive local at word [off] of [frame] differs from
@@ -746,14 +748,9 @@ let obs_finish (t : t) (tracer : Ptrace.t) (obs : trap_obs option) ~(rip : int64
    the CT-only configuration, or a stack with no AI-bound slots) is
    conservatively [Tier_full] — nothing cheaper vouched for it. *)
 let settle_tier (t : t) : Obs.Event.tier =
-  let tier =
-    match Obs.Event.tier_of_rank t.cur_tier with
-    | Some tier -> tier
-    | None -> Obs.Event.Tier_full
-  in
-  t.tier_counts.(Obs.Event.tier_rank tier) <-
-    t.tier_counts.(Obs.Event.tier_rank tier) + 1;
-  tier
+  match Obs.Event.tier_of_rank t.cur_tier with
+  | Some tier -> tier
+  | None -> Obs.Event.Tier_full
 
 let full_check (t : t) (tracer : Ptrace.t) : Process.verdict =
   t.traps_checked <- t.traps_checked + 1;
@@ -918,8 +915,8 @@ let register_probes (t : t) (tracer : Ptrace.t) (reg : Obs.Metrics.t) =
   p "prefilter.resolved" (pf (fun fa -> fa.Kernel.Seccomp.fa_resolved));
   p "prefilter.fallthroughs" (pf (fun fa -> fa.Kernel.Seccomp.fa_fallthroughs));
   p "prefilter.kills" (pf (fun fa -> fa.Kernel.Seccomp.fa_kills));
-  p "prefilter.nodes" (pf Kernel.Seccomp.flow_node_count);
-  p "prefilter.edges" (pf Kernel.Seccomp.flow_edge_count);
+  p "prefilter.nodes" (pf (fun fa -> Kernel.Seccomp.flow_node_count fa.fa_graph));
+  p "prefilter.edges" (pf (fun fa -> Kernel.Seccomp.flow_edge_count fa.fa_graph));
   p "monitor.traps_checked" (fi (fun () -> t.traps_checked));
   p "monitor.preresolved_hits" (fi (fun () -> t.pre_resolved_hits));
   p "monitor.preresolved_ctx_hits" (fi (fun () -> t.ctx_hits));
@@ -955,9 +952,9 @@ let attach (t : t) (proc : Process.t) =
     pointer position the seccomp stage can never dereference.  [None]:
     the callsite carries no metadata for this syscall, so the
     pre-filter must not resolve there. *)
-let prefilter_site_info (t : t) ~(addr : int64) ~(sysno : int option) :
+let prefilter_site_info (meta : Metadata.t) ~(addr : int64) ~(sysno : int option) :
     (int * [ `Pin of int64 | `Scalar | `Pointer ]) list option =
-  match (Hashtbl.find_opt t.meta.cs_by_addr addr, sysno) with
+  match (Hashtbl.find_opt meta.cs_by_addr addr, sysno) with
   | None, _ | _, None -> None
   | Some entry, Some nr ->
     if entry.Metadata.e_sysno <> Some nr then None
@@ -1033,10 +1030,6 @@ let ctx_resolved_hits (t : t) = t.ctx_hits
 (** Ranked-slot verification counts: (tainted — full path, untainted —
     cheap-path eligible). *)
 let ai_rank_stats (t : t) = (t.ai_tainted, t.ai_untainted)
-
-(** Per-tier trap totals, indexed by {!Obs.Event.tier_rank} (a copy;
-    the prefilter slot is always 0 — resolved calls never trap). *)
-let tier_counts (t : t) = Array.copy t.tier_counts
 
 (** §9.2 call-depth statistics over all verified traps:
     (min, mean, max); [None] before the first stack walk. *)

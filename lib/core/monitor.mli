@@ -53,13 +53,20 @@ type trap_source = {
 
 val live_source : trap_source
 
-(** The deployed metadata decoded once, at {!create}, into arrays the
-    per-trap checks index by code point and by function. *)
+(** The deployed metadata decoded into arrays the per-trap checks
+    index by code point and by function, each function's verdict-cache
+    name hash included.  It does not depend on the monitor
+    configuration and is never written after {!decode}, so one image
+    serves every session of a deployment, on any domain. *)
 type image
+
+(** Decode a deployment's metadata against its code image (once per
+    deployment: {!Api.deploy} keeps the result). *)
+val decode : Metadata.t -> Machine.Layout.t -> image
 
 type t = {
   meta : Metadata.t;
-  image : image;
+  image : image;  (** [meta]'s, shared with the deployment *)
   runtime : Runtime.t;
   config : config;
   machine : Machine.t;
@@ -84,8 +91,6 @@ type t = {
   mutable cur_tier : int;
       (** deepest {!Obs.Event.tier} rank engaged by the trap in flight
           (-1: none yet) *)
-  tier_counts : int array;
-      (** per-tier trap totals, indexed by {!Obs.Event.tier_rank} *)
   mutable depth_total : int;
   mutable depth_min : int;
   mutable depth_max : int;
@@ -94,25 +99,17 @@ type t = {
 
 exception Deny of string * string
 
+(** A monitor over [meta] and its decoded [image] (which must be
+    [decode meta machine.layout]); only [config] and the counters are
+    its own. *)
 val create :
   ?recorder:Obs.Recorder.t ->
-  meta:Metadata.t -> runtime:Runtime.t -> config:config -> Machine.t -> t
+  meta:Metadata.t -> image:image -> runtime:Runtime.t -> config:config -> Machine.t -> t
 
 val set_recorder : t -> Obs.Recorder.t option -> unit
 
 (** Swap the trap-input source (replay injection). *)
 val set_source : t -> trap_source -> unit
-
-(** Full verification of one trap (CT, then CF, then AI). *)
-val full_check : t -> Ptrace.t -> Process.verdict
-
-(** Fetch state only (Table 7 row 2): getregs + stack walk, no checks. *)
-val fetch_only : t -> Ptrace.t -> Process.verdict
-
-(** The seccomp filter of §7.1: ALLOW used non-sensitive syscalls, KILL
-    not-callable ones (§11.3), TRACE the rest; unknown numbers default
-    to KILL. *)
-val build_filter : t -> Kernel.Seccomp.filter
 
 (** Mirror the pipeline's legacy counters ([Ptrace], the verdict cache,
     the shadow table, the monitor and machine totals) into a metrics
@@ -120,25 +117,29 @@ val build_filter : t -> Kernel.Seccomp.filter
     authoritative. *)
 val register_probes : t -> Ptrace.t -> Obs.Metrics.t -> unit
 
-(** Install the filter and TRACE hook on a booted process; with a
-    recorder present, also {!register_probes} into its registry. *)
+(** Install the seccomp filter of §7.1 (ALLOW used non-sensitive
+    syscalls, KILL not-callable ones (§11.3), TRACE the rest; unknown
+    numbers default to KILL) and the TRACE hook, which runs the full
+    check (CT, then CF, then AI) or, for Table 7 row 2, only fetches
+    the process state; with a recorder present, also
+    {!register_probes} into its registry. *)
 val attach : t -> Process.t -> unit
 
-(** Deploy-time classification of the AI-checked argument positions of
-    the pre-filter node at [addr] invoking [sysno]: [`Pin c] a
-    statically-known constant (pointer pins must be NULL or rodata),
-    [`Scalar] a dynamic register-visible value, [`Pointer] a checked
-    pointer seccomp can never verify; [None] when no metadata binds
-    that syscall at the callsite. *)
+(** Deploy-time classification, from a deployment's metadata, of the
+    AI-checked argument positions of the pre-filter node at [addr]
+    invoking [sysno]: [`Pin c] a statically-known constant (pointer
+    pins must be NULL or rodata), [`Scalar] a dynamic register-visible
+    value, [`Pointer] a checked pointer seccomp can never verify;
+    [None] when no metadata binds that syscall at the callsite. *)
 val prefilter_site_info :
-  t ->
+  Metadata.t ->
   addr:int64 ->
   sysno:int option ->
   (int * [ `Pin of int64 | `Scalar | `Pointer ]) list option
 
-(** Install a deployed syscall-flow automaton on this monitor and the
+(** Install a session's syscall-flow automaton on this monitor and the
     process's seccomp filter (the tiered entry point: calls the
-    automaton resolves never reach {!full_check}).
+    automaton resolves never reach the monitor).
     @raise Invalid_argument if the process has no filter yet. *)
 val install_prefilter : t -> Process.t -> Kernel.Seccomp.flow_automaton -> unit
 
@@ -171,10 +172,6 @@ val ctx_resolved_hits : t -> int
 (** Ranked-slot verification counts: (tainted — full binding+shadow
     path, untainted — cheap-path eligible). *)
 val ai_rank_stats : t -> int * int
-
-(** Per-tier trap totals, indexed by {!Obs.Event.tier_rank} (a copy;
-    the prefilter slot is always 0 — resolved calls never trap). *)
-val tier_counts : t -> int array
 
 (** §9.2 call-depth statistics over verified traps: (min, mean, max). *)
 val depth_stats : t -> (int * float * int) option

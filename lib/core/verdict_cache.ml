@@ -16,39 +16,52 @@
    miss.  The monitor bumps the epoch whenever the metadata or the
    seccomp filter is rebuilt.
 
-   A slot is two words: its key, stored unboxed in [keys], and the
-   epoch it was recorded under, -1 for a slot never recorded (epochs
-   count up from 0, so such a slot can never hit). *)
+   Geometry and storage are separate.  The geometry is [size]
+   direct-mapped slots: a key's slot is its low bits, and recording a
+   key replaces whatever its slot held.  Only the recorded slots are
+   stored, in an open-addressing table keyed by slot index, probed
+   linearly from the index's low bits.  A session records a handful of
+   keys out of thousands of slots, so the table starts at 8 entries and
+   doubles at half load, which keeps every probe sequence ending at an
+   empty entry. *)
 
 type t = {
-  keys : Bytes.t;       (** slot [i]'s key at byte [8 i], native endian *)
-  epochs : int array;   (** epoch each slot was recorded under; -1: never *)
-  mask : int;           (** size - 1; size is a power of two *)
+  mutable occ : int array;
+      (** entry [e]'s slot index at [2 e] (-1: empty) and the epoch it
+          was recorded under at [2 e + 1] *)
+  mutable keys : Bytes.t;  (** entry [e]'s key at byte [8 e], native endian *)
+  mutable mask : int;  (** entries - 1; the entry count is a power of two *)
+  mutable used : int;  (** non-empty entries *)
+  slot_mask : int;  (** size - 1; size is a power of two *)
   mutable epoch : int;
   mutable hits : int;
   mutable misses : int;
   mutable records : int;
-  mutable epoch_bumps : int;
 }
 
 let default_size = 4096
 
+let initial_entries = 8
+
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
+let table entries = (Array.make (2 * entries) (-1), Bytes.create (8 * entries))
+
 let create ?(size = default_size) () =
-  let size = pow2_at_least (max 1 size) 1 in
+  let occ, keys = table initial_entries in
   {
-    keys = Bytes.make (8 * size) '\000';
-    epochs = Array.make size (-1);
-    mask = size - 1;
+    occ;
+    keys;
+    mask = initial_entries - 1;
+    used = 0;
+    slot_mask = pow2_at_least (max 1 size) 1 - 1;
     epoch = 0;
     hits = 0;
     misses = 0;
     records = 0;
-    epoch_bumps = 0;
   }
 
-let size t = t.mask + 1
+let size t = t.slot_mask + 1
 
 (* SplitMix64 finalizer: a bijective avalanche over 64-bit words.
    Inlined, so the key fold keeps its accumulator unboxed. *)
@@ -74,20 +87,14 @@ let name_hash (s : string) =
    distinct from any mix of a real token with overwhelming margin. *)
 let no_token = 0x5BD1E9955BD1E995L
 
-(** Name hashes by code-image function index, each computed the first
-    time a frame of that function is keyed: a monitor keys the few
-    functions its traps' stacks hold, out of programs with hundreds. *)
-type names = { hashes : int64 array; known : Bytes.t }
+(** Name hashes by code-image function index: function [f]'s at byte
+    [8 f]. *)
+type names = Bytes.t
 
-let names n = { hashes = Array.make n 0L; known = Bytes.make n '\000' }
-
-(* The name hash of the function with index [fidx], named [func]. *)
-let function_hash names fidx func =
-  if Bytes.unsafe_get names.known fidx = '\000' then begin
-    names.hashes.(fidx) <- name_hash func;
-    Bytes.unsafe_set names.known fidx '\001'
-  end;
-  names.hashes.(fidx)
+let names (funcs : string array) =
+  let b = Bytes.create (8 * Array.length funcs) in
+  Array.iteri (fun f name -> Bytes.set_int64_ne b (8 * f) (name_hash name)) funcs;
+  b
 
 (** The cache key of one trap, folded straight over the snapshot's
     frames: per frame, the function's name hash (from [names] by code
@@ -105,7 +112,7 @@ let key_of_frames ~(sysno : int) ~(rip : int64) ~(names : names)
     | fv :: tl ->
       rest := tl;
       let name =
-        if fv.fv_fidx >= 0 then function_hash names fv.fv_fidx fv.fv_func
+        if fv.fv_fidx >= 0 then Bytes.get_int64_ne names (8 * fv.fv_fidx)
         else name_hash fv.fv_func
       in
       let with_name = mix (Int64.logxor !h name) in
@@ -114,26 +121,58 @@ let key_of_frames ~(sysno : int) ~(rip : int64) ~(names : names)
   done;
   !h
 
-let index t k = Int64.to_int (Int64.logand k 0x7FFFFFFFL) land t.mask
+let slot_of t k = Int64.to_int (Int64.logand k 0x7FFFFFFFL) land t.slot_mask
+
+(* The entry holding slot [s], or the empty entry that ends its probe
+   sequence. *)
+let entry occ mask s =
+  let e = ref (s land mask) in
+  while occ.(2 * !e) <> s && occ.(2 * !e) >= 0 do
+    e := (!e + 1) land mask
+  done;
+  !e
 
 (** Probe for a key recorded under the current epoch. *)
 let probe t k =
-  let i = index t k in
-  let hit = t.epochs.(i) = t.epoch && Int64.equal (Bytes.get_int64_ne t.keys (8 * i)) k in
+  let s = slot_of t k in
+  let e = entry t.occ t.mask s in
+  let hit =
+    t.occ.(2 * e) = s
+    && t.occ.((2 * e) + 1) = t.epoch
+    && Int64.equal (Bytes.get_int64_ne t.keys (8 * e)) k
+  in
   if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
   hit
 
+let grow t =
+  let old_occ = t.occ and old_keys = t.keys and entries = 2 * (t.mask + 1) in
+  let occ, keys = table entries in
+  for e = 0 to t.mask do
+    let s = old_occ.(2 * e) in
+    if s >= 0 then begin
+      let e' = entry occ (entries - 1) s in
+      occ.(2 * e') <- s;
+      occ.((2 * e') + 1) <- old_occ.((2 * e) + 1);
+      Bytes.blit old_keys (8 * e) keys (8 * e') 8
+    end
+  done;
+  t.occ <- occ;
+  t.keys <- keys;
+  t.mask <- entries - 1
+
 (** Record a key that just passed CT and CF under the current epoch. *)
 let record t k =
-  let i = index t k in
-  Bytes.set_int64_ne t.keys (8 * i) k;
-  t.epochs.(i) <- t.epoch;
-  t.records <- t.records + 1
+  let s = slot_of t k in
+  let e = entry t.occ t.mask s in
+  if t.occ.(2 * e) < 0 then t.used <- t.used + 1;
+  t.occ.(2 * e) <- s;
+  t.occ.((2 * e) + 1) <- t.epoch;
+  Bytes.set_int64_ne t.keys (8 * e) k;
+  t.records <- t.records + 1;
+  if 2 * t.used > t.mask then grow t
 
 (** Invalidate every cached verdict (metadata / filter rebuild). *)
-let bump_epoch t =
-  t.epoch <- t.epoch + 1;
-  t.epoch_bumps <- t.epoch_bumps + 1
+let bump_epoch t = t.epoch <- t.epoch + 1
 
 let hits t = t.hits
 let misses t = t.misses

@@ -1,7 +1,7 @@
 (* The syscall-flow pre-filter as a defense layer: the per-app
    syscall-transition digraph and origin table that the static flowgraph
    pass (lib/analysis/flowgraph.ml) extracts from the SIL model, and its
-   deployment into the in-kernel automaton evaluated by
+   deployment into the graph of the in-kernel automaton evaluated by
    [Kernel.Seccomp.flow_eval].
 
    The spec is program-level (SIL locations); deployment resolves every
@@ -10,7 +10,7 @@
    pinned to a statically-known constant) supplied by the monitor's
    metadata.  Keeping the spec location-based makes it a pure function
    of the protected bundle — the same extraction replayed against the
-   same program yields the same automaton. *)
+   same program yields the same graph. *)
 
 (** What the static value analysis knows about one argument position of
     a sensitive callsite:
@@ -64,67 +64,56 @@ let pp_stats fmt (st : stats) =
     st.st_nodes st.st_indirect_nodes st.st_edges st.st_starts
 
 (** Resolve the spec against a concrete layout and deploy it as the
-    in-kernel automaton.  [info ~addr ~sysno] classifies the AI-checked
-    argument positions of the callsite at [addr] from the monitor's
-    loaded metadata: [`Pin c] is a compiler-pinned constant (checked
-    against the register), [`Scalar] a dynamic register-visible value
-    (judged by the extraction's {!arg_fact}), [`Pointer] a checked
-    pointer the seccomp stage can never verify; [None] means the
-    callsite carries no metadata for that syscall.  A node is
-    tiered-resolvable when every AI position ends up checked or
+    in-kernel automaton's graph, which every session of the deployment
+    walks with its own state.  [info ~addr ~sysno] classifies the
+    AI-checked argument positions of the callsite at [addr] from the
+    deployment's metadata: [`Pin c] is a compiler-pinned constant
+    (checked against the register), [`Scalar] a dynamic
+    register-visible value (judged by the extraction's {!arg_fact}),
+    [`Pointer] a checked pointer the seccomp stage can never verify;
+    [None] means the callsite carries no metadata for that syscall.  A
+    node is tiered-resolvable when every AI position ends up checked or
     kernel-derived. *)
 let deploy (s : spec) ~(layout : Machine.Layout.t)
-    ~(mode : Kernel.Seccomp.flow_mode)
     ~(info :
        addr:int64 ->
        sysno:int option ->
        (int * [ `Pin of int64 | `Scalar | `Pointer ]) list option) :
-    Kernel.Seccomp.flow_automaton =
-  let fa = Kernel.Seccomp.flow_create ~mode in
+    Kernel.Seccomp.flow_graph =
   let addr_of loc = Machine.Layout.addr_of_loc layout loc in
-  List.iter
-    (fun (n : node_spec) ->
-      let fn_rip = addr_of n.ns_loc in
-      let fn_checks, fn_resolvable =
-        match info ~addr:fn_rip ~sysno:n.ns_sysno with
-        | None -> ([], false)
-        | Some positions ->
-          let resolvable = ref true in
-          let checks =
-            List.filter_map
-              (fun (pos, cls) ->
-                match cls with
-                | `Pin c -> Some (pos, [ c ])
-                | `Pointer ->
+  let node (n : node_spec) : Kernel.Seccomp.flow_node =
+    let fn_rip = addr_of n.ns_loc in
+    let fn_checks, fn_resolvable =
+      match info ~addr:fn_rip ~sysno:n.ns_sysno with
+      | None -> ([], false)
+      | Some positions ->
+        let resolvable = ref true in
+        let checks =
+          List.filter_map
+            (fun (pos, cls) ->
+              match cls with
+              | `Pin c -> Some (pos, [ c ])
+              | `Pointer ->
+                resolvable := false;
+                None
+              | `Scalar -> (
+                match List.assoc_opt pos n.ns_facts with
+                | Some (Fact_set vs) -> Some (pos, vs)
+                | Some Fact_free -> None
+                | Some Fact_opaque | None ->
                   resolvable := false;
-                  None
-                | `Scalar -> (
-                  match List.assoc_opt pos n.ns_facts with
-                  | Some (Fact_set vs) -> Some (pos, vs)
-                  | Some Fact_free -> None
-                  | Some Fact_opaque | None ->
-                    resolvable := false;
-                    None))
-              positions
-          in
-          (checks, !resolvable)
-      in
-      Kernel.Seccomp.flow_add_node fa
-        {
-          Kernel.Seccomp.fn_rip;
-          fn_sysno = n.ns_sysno;
-          fn_checks;
-          fn_resolvable;
-          fn_succs = Hashtbl.create (max 1 (Sil.Loc.Set.cardinal n.ns_succs));
-        })
-    s.sp_nodes;
-  List.iter
-    (fun (n : node_spec) ->
-      let src = addr_of n.ns_loc in
-      Sil.Loc.Set.iter
-        (fun succ -> Kernel.Seccomp.flow_add_edge fa ~src ~dst:(addr_of succ))
-        n.ns_succs)
-    s.sp_nodes;
-  Sil.Loc.Set.iter (fun loc -> Kernel.Seccomp.flow_add_start fa (addr_of loc)) s.sp_starts;
-  List.iter (Kernel.Seccomp.flow_add_indirect_sysno fa) s.sp_indirect_sysnos;
-  fa
+                  None))
+            positions
+        in
+        (checks, !resolvable)
+    in
+    { fn_rip; fn_sysno = n.ns_sysno; fn_checks; fn_resolvable }
+  in
+  let edges (n : node_spec) =
+    let src = addr_of n.ns_loc in
+    List.map (fun succ -> (src, addr_of succ)) (Sil.Loc.Set.elements n.ns_succs)
+  in
+  Kernel.Seccomp.flow_graph ~nodes:(List.map node s.sp_nodes)
+    ~edges:(List.concat_map edges s.sp_nodes)
+    ~starts:(List.map addr_of (Sil.Loc.Set.elements s.sp_starts))
+    ~indirect_sysnos:s.sp_indirect_sysnos

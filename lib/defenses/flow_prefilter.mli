@@ -1,13 +1,13 @@
 (** The syscall-flow pre-filter defense layer: the per-app
     syscall-transition digraph and origin (call-site class) table that
     the static flowgraph pass extracts from the SIL model, plus its
-    deployment into the in-kernel automaton
-    ([Kernel.Seccomp.flow_automaton]) evaluated before any trap.
+    deployment into the graph of the in-kernel automaton
+    ([Kernel.Seccomp.flow_graph]) evaluated before any trap.
 
     The spec is location-based — a pure function of the protected
     bundle; deployment resolves locations to code addresses through the
-    machine layout and attaches deploy-time argument knowledge from the
-    monitor's metadata. *)
+    code image and attaches deploy-time argument knowledge from the
+    deployment's metadata. *)
 
 (** Static value knowledge about one argument position of a sensitive
     callsite: a finite benign value set (register-checkable), a dynamic
@@ -43,9 +43,11 @@ type stats = {
 val stats : spec -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-(** [deploy s ~layout ~mode ~info] builds the in-kernel automaton.
+(** [deploy s ~layout ~info] builds the in-kernel automaton's graph,
+    which every session of a deployment shares
+    ({!Kernel.Seccomp.flow_create} starts a walk over it).
     [info ~addr ~sysno] classifies the AI-checked argument positions of
-    the callsite at [addr] from the monitor's metadata ([`Pin c] a
+    the callsite at [addr] from the deployment's metadata ([`Pin c] a
     compiler-pinned constant, [`Scalar] a dynamic register-visible
     value, [`Pointer] a checked pointer seccomp can never verify);
     [None] means no metadata binds that syscall there.  Register checks
@@ -54,9 +56,8 @@ val pp_stats : Format.formatter -> stats -> unit
 val deploy :
   spec ->
   layout:Machine.Layout.t ->
-  mode:Kernel.Seccomp.flow_mode ->
   info:
     (addr:int64 ->
      sysno:int option ->
      (int * [ `Pin of int64 | `Scalar | `Pointer ]) list option) ->
-  Kernel.Seccomp.flow_automaton
+  Kernel.Seccomp.flow_graph

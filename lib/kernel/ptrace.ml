@@ -69,13 +69,6 @@ let getregs (t : t) : regs =
   Machine.charge t.machine (cost t).ptrace_getregs;
   { rip = t.machine.trap_rip; sysno = t.cur_sysno; args = t.machine.abi_regs }
 
-(** One remote read: a full process_vm_readv call for a single word. *)
-let read_word (t : t) addr =
-  t.calls_made <- t.calls_made + 1;
-  t.words_read <- t.words_read + 1;
-  Machine.charge t.machine ((cost t).ptrace_call + (cost t).ptrace_read_word);
-  Machine.peek t.machine addr
-
 (** Charge and count one batched remote read of [n] words: one call,
     [n] words of transfer. *)
 let charge_read (t : t) n =

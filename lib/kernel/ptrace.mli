@@ -58,9 +58,6 @@ val create : Machine.t -> t
     argument registers. *)
 val getregs : t -> regs
 
-(** One remote read: a full process_vm_readv call for a single word. *)
-val read_word : t -> int64 -> int64
-
 (** Charge and count one batched remote read of [n] words (one call).
     The monitor charges each region it verifies this way, then reads
     the words with {!peek_at} as it compares them: the tracee is

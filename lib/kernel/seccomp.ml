@@ -49,8 +49,41 @@ type flow_node = {
   fn_sysno : int option;
   fn_checks : (int * int64 list) list;
   fn_resolvable : bool;
-  fn_succs : (int64, unit) Hashtbl.t;
 }
+
+(* The graph is what a deployment's sessions share: filled by
+   [flow_graph] and never written afterwards, so sessions on several
+   domains may read it at once. *)
+type flow_graph = {
+  fg_nodes : (int64, flow_node * (int64, unit) Hashtbl.t) Hashtbl.t;
+      (** each node with its successors *)
+  fg_starts : (int64, unit) Hashtbl.t;
+  fg_indirect_sysnos : (int, unit) Hashtbl.t;
+      (** sensitive numbers invocable through an indirect callsite *)
+}
+
+let set_of keys =
+  let tbl = Hashtbl.create (max 1 (List.length keys)) in
+  List.iter (fun k -> Hashtbl.replace tbl k ()) keys;
+  tbl
+
+let flow_graph ~nodes ~edges ~starts ~indirect_sysnos =
+  let fg_nodes = Hashtbl.create 64 in
+  List.iter
+    (fun (n : flow_node) -> Hashtbl.replace fg_nodes n.fn_rip (n, Hashtbl.create 4))
+    nodes;
+  List.iter
+    (fun (src, dst) ->
+      match Hashtbl.find_opt fg_nodes src with
+      | Some (_, succs) -> Hashtbl.replace succs dst ()
+      | None -> invalid_arg "Seccomp.flow_graph: edge from an unknown node")
+    edges;
+  { fg_nodes; fg_starts = set_of starts; fg_indirect_sysnos = set_of indirect_sysnos }
+
+let flow_node_count g = Hashtbl.length g.fg_nodes
+
+let flow_edge_count g =
+  Hashtbl.fold (fun _ (_, succs) acc -> acc + Hashtbl.length succs) g.fg_nodes 0
 
 (** Automaton position: before the first sensitive event, at a known
     node, or desynchronised ([Fs_any]: a full-path verdict allowed an
@@ -58,12 +91,11 @@ type flow_node = {
     it re-synchronises at the next known node). *)
 type flow_state = Fs_start | Fs_at of int64 | Fs_any
 
+(* A session's walk over a deployment's graph: everything here is the
+   session's own. *)
 type flow_automaton = {
+  fa_graph : flow_graph;
   fa_mode : flow_mode;
-  fa_nodes : (int64, flow_node) Hashtbl.t;
-  fa_starts : (int64, unit) Hashtbl.t;
-  fa_indirect_sysnos : (int, unit) Hashtbl.t;
-      (** sensitive numbers invocable through an indirect callsite *)
   mutable fa_state : flow_state;
   mutable fa_resolved : int;       (** calls resolved without a trap *)
   mutable fa_fallthroughs : int;   (** sensitive traps passed to the full path *)
@@ -72,12 +104,10 @@ type flow_automaton = {
       (** observation hook (flight recorder); never charges cycles *)
 }
 
-let flow_create ~mode =
+let flow_create ~mode graph =
   {
+    fa_graph = graph;
     fa_mode = mode;
-    fa_nodes = Hashtbl.create 64;
-    fa_starts = Hashtbl.create 16;
-    fa_indirect_sysnos = Hashtbl.create 4;
     fa_state = Fs_start;
     fa_resolved = 0;
     fa_fallthroughs = 0;
@@ -85,30 +115,14 @@ let flow_create ~mode =
     fa_on_resolve = None;
   }
 
-let flow_add_node fa (node : flow_node) = Hashtbl.replace fa.fa_nodes node.fn_rip node
-
-let flow_add_start fa rip = Hashtbl.replace fa.fa_starts rip ()
-
-let flow_add_edge fa ~src ~dst =
-  match Hashtbl.find_opt fa.fa_nodes src with
-  | Some n -> Hashtbl.replace n.fn_succs dst ()
-  | None -> invalid_arg "Seccomp.flow_add_edge: unknown source node"
-
-let flow_add_indirect_sysno fa nr = Hashtbl.replace fa.fa_indirect_sysnos nr ()
-
-let flow_node_count fa = Hashtbl.length fa.fa_nodes
-
-let flow_edge_count fa =
-  Hashtbl.fold (fun _ n acc -> acc + Hashtbl.length n.fn_succs) fa.fa_nodes 0
-
-(** Is the transition current-state -> [rip] an edge of the automaton? *)
+(** Is the transition current-state -> [rip] an edge of the graph? *)
 let flow_edge_ok fa rip =
   match fa.fa_state with
   | Fs_any -> true
-  | Fs_start -> Hashtbl.mem fa.fa_starts rip
+  | Fs_start -> Hashtbl.mem fa.fa_graph.fg_starts rip
   | Fs_at prev -> (
-    match Hashtbl.find_opt fa.fa_nodes prev with
-    | Some n -> Hashtbl.mem n.fn_succs rip
+    match Hashtbl.find_opt fa.fa_graph.fg_nodes prev with
+    | Some (_, succs) -> Hashtbl.mem succs rip
     | None -> false)
 
 let flow_checks_ok (node : flow_node) (args : int64 array) =
@@ -141,13 +155,13 @@ let flow_eval fa ~sysno ~rip ~(args : int64 array) : flow_decision =
     (match fa.fa_on_resolve with Some f -> f ~sysno ~rip | None -> ());
     Flow_resolve
   in
-  match Hashtbl.find_opt fa.fa_nodes rip with
+  match Hashtbl.find_opt fa.fa_graph.fg_nodes rip with
   | None -> miss ()
-  | Some node ->
+  | Some (node, _) ->
     let sysno_ok =
       match node.fn_sysno with
       | Some nr -> nr = sysno
-      | None -> Hashtbl.mem fa.fa_indirect_sysnos sysno
+      | None -> Hashtbl.mem fa.fa_graph.fg_indirect_sysnos sysno
     in
     if not (sysno_ok && flow_edge_ok fa rip) then miss ()
     else begin
@@ -168,7 +182,7 @@ let flow_eval fa ~sysno ~rip ~(args : int64 array) : flow_decision =
     re-synchronise.  A known node pins the position exactly; an unknown
     callsite desynchronises to [Fs_any]. *)
 let flow_note_allowed fa ~rip =
-  if Hashtbl.mem fa.fa_nodes rip then fa.fa_state <- Fs_at rip
+  if Hashtbl.mem fa.fa_graph.fg_nodes rip then fa.fa_state <- Fs_at rip
   else fa.fa_state <- Fs_any
 
 let flow_stats fa = (fa.fa_resolved, fa.fa_fallthroughs, fa.fa_kills)

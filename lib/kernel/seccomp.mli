@@ -38,16 +38,31 @@ type flow_node = {
       (** every AI-checked argument position is constrained by a check
           or provably kernel-derived: tiered mode may resolve without
           fetching tracee state *)
-  fn_succs : (int64, unit) Hashtbl.t;
 }
+
+(** A deployed program's automaton graph: its nodes, edges, start
+    nodes and the sensitive numbers an indirect callsite may invoke.
+    Built once per deployment and never written afterwards, so every
+    session of the deployment, on any domain, walks the same one. *)
+type flow_graph
+
+(** [flow_graph ~nodes ~edges ~starts ~indirect_sysnos]; an edge is
+    [(src, dst)].
+    @raise Invalid_argument if an edge's source is not a node. *)
+val flow_graph :
+  nodes:flow_node list -> edges:(int64 * int64) list -> starts:int64 list ->
+  indirect_sysnos:int list -> flow_graph
+
+val flow_node_count : flow_graph -> int
+val flow_edge_count : flow_graph -> int
 
 type flow_state = Fs_start | Fs_at of int64 | Fs_any
 
+(** One session's walk over a graph: its mode, position, counters and
+    observation hook. *)
 type flow_automaton = {
+  fa_graph : flow_graph;
   fa_mode : flow_mode;
-  fa_nodes : (int64, flow_node) Hashtbl.t;
-  fa_starts : (int64, unit) Hashtbl.t;
-  fa_indirect_sysnos : (int, unit) Hashtbl.t;
   mutable fa_state : flow_state;
   mutable fa_resolved : int;
   mutable fa_fallthroughs : int;
@@ -55,16 +70,9 @@ type flow_automaton = {
   mutable fa_on_resolve : (sysno:int -> rip:int64 -> unit) option;
 }
 
-val flow_create : mode:flow_mode -> flow_automaton
-val flow_add_node : flow_automaton -> flow_node -> unit
-val flow_add_start : flow_automaton -> int64 -> unit
-
-(** @raise Invalid_argument if the source node is unknown. *)
-val flow_add_edge : flow_automaton -> src:int64 -> dst:int64 -> unit
-
-val flow_add_indirect_sysno : flow_automaton -> int -> unit
-val flow_node_count : flow_automaton -> int
-val flow_edge_count : flow_automaton -> int
+(** A fresh walk over [graph]: at [Fs_start], every count zero, no
+    hook. *)
+val flow_create : mode:flow_mode -> flow_graph -> flow_automaton
 
 type flow_decision = Flow_resolve | Flow_fallthrough | Flow_kill
 

@@ -14,7 +14,8 @@
    bits of the product, which mix every address bit below them:
    addresses are word-aligned and the regions start at multiples of
    1 MB, so the low bits alone would pile the regions' first words into
-   one run.  The table doubles before it is half full, so every probe
+   one run.  The table starts at 64 slots (1 KB, small enough for the
+   minor heap) and doubles before it is half full, so every probe
    sequence ends at an empty slot. *)
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -32,7 +33,10 @@ let set cells i a v =
   set64 cells (i lsl 4) a;
   set_value cells i v
 
-let create () = { cells = Bytes.make (16 * 1024) '\000'; mask = 1023; count = 0 }
+let initial_slots = 64
+
+let create () =
+  { cells = Bytes.make (16 * initial_slots) '\000'; mask = initial_slots - 1; count = 0 }
 
 let home mask a = (Int64.to_int (Int64.mul a 0x9E37_79B9_7F4A_7C15L) lsr 31) land mask
 

@@ -328,7 +328,9 @@ let reexecute ~bundle (tr : Trace.t) c (matches : rule)
   let { Trace.h_trap_cache = trap_cache; h_pre_resolve = pre_resolve;
         h_prefilter = prefilter; _ } = tr.t_header in
   let last = ref None in
-  let recorder = Obs.Recorder.create () in
+  (* The recorder only hands each event to [last]: it does not trace,
+     so its ring never holds an entry and needs no room. *)
+  let recorder = Obs.Recorder.create ~ring_capacity:1 () in
   Obs.Recorder.set_on_event recorder (Some (fun ev -> last := Some ev));
   let arm monitor process =
     let judge = handover monitor (fingerprint_of monitor) in

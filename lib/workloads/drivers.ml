@@ -135,15 +135,16 @@ let protected_of ?(pre_resolve = false) (app : app) ~fs =
       p
   end
 
-(* Each cached bundle's deployment: its code image and post-layout
-   metadata, built once.  Every monitored [prepare] without a [bundle]
-   override starts its session from it. *)
+(* Each cached bundle's deployment: its code image, post-layout
+   metadata and check image, built once.  Every monitored [prepare]
+   without a [bundle] override starts its session from it. *)
 let deployment_cache : (string, Bastion.Api.deployment) Hashtbl.t = Hashtbl.create 8
 
+let deployment_key ~pre_resolve (app : app) ~fs =
+  app.app_key ^ (if fs then "+fs" else "") ^ if pre_resolve then "+pre" else ""
+
 let deployment_of ?(pre_resolve = false) (app : app) ~fs =
-  let key =
-    app.app_key ^ (if fs then "+fs" else "") ^ if pre_resolve then "+pre" else ""
-  in
+  let key = deployment_key ~pre_resolve app ~fs in
   match Hashtbl.find_opt deployment_cache key with
   | Some d -> d
   | None ->
@@ -165,6 +166,23 @@ let flow_spec_of (app : app) ~fs =
     let s = Bastion_analysis.Flowgraph.extract (protected_of app ~fs) in
     Hashtbl.replace flow_spec_cache key s;
     s
+
+(* The spec deployed on each cached deployment, under the
+   deployment's key: the graph's pinned constants come from the
+   deployment's metadata, which pre-resolution changes. *)
+let flow_graph_cache : (string, Kernel.Seccomp.flow_graph) Hashtbl.t = Hashtbl.create 8
+
+let flow_graph_of ?(pre_resolve = false) (app : app) ~fs =
+  let key = deployment_key ~pre_resolve app ~fs in
+  match Hashtbl.find_opt flow_graph_cache key with
+  | Some g -> g
+  | None ->
+    let g =
+      Bastion_analysis.Flowgraph.deploy (flow_spec_of app ~fs)
+        (deployment_of ~pre_resolve app ~fs)
+    in
+    Hashtbl.replace flow_graph_cache key g;
+    g
 
 (* A session staged up to the brink of execution: everything [run] does
    before [Machine.run].  Splitting here lets the replay engine reach
@@ -188,16 +206,16 @@ let prepare ?(cost = Machine.Cost.default) ?(trap_cache = true) ?(pre_resolve = 
      bundle through the exact driver path a recording used.  Overridden
      bundles bypass the protect-time lint gate on purpose — judging
      what a metadata edit changes requires deploying it. *)
-  let bundle_for ~fs =
-    match bundle with Some b -> b | None -> protected_of ~pre_resolve app ~fs
-  in
   let launch ~fs monitor_config =
-    let machine_config = machine_config true in
-    match bundle with
-    | Some b -> Bastion.Api.launch ~machine_config ~monitor_config ?recorder b ()
-    | None ->
-      Bastion.Api.start ~machine_config ~monitor_config ?recorder
-        (deployment_of ~pre_resolve app ~fs) ()
+    let d =
+      match bundle with
+      | Some b -> Bastion.Api.deploy b
+      | None -> deployment_of ~pre_resolve app ~fs
+    in
+    let session =
+      Bastion.Api.start ~machine_config:(machine_config true) ~monitor_config ?recorder d ()
+    in
+    (session.machine, session.process, Some (session.monitor, d))
   in
   let machine, process, monitor =
     match defense with
@@ -227,39 +245,31 @@ let prepare ?(cost = Machine.Cost.default) ?(trap_cache = true) ?(pre_resolve = 
         | Bastion_ct_cf -> { Bastion.Monitor.ct = true; cf = true; ai = false }
         | _ -> Bastion.Monitor.all_contexts
       in
-      let session =
-        launch ~fs:false
-          { Bastion.Monitor.default_config with contexts; trap_cache; taint_cheap_path }
-      in
-      (session.machine, session.process, Some session.monitor)
+      launch ~fs:false
+        { Bastion.Monitor.default_config with contexts; trap_cache; taint_cheap_path }
     | Bastion_fs mode ->
-      let session =
-        launch ~fs:true
-          { Bastion.Monitor.default_config with fs_mode = mode; trap_cache;
-            taint_cheap_path }
-      in
-      (session.machine, session.process, Some session.monitor)
+      launch ~fs:true
+        { Bastion.Monitor.default_config with fs_mode = mode; trap_cache;
+          taint_cheap_path }
   in
-  (* Deploy the syscall-flow pre-filter, if requested, on top of the
+  (* Start the syscall-flow pre-filter, if requested, on top of the
      attached monitor (non-BASTION defenses have no filter to extend:
      the knob is a no-op there, like on a vanilla run). *)
   (match (prefilter, monitor) with
-  | Some mode, Some mon ->
+  | Some mode, Some (mon, d) ->
     let fs = match defense with Bastion_fs _ -> true | _ -> false in
-    (* With an overridden bundle, the automaton must be extracted from
-       *that* metadata — the cached spec belongs to the in-tree pass. *)
-    let spec =
+    (* With an overridden bundle, the graph must be extracted from
+       *that* metadata — the cached one belongs to the in-tree pass. *)
+    let graph =
       match bundle with
-      | Some b -> Bastion_analysis.Flowgraph.extract b
-      | None -> flow_spec_of app ~fs
+      | Some b -> Bastion_analysis.Flowgraph.(deploy (extract b) d)
+      | None -> flow_graph_of ~pre_resolve app ~fs
     in
-    ignore
-      (Bastion_analysis.Flowgraph.attach ~spec ~mode (bundle_for ~fs)
-         ~monitor:mon ~process)
+    ignore (Bastion_analysis.Flowgraph.attach ~mode graph ~monitor:mon ~process)
   | _ -> ());
   app.setup process;
   { pr_app = app; pr_defense = defense; pr_machine = machine;
-    pr_process = process; pr_monitor = monitor }
+    pr_process = process; pr_monitor = Option.map fst monitor }
 
 let execute (p : prepared) : measurement =
   let { pr_app = app; pr_defense = defense; pr_machine = machine;
@@ -331,12 +341,14 @@ let run_multi ?cost ?trap_cache ?pre_resolve ?prefilter ?queue_capacity ?batch
     invalid_arg
       "Drivers.run_multi: shard_recorders requires the static scheduler"
   | _ -> ());
-  (* Warm the shared compile-pass and deployment caches on this domain
-     before any worker spawns: afterwards the worker domains only ever
-     *read* the caches and the (already forced) lazy programs. *)
+  (* Warm the shared compile-pass, deployment and flow-graph caches on
+     this domain before any worker spawns: afterwards the worker
+     domains only ever *read* the caches and the (already forced) lazy
+     programs. *)
   let warm ~fs =
     ignore (deployment_of ?pre_resolve app ~fs);
-    if prefilter <> None then ignore (flow_spec_of app ~fs)
+    if prefilter <> None then
+      ignore (flow_graph_of ?pre_resolve app ~fs)
   in
   (match defense with
   | Vanilla | Llvm_cfi | Cet_only -> ignore (Lazy.force app.prog)

@@ -144,8 +144,8 @@ val sum_traps : multi -> int
     cycles.  [scheduler] (default [Static]) picks the pool's placement
     policy; [shard_recorders] requires the static scheduler (lane
     stamping relies on the static pin) and the combination is rejected
-    otherwise.  The shared compile-pass and deployment caches are
-    warmed before any worker spawns.
+    otherwise.  The shared compile-pass, deployment and flow-graph
+    caches are warmed before any worker spawns.
     @raise Benign_run_died if any tracee faults (lowest tracee wins). *)
 val run_multi :
   ?cost:Machine.Cost.t -> ?trap_cache:bool -> ?pre_resolve:bool ->

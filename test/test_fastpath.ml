@@ -17,7 +17,7 @@ let chain1 = [ ("main", None); ("helper", Some 0xBEEF_CAFEL) ]
 (* The key of a stack given as an innermost-first [(function, return
    token)] chain, every name hashed on the fly. *)
 let key_of ~sysno ~rip chain =
-  VC.key_of_frames ~sysno ~rip ~names:(VC.names 0)
+  VC.key_of_frames ~sysno ~rip ~names:(VC.names [||])
     (List.map (fun (f, tok) -> Testlib.frame_view f tok) chain)
 
 let test_cache_hit_miss () =
@@ -84,7 +84,7 @@ let prop_token_corruption_misses =
           raw
       in
       let name i = Printf.sprintf "fn%d" i in
-      let names = VC.names 21 in
+      let names = VC.names (Array.init 21 name) in
       let rip = 0x400100L in
       let keys =
         [
@@ -107,9 +107,9 @@ let prop_token_corruption_misses =
 
 (* The frame-folded key equals the reference chain key on random stacks:
    entry frames with no token, tokens with bit 63 set, empty and long
-   function names, each frame's name either hashed through the name
-   table by code-image index (first use or memoised) or (index -1, a
-   name outside the program) hashed on the fly. *)
+   function names, each frame's name either read from the name table
+   by code-image index or (index -1, a name outside the program)
+   hashed on the fly. *)
 let prop_frame_key_matches_reference =
   let open QCheck.Gen in
   let name =
@@ -138,7 +138,7 @@ let prop_frame_key_matches_reference =
     (QCheck.make case)
     (fun (names, frames, sysno, rip) ->
       Int64.equal
-        (VC.key_of_frames ~sysno ~rip ~names:(VC.names (Array.length names)) frames)
+        (VC.key_of_frames ~sysno ~rip ~names:(VC.names names) frames)
         (Testlib.Cache_key_ref.key ~sysno ~rip ~chain:(Testlib.Cache_key_ref.chain_of frames)))
 
 (* --- coalesced snapshot: per-trap ptrace call count ------------------- *)

@@ -339,6 +339,100 @@ let test_image_unchanged_by_runs () =
           (image_digest image))
     victims
 
+(* A session start builds only per-session state, sized by what it
+   holds: on every victim's deployment, a fresh session's verdict cache
+   and memory table stay far below the 4,096-slot cache (8,195 words)
+   and the 1,024-slot table (2,049 words) a start once zero-filled. *)
+let cache_budget_words = 128
+let memory_budget_words = 512
+
+let test_session_footprint () =
+  List.iter
+    (fun (v : Attacks.Victims.t) ->
+      let d = Bastion.Api.deploy (Bastion.Api.protect (v.v_build ())) in
+      let s = Bastion.Api.start d () in
+      let words x = Obj.reachable_words (Obj.repr x) in
+      let cache = words s.monitor.cache and mem = words s.machine.mem in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: verdict cache %d words, budget %d" v.v_name cache
+           cache_budget_words)
+        true (cache <= cache_budget_words);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: memory table %d words, budget %d" v.v_name mem
+           memory_budget_words)
+        true (mem <= memory_budget_words))
+    victims
+
+(* One check image serves every configuration: sessions started from
+   one deployment (filesystem scope, pre-resolved, so slot ranks and
+   cheap recipes exist) under each monitor configuration that reads
+   the image differently hold the deployment's image and run exactly
+   as a launch of the bundle under that configuration: outcome,
+   cycles, traps, ptrace calls and words, shadow probes and denials.
+   The cheap path and the sockaddr fast path each change some run, so
+   the configuration is read where the image is used. *)
+let test_check_image_shared () =
+  let default = Bastion.Monitor.default_config in
+  let configs =
+    [ ("default", default);
+      ("no cheap path", { default with taint_cheap_path = false });
+      ("no sockaddr fast path", { default with sockaddr_fastpath = false });
+      ("fs hook only", { default with fs_mode = Fs_hook_only });
+      ("fs fetch only", { default with fs_mode = Fs_fetch_only });
+      ("fs full", { default with fs_mode = Fs_full }) ]
+  in
+  let moved = Hashtbl.create 4 in
+  List.iter
+    (fun (v : Attacks.Victims.t) ->
+      let p =
+        Bastion_analysis.Preresolve.enrich
+          (Bastion.Api.protect ~protect_filesystem:true (v.v_build ()))
+      in
+      let d = Bastion.Api.deploy p in
+      let observe (s : Bastion.Api.session) =
+        v.v_setup s.process;
+        let outcome =
+          match Machine.run s.machine with
+          | Machine.Exited code -> Int64.to_string code
+          | Machine.Faulted f -> Machine.fault_to_string f
+        in
+        ( (outcome, s.machine.stats.cycles, s.process.trap_count),
+          ( s.process.tracer.calls_made,
+            s.process.tracer.words_read,
+            Bastion.Shadow_memory.probe_count s.runtime.shadow ),
+          List.map
+            (fun (dn : Bastion.Monitor.denial) ->
+              Printf.sprintf "%d %s: %s" dn.d_sysno dn.d_context dn.d_detail)
+            (Bastion.Monitor.denials s.monitor) )
+      in
+      let runs =
+        List.map
+          (fun (name, monitor_config) ->
+            let started = Bastion.Api.start ~monitor_config d () in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, %s: the deployment's check image" v.v_name name)
+              true
+              (started.monitor.image == d.image);
+            let want = observe (Bastion.Api.launch ~monitor_config p ()) in
+            let got = observe started in
+            Alcotest.(
+              check
+                (triple (triple string int int) (triple int int int) (list string)))
+              (Printf.sprintf "%s, %s: started = launched" v.v_name name)
+              want got;
+            (name, got))
+          configs
+      in
+      let base = List.assoc "default" runs in
+      List.iter
+        (fun (name, run) -> if run <> base then Hashtbl.replace moved name ())
+        runs)
+    victims;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " changes some run") true (Hashtbl.mem moved name))
+    [ "no cheap path"; "no sockaddr fast path"; "fs full" ]
+
 let suites =
   match suites with
   | [ (name, cases) ] ->
@@ -355,6 +449,9 @@ let suites =
               test_load_checks_rodata;
             Alcotest.test_case "runs leave the shared image unchanged" `Quick
               test_image_unchanged_by_runs;
+            Alcotest.test_case "session starts stay small" `Quick test_session_footprint;
+            Alcotest.test_case "one check image serves every configuration" `Quick
+              test_check_image_shared;
           ] );
     ]
   | other -> other

@@ -12,30 +12,21 @@ module Runner = Attacks.Runner
 (* --- the automaton engine --------------------------------------------- *)
 
 let mk_node ?(checks = []) ?(resolvable = true) ~rip ~sysno () : S.flow_node =
-  {
-    S.fn_rip = rip;
-    fn_sysno = sysno;
-    fn_checks = checks;
-    fn_resolvable = resolvable;
-    fn_succs = Hashtbl.create 4;
-  }
+  { S.fn_rip = rip; fn_sysno = sysno; fn_checks = checks; fn_resolvable = resolvable }
 
 (* A: start, unconstrained.  B: follows A, arg0 must be 1 or 2.
    C: follows B, unresolvable (a checked pointer).  D: follows C,
    indirect callsite (any indirectly-callable number, here 59). *)
 let mk_automaton mode =
-  let fa = S.flow_create ~mode in
-  S.flow_add_node fa (mk_node ~rip:0x100L ~sysno:(Some 9) ());
-  S.flow_add_node fa
-    (mk_node ~rip:0x200L ~sysno:(Some 10) ~checks:[ (0, [ 1L; 2L ]) ] ());
-  S.flow_add_node fa (mk_node ~rip:0x300L ~sysno:(Some 11) ~resolvable:false ());
-  S.flow_add_node fa (mk_node ~rip:0x400L ~sysno:None ());
-  S.flow_add_start fa 0x100L;
-  S.flow_add_edge fa ~src:0x100L ~dst:0x200L;
-  S.flow_add_edge fa ~src:0x200L ~dst:0x300L;
-  S.flow_add_edge fa ~src:0x300L ~dst:0x400L;
-  S.flow_add_indirect_sysno fa 59;
-  fa
+  S.flow_create ~mode
+    (S.flow_graph
+       ~nodes:
+         [ mk_node ~rip:0x100L ~sysno:(Some 9) ();
+           mk_node ~rip:0x200L ~sysno:(Some 10) ~checks:[ (0, [ 1L; 2L ]) ] ();
+           mk_node ~rip:0x300L ~sysno:(Some 11) ~resolvable:false ();
+           mk_node ~rip:0x400L ~sysno:None () ]
+       ~edges:[ (0x100L, 0x200L); (0x200L, 0x300L); (0x300L, 0x400L) ]
+       ~starts:[ 0x100L ] ~indirect_sysnos:[ 59 ])
 
 let decision =
   Alcotest.testable
@@ -49,8 +40,8 @@ let decision =
 
 let test_engine_basics () =
   let fa = mk_automaton S.Flow_tiered in
-  Alcotest.(check int) "node count" 4 (S.flow_node_count fa);
-  Alcotest.(check int) "edge count" 3 (S.flow_edge_count fa);
+  Alcotest.(check int) "node count" 4 (S.flow_node_count fa.fa_graph);
+  Alcotest.(check int) "edge count" 3 (S.flow_edge_count fa.fa_graph);
   (* Start node resolves; its successor with an in-set argument too. *)
   Alcotest.check decision "start resolves" S.Flow_resolve
     (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:[||]);
@@ -255,6 +246,79 @@ let prop_attack_tier_equivalence =
       && (not (Runner.blocked r.r_full))
          || Runner.catching_tier r <> Runner.Tier_uncaught)
 
+(* --- one graph per deployment -------------------------------------------- *)
+
+(* The first catalog attack on each victim. *)
+let attack_per_victim () =
+  List.fold_left
+    (fun acc (a : Attacks.Attack.t) ->
+      let same (b : Attacks.Attack.t) = b.a_victim.v_name = a.a_victim.v_name in
+      if List.exists same acc then acc
+      else a :: acc)
+    [] Attacks.Catalog.all
+  |> List.rev
+
+(* Run [attack] under full BASTION behind the pre-filter in [mode]
+   (from the compile cache, or from [bundle] deployed fresh): the
+   outcome, the session's automaton with its state and counts as the
+   session starts, and the run's cycles and traps. *)
+let prefilter_run ?bundle mode attack =
+  let seen = ref None in
+  let on_session (s : Bastion.Api.session) =
+    let fa = Option.get (Bastion.Monitor.prefilter s.monitor) in
+    seen := Some (s, fa, (fa.fa_state, S.flow_stats fa))
+  in
+  let outcome = Runner.run ?bundle ~prefilter:mode ~on_session attack Runner.Full_bastion in
+  let s, fa, at_start = Option.get !seen in
+  (outcome, fa, at_start, (s.machine.stats.cycles, s.process.trap_count))
+
+(* Two pre-filter sessions of one victim walk the one graph its
+   deployment holds, each from a state of its own: after the first has
+   run (and most first runs step the automaton), the second still
+   starts at [Fs_start] with zero counts. *)
+let test_sessions_share_graph () =
+  let moved = ref 0 and victims = attack_per_victim () in
+  List.iter
+    (fun (a : Attacks.Attack.t) ->
+      let _, first, _, _ = prefilter_run S.Flow_tiered a in
+      let _, second, at_start, _ = prefilter_run S.Flow_tiered a in
+      Alcotest.(check bool) (a.a_id ^ ": one graph") true
+        (first.fa_graph == second.fa_graph);
+      if S.flow_stats first <> (0, 0, 0) then incr moved;
+      Alcotest.(check bool) (a.a_id ^ ": the second starts afresh") true
+        (at_start = (S.Fs_start, (0, 0, 0))))
+    victims;
+  Alcotest.(check bool) "most first sessions stepped the automaton" true
+    (2 * !moved > List.length victims)
+
+(* One graph walked in standalone and in tiered mode gives the rows
+   that a graph deployed for each run gives: outcome, the automaton's
+   counts, cycles and traps. *)
+let test_one_graph_both_modes () =
+  List.iter
+    (fun (a : Attacks.Attack.t) ->
+      let bundle = Runner.compiled_bundle a ~pre_resolve:false in
+      let graphs =
+        List.map
+          (fun mode ->
+            let row (outcome, (fa : S.flow_automaton), _, totals) =
+              ((Runner.outcome_name outcome, totals), S.flow_stats fa)
+            in
+            let shared = prefilter_run mode a and fresh = prefilter_run ~bundle mode a in
+            Alcotest.(check (pair (pair string (pair int int)) (triple int int int)))
+              (Printf.sprintf "%s %s: shared graph = graph of its own" a.a_id
+                 (S.flow_mode_name mode))
+              (row fresh) (row shared);
+            let _, fa, _, _ = shared in
+            fa.fa_graph)
+          [ S.Flow_standalone; S.Flow_tiered ]
+      in
+      match graphs with
+      | [ g1; g2 ] ->
+        Alcotest.(check bool) (a.a_id ^ ": both modes walk one graph") true (g1 == g2)
+      | _ -> assert false)
+    Attacks.Catalog.all
+
 let suites =
   [
     ( "prefilter",
@@ -269,5 +333,11 @@ let suites =
           test_extraction_invariants;
       ]
       @ List.map QCheck_alcotest.to_alcotest
-          [ prop_benign_tier_equivalence; prop_attack_tier_equivalence ] );
+          [ prop_benign_tier_equivalence; prop_attack_tier_equivalence ]
+      @ [
+          Alcotest.test_case "sessions of a victim share one graph" `Quick
+            test_sessions_share_graph;
+          Alcotest.test_case "one graph in both modes = a graph per run" `Quick
+            test_one_graph_both_modes;
+        ] );
   ]

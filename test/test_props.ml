@@ -562,19 +562,31 @@ let prop_fleet_registry =
       clocks_a = clocks_b)
 
 (* Random operation streams against the three-array reference cache:
-   keys drawn from a small pool so slots are reused, built to collide
-   on the slot index, or equal in their low 31 bits (the index bits)
-   and different above them; epoch bumps interleaved; cache sizes that
-   are not powers of two round up alike. *)
+   keys drawn from a pool of up to 64 so slots are reused, built to
+   collide on the slot index, or equal in their low 31 bits (the index
+   bits) and different above them; epoch bumps interleaved; cache sizes
+   that are not powers of two round up alike, and the deployed size.
+   Some keys take a slot index that is a multiple of 64, so distinct
+   slots also share their first entry in the occupancy table, which
+   grows and rehashes as the recorded slots pile up. *)
 type cache_op = Probe of int64 | Record of int64 | Bump
 
 let gen_cache_case =
   let open QCheck.Gen in
-  let* size = int_range 1 40 in
-  let* pool_size = int_range 1 12 in
+  let* size =
+    frequency [ (3, int_range 1 40); (1, return Bastion.Verdict_cache.default_size) ]
+  in
+  let* pool_size = int_range 1 64 in
   let* pool =
     list_repeat pool_size
-      (let* low = int_range 0 (4 * size) in
+      (let* low =
+         frequency
+           [ (2, int_range 0 (4 * size));
+             ( 1,
+               map2
+                 (fun s m -> (64 * s mod size) + (m * size))
+                 (int_range 0 63) (int_range 0 3) ) ]
+       in
        let* high = oneof [ return 0L; map Int64.of_int (int_range 1 3); ui64 ] in
        (* [high] rides above the 31 index bits: keys equal in their
           low 31 bits, different in the rest. *)
@@ -582,7 +594,7 @@ let gen_cache_case =
   in
   let key = oneofl pool in
   let* ops =
-    list_size (int_range 0 200)
+    list_size (int_range 0 400)
       (frequency
          [ (5, map (fun k -> Probe k) key); (4, map (fun k -> Record k) key);
            (1, return Bump) ])
@@ -727,15 +739,14 @@ let dispatch_fixture c =
        start and from itself, that resolves mprotect(_, 0 or 4096). *)
     Option.iter
       (fun mode ->
-        let fa = Kernel.Seccomp.flow_create ~mode in
-        let succs = Hashtbl.create 1 in
-        Hashtbl.replace succs 0L ();
-        Kernel.Seccomp.flow_add_node fa
-          { fn_rip = 0L; fn_sysno = None; fn_checks = [ (1, [ 0L; 4096L ]) ];
-            fn_resolvable = true; fn_succs = succs };
-        Kernel.Seccomp.flow_add_start fa 0L;
-        List.iter (Kernel.Seccomp.flow_add_indirect_sysno fa) [ 10; 9 ];
-        Kernel.Seccomp.set_flow f (Some fa))
+        let graph =
+          Kernel.Seccomp.flow_graph
+            ~nodes:
+              [ { fn_rip = 0L; fn_sysno = None; fn_checks = [ (1, [ 0L; 4096L ]) ];
+                  fn_resolvable = true } ]
+            ~edges:[ (0L, 0L) ] ~starts:[ 0L ] ~indirect_sysnos:[ 10; 9 ]
+        in
+        Kernel.Seccomp.set_flow f (Some (Kernel.Seccomp.flow_create ~mode graph)))
       c.dc_flow;
     p.filter <- Some f;
     p.tracer_hook <-
