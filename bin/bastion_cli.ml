@@ -36,7 +36,8 @@
      bastion fleet [--tracees K] [--shards N] [--points P] [--json FILE]
          sweep offered load over a heterogeneous fleet through the
          sharded monitor pool and report queue-wait / end-to-end
-         latency tails plus the saturation knee
+         latency tails plus the saturation knee; exits non-zero if
+         any point diverged from the serial reference
 
      bastion fleet-summary FILE
          summarise a fleet sweep JSON (BENCH_fleet.json) or a stats
@@ -679,7 +680,18 @@ let run_fleet verbose tracees shards arrivals points policies json stats
           (List.length rows)
       | None -> print_string (Obs.Timeseries.render rows))
     | None -> ());
-    `Ok ()
+    (* A point the serial reference disagrees with is a wrong result,
+       not a warning: fail once everything is printed and written. *)
+    let points = List.concat_map (fun s -> s.Fleet.sw_points) a.Fleet.ab_sweeps in
+    let bad =
+      List.filter (fun p -> not p.Fleet.pt_result.Fleet.rr_matches_serial) points
+    in
+    if bad = [] then `Ok ()
+    else
+      `Error
+        ( false,
+          Printf.sprintf "%d of %d point(s) diverged from the serial reference"
+            (List.length bad) (List.length points) )
 
 let fleet_cmd =
   let tracees =
@@ -745,7 +757,8 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:"Sweep offered load over a heterogeneous tracee fleet and report \
-             tail latency vs load with the saturation knee")
+             tail latency vs load with the saturation knee (exit non-zero if \
+             any point diverged from the serial reference)")
     Term.(
       ret
         (const run_fleet $ verbose_arg $ tracees $ shards $ arrivals $ points

@@ -25,10 +25,10 @@ type t = {
   mutable next_pid : int;
   mutable uid : int;
   mutable gid : int;
-  mutable syscall_counts : int array;
-      (** executed syscalls, by number below [Syscalls.count]; empty
-          until the first, so a forked child that never runs one keeps
-          no table *)
+  mutable syscall_counts : Bytes.t;
+      (** executed syscalls, by number below [Syscalls.count], as
+          4-byte counters at byte [4 * nr]; empty until the first, so a
+          forked child that never runs one keeps no table *)
   mutable other_counts : (int * int) list;  (** executed syscalls outside that range *)
   mutable trap_count : int;               (** TRACE stops delivered *)
   mutable io_words_out : int;             (** words sent to clients *)
@@ -61,7 +61,7 @@ let create (machine : Machine.t) =
     next_pid = 100;
     uid = 0;
     gid = 0;
-    syscall_counts = [||];
+    syscall_counts = Bytes.empty;
     other_counts = [];
     trap_count = 0;
     io_words_out = 0;
@@ -99,15 +99,24 @@ let find_fd t fd = Hashtbl.find_opt t.fds fd
 
 let close_fd t fd = Hashtbl.remove t.fds fd
 
+(* The counter table is 4 bytes a number, 1,292 bytes in all: small
+   enough to be allocated on the minor heap, where an [int array] of
+   [Syscalls.count] slots is not.  Fuel caps a run far below 2^31
+   syscalls, so no counter can overflow. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
 let syscall_count t nr =
   if Syscalls.in_range nr then
-    if Array.length t.syscall_counts = 0 then 0 else t.syscall_counts.(nr)
+    if Bytes.length t.syscall_counts = 0 then 0
+    else Int32.to_int (get32 t.syscall_counts (4 * nr))
   else Option.value ~default:0 (List.assoc_opt nr t.other_counts)
 
 let count_syscall t nr =
   if Syscalls.in_range nr then begin
-    if Array.length t.syscall_counts = 0 then t.syscall_counts <- Array.make Syscalls.count 0;
-    t.syscall_counts.(nr) <- t.syscall_counts.(nr) + 1
+    if Bytes.length t.syscall_counts = 0 then
+      t.syscall_counts <- Bytes.make (4 * Syscalls.count) '\000';
+    set32 t.syscall_counts (4 * nr) (Int32.add (get32 t.syscall_counts (4 * nr)) 1l)
   end
   else t.other_counts <- (nr, 1 + syscall_count t nr) :: List.remove_assoc nr t.other_counts
 

@@ -26,10 +26,10 @@ type t = {
   mutable next_pid : int;
   mutable uid : int;
   mutable gid : int;
-  mutable syscall_counts : int array;
-      (** executed syscalls, by number below [Syscalls.count]; empty
-          until the first, so a forked child that never runs one keeps
-          no table *)
+  mutable syscall_counts : Bytes.t;
+      (** executed syscalls, by number below [Syscalls.count], as
+          4-byte counters at byte [4 * nr]; empty until the first, so a
+          forked child that never runs one keeps no table *)
   mutable other_counts : (int * int) list;  (** executed syscalls outside that range *)
   mutable trap_count : int;               (** TRACE stops delivered *)
   mutable io_words_out : int;             (** words sent to clients *)

@@ -4,8 +4,8 @@
    calling domain is the feeder.  Under the default [Static] policy a
    tracee's work always goes to [shard_of_tracee] of its id; under
    [Steal] an idle shard may take it instead — whole tracees from a
-   {!Trap_queue.Deque} in [run_tracees], and quiescent trap runs by
-   the deterministic virtual-clock {!Plan} below for the fleet.
+   {!Trap_queue.Deque} in [run_tracees], and a quiescent tracee's next
+   trap by the deterministic virtual-clock {!Plan} below for the fleet.
    Whatever the policy, a tracee's work is owned by exactly one shard
    at a time, so per-tracee order stays total.  The feeder blocks when
    a queue is full (backpressure, never drops) and merges results in
@@ -259,11 +259,15 @@ type stats = {
 }
 
 (* Feeder/worker skeleton: spawn one worker per shard over its own
-   queue, push every item to its shard, close, join.  [worker] consumes
-   batches until the queue drains; its return value is the shard's
-   result.  [route], when given, overrides the static [shard_of_tracee]
-   placement — this is how the {!Plan}'s decisions reach the queues. *)
-let with_pool ?route (cfg : config) ~(items : (int * 'item) Seq.t)
+   queue, push every item to its shard, close, run [feeder_step], join.
+   [worker] consumes batches until the queue drains; its return value
+   is the shard's result.  [route], when given, overrides the static
+   [shard_of_tracee] placement — this is how the {!Plan}'s decisions
+   reach the queues.  [feeder_step] is work the feeding domain does
+   while the workers drain instead of waiting on the joins; it fails
+   like the feed. *)
+let with_pool ?route ?(feeder_step = ignore) (cfg : config)
+    ~(items : (int * 'item) Seq.t)
     ~(worker : shard:int -> (int * 'item) Trap_queue.t -> 'acc) :
     'acc array * (int -> Trap_queue.stats) =
   let queues =
@@ -281,7 +285,9 @@ let with_pool ?route (cfg : config) ~(items : (int * 'item) Seq.t)
   (* Feed on the calling domain; a full shard queue blocks us here —
      that is the backpressure, not a drop. *)
   (try
-     Seq.iter (fun item -> Trap_queue.push queues.(dest item) item) items
+     Seq.iter (fun item -> Trap_queue.push queues.(dest item) item) items;
+     Array.iter Trap_queue.close queues;
+     feeder_step ()
    with e ->
      (* Never leave workers running: close and join before re-raising.
         A worker that *also* raised must not shadow the feeder's
@@ -290,7 +296,6 @@ let with_pool ?route (cfg : config) ~(items : (int * 'item) Seq.t)
      Array.iter Trap_queue.close queues;
      Array.iter (fun d -> try ignore (Domain.join d) with _ -> ()) domains;
      raise e);
-  Array.iter Trap_queue.close queues;
   (* Join every domain before raising anything, so a failure on shard 0
      cannot leak shards 1..n-1; when several workers failed, the
      lowest-numbered shard's exception wins deterministically. *)

@@ -22,7 +22,8 @@
       machine, verify its traps in-domain as they stop) — what the
       multi-tracee workload driver and the attack runner use;
     - {!with_pool} fed through a {!Plan}: the open-loop fleet driver's
-      routed trap runs. *)
+      arrivals, one list per shard, with its serial reference run as
+      the feeder step. *)
 
 (** How tracee work is placed on shards. *)
 type policy =
@@ -134,16 +135,21 @@ type stats = {
     one bounded queue per shard; every item is pushed to its tracee's
     home shard, or to [route item] when [route] is given — how a
     {!Plan}'s decisions reach the queues.  Queues close when the item
-    sequence ends and workers' results come back in shard order, with
-    a post-join accessor for each queue's lifetime stats.
+    sequence ends; the feeding domain then runs [feeder_step] (default:
+    nothing) while the workers drain, and joins them once it returns.
+    Workers' results come back in shard order, with a post-join
+    accessor for each queue's lifetime stats.
 
-    Failure semantics: if the feeder raises, queues are closed and all
-    workers joined (join errors discarded) before the feeder's
-    exception — the first failure — is re-raised.  If only workers
-    raise, every domain is joined first and the lowest-numbered
-    shard's exception wins deterministically. *)
+    Failure semantics: if the feeder raises — while pushing, or in
+    [feeder_step] — queues are closed and all workers joined (join
+    errors discarded) before the feeder's exception is re-raised, so
+    it wins over any worker error, whenever that worker raised.  If
+    only workers raise, every domain is joined first (a worker error
+    raised while [feeder_step] runs surfaces after the step returns)
+    and the lowest-numbered shard's exception wins deterministically. *)
 val with_pool :
   ?route:(int * 'item -> int) ->
+  ?feeder_step:(unit -> unit) ->
   config ->
   items:(int * 'item) Seq.t ->
   worker:(shard:int -> (int * 'item) Trap_queue.t -> 'acc) ->

@@ -41,11 +41,20 @@ type histogram = {
   mutable h_max : int;
 }
 
+(* The bucket is the bit length of [v], found by six shift-and-test
+   steps instead of one loop iteration per bit.  A positive OCaml int
+   has at most 62 bits, so the top bucket is never reached. *)
 let bucket_of v =
   if v <= 0 then 0
   else begin
-    let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-    min (histogram_buckets - 1) (bits v 0)
+    let v = ref v and b = ref 1 in
+    if !v lsr 32 <> 0 then (v := !v lsr 32; b := !b + 32);
+    if !v lsr 16 <> 0 then (v := !v lsr 16; b := !b + 16);
+    if !v lsr 8 <> 0 then (v := !v lsr 8; b := !b + 8);
+    if !v lsr 4 <> 0 then (v := !v lsr 4; b := !b + 4);
+    if !v lsr 2 <> 0 then (v := !v lsr 2; b := !b + 2);
+    if !v lsr 1 <> 0 then b := !b + 1;
+    !b
   end
 
 let observe h v =

@@ -21,6 +21,10 @@ type histogram
 (** Number of power-of-two buckets; bucket [b] holds [2^(b-1), 2^b). *)
 val histogram_buckets : int
 
+(** The bucket an observation lands in: [0] for [v <= 0], else the bit
+    length of [v].  Constant time. *)
+val bucket_of : int -> int
+
 (** Record one non-negative integer observation (negatives clamp to 0). *)
 val observe : histogram -> int -> unit
 

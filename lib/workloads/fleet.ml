@@ -22,11 +22,12 @@
      lands at [i * cps/rate] cycles, independent of service rate —
      offered load is a knob, not an outcome;
    - the sharded run drives real worker domains through the real
-     bounded trap queues (one item per run of consecutive arrivals
-     bound for one shard), but all latency math runs on per-shard
-     *virtual clocks* in modelled cycles from each trap's own arrival
-     time, so the measured waits are deterministic and a serial
-     reference simulation must agree exactly: the per-domain shard
+     bounded trap queues (one item per shard: the indices of its
+     arrivals, in arrival order), but all latency math runs on
+     per-shard *virtual clocks* in modelled cycles from each trap's own
+     arrival time, so the measured waits are deterministic and a serial
+     reference simulation — run by the feeding domain while the
+     workers drain — must agree exactly: the per-domain shard
      registries ([Metrics.Shards]) merged at join are required to
      [Metrics.equal] the serial registry (asserted per sweep point and
      by the qcheck laws).
@@ -250,6 +251,46 @@ let capacity_bottleneck (t : t) ~arrivals =
    tracees are keyed by id, which need not be dense. *)
 module Itbl = Hashtbl.Make (Int)
 
+(* Instruments by id, made on first use.  An id already seen is found
+   in a direct-mapped array indexed by its low bits: one read and one
+   compare, no hashing.  The int table behind it holds every id and
+   answers the ids that collide there.  The array doubles whenever it
+   holds fewer than two slots per id seen, so dense ids — every fleet's
+   — never collide; sparse or negative ids only cost the table. *)
+module By_id = struct
+  type 'a slot = Empty | Slot of int * 'a
+
+  type 'a t = {
+    make : int -> 'a;
+    seen : 'a Itbl.t;
+    mutable slots : 'a slot array;  (* length a power of two *)
+  }
+
+  let create make = { make; seen = Itbl.create 16; slots = Array.make 16 Empty }
+  let slot t id = id land (Array.length t.slots - 1)
+  let find_opt t id = Itbl.find_opt t.seen id
+
+  let grow t =
+    t.slots <- Array.make (2 * Array.length t.slots) Empty;
+    Itbl.iter (fun id v -> t.slots.(slot t id) <- Slot (id, v)) t.seen
+
+  let miss t id =
+    let v =
+      match Itbl.find t.seen id with
+      | v -> v
+      | exception Not_found ->
+        let v = t.make id in
+        Itbl.add t.seen id v;
+        if 2 * Itbl.length t.seen > Array.length t.slots then grow t;
+        v
+    in
+    t.slots.(slot t id) <- Slot (id, v);
+    v
+
+  let find t id =
+    match t.slots.(slot t id) with Slot (k, v) when k = id -> v | _ -> miss t id
+end
+
 type globals = {
   g_wait : Obs.Metrics.histogram;
   g_service : Obs.Metrics.histogram;
@@ -272,11 +313,28 @@ type shard_instruments = {
 type sink = {
   reg : Obs.Metrics.t;
   mutable globals : globals option;
-  shards : shard_instruments Itbl.t;
-  tracees : Obs.Metrics.histogram Itbl.t;
+  shards : shard_instruments By_id.t;
+  tracees : Obs.Metrics.histogram By_id.t;
 }
 
-let sink reg = { reg; globals = None; shards = Itbl.create 8; tracees = Itbl.create 16 }
+let shard_instruments_in reg shard =
+  let name field = Printf.sprintf "fleet.shard%d.%s" shard field in
+  {
+    si_wait = Obs.Metrics.histogram reg (name "queue_wait");
+    si_e2e = Obs.Metrics.histogram reg (name "e2e");
+    si_traps = Obs.Metrics.counter reg (name "traps");
+    si_busy = Obs.Metrics.counter reg (name "busy_cycles");
+  }
+
+let sink reg =
+  {
+    reg;
+    globals = None;
+    shards = By_id.create (shard_instruments_in reg);
+    tracees =
+      By_id.create (fun tracee ->
+          Obs.Metrics.histogram reg (Printf.sprintf "fleet.tracee%d.e2e" tracee));
+  }
 
 let globals s =
   match s.globals with
@@ -299,30 +357,6 @@ let globals s =
     s.globals <- Some g;
     g
 
-let shard_instruments s shard =
-  match Itbl.find s.shards shard with
-  | si -> si
-  | exception Not_found ->
-    let name field = Printf.sprintf "fleet.shard%d.%s" shard field in
-    let si =
-      {
-        si_wait = Obs.Metrics.histogram s.reg (name "queue_wait");
-        si_e2e = Obs.Metrics.histogram s.reg (name "e2e");
-        si_traps = Obs.Metrics.counter s.reg (name "traps");
-        si_busy = Obs.Metrics.counter s.reg (name "busy_cycles");
-      }
-    in
-    Itbl.add s.shards shard si;
-    si
-
-let tracee_e2e s tracee =
-  match Itbl.find s.tracees tracee with
-  | h -> h
-  | exception Not_found ->
-    let h = Obs.Metrics.histogram s.reg (Printf.sprintf "fleet.tracee%d.e2e" tracee) in
-    Itbl.add s.tracees tracee h;
-    h
-
 (* One trap through one shard's virtual clock; every observation is an
    integer in modelled cycles, so the sharded and serial paths cannot
    diverge by rounding. *)
@@ -332,7 +366,7 @@ let observe s ~shard ~tracee ~at ~clock tp =
   let wait = start - at in
   let finish = start + svc in
   let e2e = finish - at in
-  let g = globals s and si = shard_instruments s shard in
+  let g = globals s and si = By_id.find s.shards shard in
   Obs.Metrics.observe g.g_wait wait;
   Obs.Metrics.observe g.g_service svc;
   Obs.Metrics.observe g.g_e2e e2e;
@@ -343,7 +377,7 @@ let observe s ~shard ~tracee ~at ~clock tp =
   Obs.Metrics.observe g.g_ai tp.tp_ai;
   Obs.Metrics.observe si.si_wait wait;
   Obs.Metrics.observe si.si_e2e e2e;
-  Obs.Metrics.observe (tracee_e2e s tracee) e2e;
+  Obs.Metrics.observe (By_id.find s.tracees tracee) e2e;
   Obs.Metrics.incr g.g_traps;
   Obs.Metrics.incr si.si_traps;
   Obs.Metrics.add si.si_busy svc;
@@ -397,14 +431,30 @@ type run_result = {
   rr_shard_util : float array;   (** busy / horizon per shard, as placed *)
   rr_steals : int;            (** plan-level steals ([Steal] only) *)
   rr_migrations : int;        (** plan-level claim moves *)
+  rr_queue_items : int;       (** items the feeder pushed: one per shard *)
   rr_stats : Obs.Timeseries.row list;  (** when sampling was on *)
 }
 
+(* Each shard's arrivals, as indices in arrival order: [dests.(i)] is
+   arrival [i]'s shard. *)
+let arrivals_by_shard ~shards dests =
+  let counts = Array.make shards 0 in
+  Array.iter (fun s -> counts.(s) <- counts.(s) + 1) dests;
+  let by_shard = Array.map (fun n -> Array.make n 0) counts in
+  let filled = Array.make shards 0 in
+  Array.iteri
+    (fun i s ->
+      by_shard.(s).(filled.(s)) <- i;
+      filled.(s) <- filled.(s) + 1)
+    dests;
+  by_shard
+
 (** Drive the schedule through the real sharded pool at [rate] traps
     per second under [policy] (default static).  Workers record into
-    their domain's registry ([Metrics.Shards]); [stats_interval]
-    (cycles) additionally samples a per-shard time-series row at every
-    virtual-clock boundary. *)
+    their domain's registry ([Metrics.Shards]) while the feeding domain
+    runs the serial reference; [stats_interval] (cycles) additionally
+    samples a per-shard time-series row at every virtual-clock
+    boundary. *)
 let run_at ?stats_interval ?(policy = Pool.Static) (t : t) ~arrivals ~rate :
     run_result =
   if rate <= 0.0 then invalid_arg "Fleet.run_at: rate must be positive";
@@ -414,38 +464,30 @@ let run_at ?stats_interval ?(policy = Pool.Static) (t : t) ~arrivals ~rate :
   let shards_reg = Obs.Metrics.Shards.create () in
   let config = Pool.config ~policy ~shards:t.f_shards () in
   let plan, dests = plan_schedule ~policy t sched ~spacing in
-  (* One queue item per run of up to [batch] consecutive arrivals bound
-     for one shard: [(shard, (first, stop))] carries arrivals [first]
-     to [stop - 1].  The runs are cut here, where every destination is
-     known in advance, so the queue lock is taken once per run. *)
-  let runs =
-    Seq.unfold
-      (fun first ->
-        if first >= arrivals then None
-        else begin
-          let shard = dests.(first) in
-          let stop = ref (first + 1) in
-          while
-            !stop < arrivals && !stop - first < config.Pool.batch && dests.(!stop) = shard
-          do
-            incr stop
-          done;
-          Some ((shard, (first, !stop)), !stop)
-        end)
-      0
-  in
-  let route (shard, _) = shard in
+  (* One queue item per shard: [(shard, indices)] carries, in arrival
+     order, every arrival the plan sent there, so each queue lock is
+     taken once. *)
+  let by_shard = arrivals_by_shard ~shards:t.f_shards dests in
+  let items = Seq.init t.f_shards (fun shard -> (shard, by_shard.(shard))) in
   let worker ~shard queue =
     let sink = sink (Obs.Metrics.Shards.my shards_reg) in
     let stats = Obs.Timeseries.create () in
     let clock = ref 0 in
     let next_sample = ref (match stats_interval with Some iv -> iv | None -> max_int) in
+    (* The sampler only reads: a shard that has observed nothing yet
+       reads as a fresh registry would, all zeros, and registers no
+       name the serial reference would lack. *)
+    let idle = lazy (shard_instruments_in (Obs.Metrics.create ()) shard) in
     let sample upto =
       match stats_interval with
       | None -> ()
       | Some iv ->
         while !next_sample <= upto do
-          let si = shard_instruments sink shard in
+          let si =
+            match By_id.find_opt sink.shards shard with
+            | Some si -> si
+            | None -> Lazy.force idle
+          in
           let wait = Obs.Metrics.summarize si.si_wait in
           let e2e = Obs.Metrics.summarize si.si_e2e in
           Obs.Timeseries.push stats ~at:!next_sample ~shard
@@ -466,35 +508,45 @@ let run_at ?stats_interval ?(policy = Pool.Static) (t : t) ~arrivals ~rate :
       | [] -> sample (Int.max !clock horizon)
       | batch ->
         List.iter
-          (fun (_, (first, stop)) ->
-            for i = first to stop - 1 do
-              let tracee, tp = sched.(i) in
-              clock :=
-                observe sink ~shard ~tracee ~at:(arrival_time ~spacing i) ~clock:!clock tp;
-              sample !clock
-            done)
+          (fun (_, indices) ->
+            Array.iter
+              (fun i ->
+                let tracee, tp = sched.(i) in
+                clock :=
+                  observe sink ~shard ~tracee ~at:(arrival_time ~spacing i) ~clock:!clock tp;
+                sample !clock)
+              indices)
           batch;
         drain ()
     in
     drain ();
     stats
   in
-  let stats_accs, _queue_stats =
-    Pool.with_pool ~route config ~items:runs ~worker
+  (* The reference is a whole simulation of its own — its own plan,
+     its own registry — run by the feeding domain while the workers
+     drain, rather than after the join. *)
+  let serial = ref (Obs.Metrics.create ()) in
+  let stats_accs, queue_stats =
+    Pool.with_pool ~route:fst
+      ~feeder_step:(fun () -> serial := simulate_serial ~policy t sched ~spacing)
+      config ~items ~worker
   in
   let merged = Obs.Metrics.Shards.merged shards_reg in
-  let serial = simulate_serial ~policy t sched ~spacing in
   let busy = Pool.Plan.busy_per_shard plan in
   {
     rr_policy = policy;
     rr_rate = rate;
     rr_horizon = horizon;
     rr_merged = merged;
-    rr_matches_serial = Obs.Metrics.equal merged serial;
+    rr_matches_serial = Obs.Metrics.equal merged !serial;
     rr_shard_util =
       Array.map (fun b -> float_of_int b /. float_of_int horizon) busy;
     rr_steals = Pool.Plan.steals plan;
     rr_migrations = Pool.Plan.migrations plan;
+    rr_queue_items =
+      List.fold_left
+        (fun acc s -> acc + (queue_stats s).Queue_.q_pushed)
+        0 (List.init t.f_shards Fun.id);
     rr_stats = Obs.Timeseries.merge (Array.to_list stats_accs);
   }
 

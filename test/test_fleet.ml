@@ -112,6 +112,7 @@ let test_fleet_matches_serial () =
       Alcotest.(check bool)
         (Printf.sprintf "merged = serial at %.2fx capacity" fraction)
         true r.F.rr_matches_serial;
+      Alcotest.(check int) "one queue item per shard" 4 r.F.rr_queue_items;
       let s = M.summarize (M.histogram r.F.rr_merged "fleet.e2e") in
       Alcotest.(check int)
         (Printf.sprintf "every arrival observed at %.2fx" fraction)
@@ -203,6 +204,45 @@ let test_fleet_stats_rows_pinned () =
              List.map (fun f -> List.assoc f row.Obs.Timeseries.r_fields) fields ))
        r.F.rr_stats)
 
+(* Regression: a shard no arrival reaches still samples a row at every
+   boundary, all zeros, but must not register instruments the serial
+   reference never creates — that made every sampled point of a fleet
+   with an idle shard read as diverged. *)
+let test_fleet_idle_shard_stats () =
+  let t = F.build ~tracees:1 ~shards:2 in
+  let arrivals = 50 in
+  let cap = F.capacity t ~arrivals in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun fraction ->
+          let r =
+            F.run_at ~stats_interval:20_000 ~policy t ~arrivals ~rate:(fraction *. cap)
+          in
+          let what =
+            Printf.sprintf "%s at %.2fx" (Bastion_mt.Monitor_pool.policy_name policy) fraction
+          in
+          Alcotest.(check bool) (what ^ ": merged = serial") true r.F.rr_matches_serial;
+          Alcotest.(check int) (what ^ ": one queue item per shard") 2 r.F.rr_queue_items;
+          Alcotest.(check bool) (what ^ ": no shard1 instruments") false
+            (List.mem_assoc "fleet.shard1.traps" (M.counter_values r.F.rr_merged));
+          let idle =
+            List.filter (fun (row : Obs.Timeseries.row) -> row.r_shard = 1) r.F.rr_stats
+          in
+          Alcotest.(check int) (what ^ ": the idle shard samples every boundary")
+            (r.F.rr_horizon / 20_000) (List.length idle);
+          List.iter
+            (fun (row : Obs.Timeseries.row) ->
+              List.iter
+                (fun (field, v) ->
+                  Alcotest.(check (float 0.))
+                    (Printf.sprintf "%s: shard1 %s at %d" what field row.r_t)
+                    0. v)
+                row.r_fields)
+            idle)
+        [ 0.2; 1.15 ])
+    Bastion_mt.Monitor_pool.all_policies
+
 (* --- the knee detector ------------------------------------------------ *)
 
 let knee = Alcotest.(option (pair int string))
@@ -270,6 +310,8 @@ let suites =
         Alcotest.test_case "stats rows of a stealing fleet, pinned" `Quick
           test_fleet_stats_rows_pinned;
         Alcotest.test_case "knee detector" `Quick test_detect_knee;
+        Alcotest.test_case "an idle shard's rows match the serial reference" `Quick
+          test_fleet_idle_shard_stats;
       ] );
     ( "fleet-artifact",
       [

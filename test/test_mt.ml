@@ -116,6 +116,51 @@ let test_pool_feeder_exception_wins () =
            ~items
            ~worker:(fun ~shard:_ _ -> raise Worker_boom)))
 
+exception Step_boom
+
+(* A feeder step that raises is a feed failure: its exception wins over
+   every worker's, and no worker is left running — each one counts
+   itself out before it raises, after the step has started. *)
+let test_pool_feeder_step_wins () =
+  let shards = 3 in
+  let started = Atomic.make false and finished = Atomic.make 0 in
+  let worker ~shard:_ _ =
+    while not (Atomic.get started) do
+      Domain.cpu_relax ()
+    done;
+    Atomic.incr finished;
+    raise Worker_boom
+  in
+  Alcotest.check_raises "feeder step exception wins over worker errors" Step_boom
+    (fun () ->
+      ignore
+        (Pool.with_pool (Pool.config ~shards ()) ~items:Seq.empty ~worker
+           ~feeder_step:(fun () ->
+             Atomic.set started true;
+             raise Step_boom)));
+  Alcotest.(check int) "every worker joined" shards (Atomic.get finished)
+
+(* A worker error raised while the feeder step runs neither cuts the
+   step short nor gets lost: it surfaces once the step has returned. *)
+let test_pool_worker_error_after_step () =
+  let raising = Atomic.make false and step_done = ref false in
+  let worker ~shard _ =
+    if shard = 1 then begin
+      Atomic.set raising true;
+      raise Worker_boom
+    end
+  in
+  Alcotest.check_raises "worker exception surfaces after the step" Worker_boom (fun () ->
+      ignore
+        (Pool.with_pool (Pool.config ~shards:2 ()) ~items:Seq.empty ~worker
+           ~feeder_step:(fun () ->
+             while not (Atomic.get raising) do
+               Domain.cpu_relax ()
+             done;
+             Unix.sleepf 0.01;
+             step_done := true)));
+  Alcotest.(check bool) "the step ran to its end" true !step_done
+
 (* --- the fleet's planner ---------------------------------------------- *)
 
 (* The adversarial elephant: one tracee fires six traps for every one
@@ -455,6 +500,10 @@ let suites =
           test_shard_of_tracee_stable;
         Alcotest.test_case "stats mirror into the metrics registry" `Quick
           test_mirror_stats;
+        Alcotest.test_case "feeder step exception wins over worker errors" `Quick
+          test_pool_feeder_step_wins;
+        Alcotest.test_case "worker error during the feeder step surfaces after it" `Quick
+          test_pool_worker_error_after_step;
       ] );
     ( "mt-drivers",
       [

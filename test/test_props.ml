@@ -561,6 +561,103 @@ let prop_fleet_registry =
         (Obs.Metrics.histogram_summaries resolved);
       clocks_a = clocks_b)
 
+(* Random small fleets through the real pool: negative and sparse ids,
+   tracees of weight 0, 1-4 shards — with more than one, no tracee is
+   homed on one of them, so under [Static] it gets no arrival — both
+   policies, with and without sampling, at 0.2x to 1.3x of capacity.
+   Every point must agree with its serial reference, observe each
+   arrival once, push one queue item per shard and, when sampled, give
+   every shard one row at every boundary up to the horizon. *)
+let gen_run_case =
+  let open QCheck.Gen in
+  let* shards = int_range 1 4 in
+  let* skip = int_range 0 (shards - 1) in
+  let* n = int_range 1 8 in
+  let* ids = array_repeat n (oneof [ int_range (-9) (-1); int_range 0 63; int_range 64 5000 ]) in
+  let ids =
+    Array.map
+      (fun id -> if shards > 1 && Pool.shard_of_tracee ~shards id = skip then id + 1 else id)
+      ids
+  in
+  let* weights = array_repeat n (frequency [ (1, return 0); (3, int_range 1 9) ]) in
+  let* lens = array_repeat n (int_range 1 10) in
+  let* offsets = array_repeat n (int_range 0 20) in
+  let* policy = oneofl Pool.all_policies in
+  let* arrivals = int_range 1 150 in
+  let* load = float_range 0.2 1.3 in
+  let* boundaries = opt (int_range 1 8) in
+  return (ids, weights, lens, offsets, shards, policy, arrivals, load, boundaries)
+
+let print_run_case (ids, weights, _, _, shards, policy, arrivals, load, boundaries) =
+  Printf.sprintf "ids [%s], weights [%s], %d shards, %s, %d arrivals at %.3fx, %s"
+    (String.concat ";" (Array.to_list (Array.map string_of_int ids)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int weights)))
+    shards (Pool.policy_name policy) arrivals load
+    (match boundaries with
+    | Some b -> Printf.sprintf "%d sampling boundaries" b
+    | None -> "no sampling")
+
+let prop_fleet_run_at =
+  QCheck.Test.make ~count:100 ~name:"fleet point on a random fleet = its serial reference"
+    (QCheck.make ~print:print_run_case gen_run_case)
+    (fun (ids, weights, lens, offsets, shards, policy, arrivals, load, boundaries) ->
+      let t = fleet_of ~shards ~ids ~weights ~offsets ~lens in
+      let rate = load *. F.capacity t ~arrivals in
+      let spacing = Workloads.Drivers_config.cycles_per_second /. rate in
+      let horizon = max 1 (F.arrival_time ~spacing (arrivals - 1)) in
+      let stats_interval = Option.map (fun b -> max 1 (horizon / b)) boundaries in
+      let r = F.run_at ?stats_interval ~policy t ~arrivals ~rate in
+      if not r.rr_matches_serial then QCheck.Test.fail_reportf "diverged from the serial reference";
+      let e2e = Obs.Metrics.histogram_count (Obs.Metrics.histogram r.rr_merged "fleet.e2e") in
+      if e2e <> arrivals then QCheck.Test.fail_reportf "fleet.e2e counts %d traps" e2e;
+      if r.rr_queue_items <> shards then
+        QCheck.Test.fail_reportf "%d queue items for %d shards" r.rr_queue_items shards;
+      let rows =
+        List.map (fun (row : Obs.Timeseries.row) -> (row.r_t, row.r_shard)) r.rr_stats
+      in
+      if List.length (List.sort_uniq compare rows) <> List.length rows then
+        QCheck.Test.fail_reportf "a shard has two rows at one boundary";
+      (match stats_interval with
+      | None -> if rows <> [] then QCheck.Test.fail_reportf "rows without sampling"
+      | Some iv ->
+        for k = 1 to horizon / iv do
+          for shard = 0 to shards - 1 do
+            if not (List.mem (k * iv, shard) rows) then
+              QCheck.Test.fail_reportf "shard %d has no row at %d" shard (k * iv)
+          done
+        done);
+      true)
+
+(* The constant-time histogram bucket against the bit loop: zero, the
+   extremes, negatives, and 2^k - 1, 2^k and 2^k + 1 for every k up to
+   61 (2^62 is past [max_int]), then random ints of every width. *)
+let bucket_edges =
+  [ 0; min_int; max_int; max_int - 1 ]
+  @ List.concat_map
+      (fun k ->
+        let p = 1 lsl k in
+        [ p - 1; p; p + 1; -p ])
+      (List.init 62 Fun.id)
+
+let test_bucket_edges () =
+  Alcotest.(check (list int))
+    "bucket at every power-of-two edge"
+    (List.map Testlib.Bucket_ref.bucket_of bucket_edges)
+    (List.map Obs.Metrics.bucket_of bucket_edges)
+
+let prop_bucket_of =
+  QCheck.Test.make ~count:2000 ~name:"constant-time bucket_of = the bit loop"
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         oneof
+           [
+             oneofl bucket_edges;
+             int;
+             map2 (fun width v -> v lsr width) (int_range 0 62) int;
+             map Int.neg small_nat;
+           ]))
+    (fun v -> Obs.Metrics.bucket_of v = Testlib.Bucket_ref.bucket_of v)
+
 (* Random operation streams against the three-array reference cache:
    keys drawn from a pool of up to 64 so slots are reused, built to
    collide on the slot index, or equal in their low 31 bits (the index
@@ -897,5 +994,7 @@ let suites =
             test_swrr_period_bench_shape;
         ]
       @ List.map QCheck_alcotest.to_alcotest
-          [ prop_dispatch_reference; prop_dispatch_cycles_nonnegative; prop_seccomp_rules ] );
+          [ prop_dispatch_reference; prop_dispatch_cycles_nonnegative; prop_seccomp_rules ]
+      @ [ Alcotest.test_case "bucket_of at every power-of-two edge" `Quick test_bucket_edges ]
+      @ List.map QCheck_alcotest.to_alcotest [ prop_bucket_of; prop_fleet_run_at ] );
   ]

@@ -433,6 +433,18 @@ module Fleet_ref = struct
     finish
 end
 
+(** The histogram bucket as it stood while it was found by one loop
+    iteration per bit of the value.  Kept as the reference the
+    [test_props.ml] law holds {!Obs.Metrics.bucket_of} to. *)
+module Bucket_ref = struct
+  let bucket_of v =
+    if v <= 0 then 0
+    else begin
+      let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
+      min (Obs.Metrics.histogram_buckets - 1) (bits v 0)
+    end
+end
+
 (** The trap-stream plan as it stood with two tables per tracee — its
     claim shard and its last trap's finish — looked up five times per
     route.  Kept as the reference the one-table plan law in
