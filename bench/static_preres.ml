@@ -91,7 +91,7 @@ let rows : row list Lazy.t =
                (D.run ~pre_resolve:true app D.Bastion_full);
            ]
          in
-         let p = D.protected_of ~pre_resolve:true app ~fs:false in
+         let p = Workloads.Deployments.bundle (D.source app) ~fs:false ~pre_resolve:true in
          {
            app;
            resolved = P.resolved_slots p;

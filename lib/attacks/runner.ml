@@ -37,95 +37,28 @@ let contexts_of = function
    stack garbage; bound the run and end it as soon as the goal fires. *)
 let attack_fuel = 20_000_000
 
-(* ------------------------------------------------------------------ *)
-(* The compile cache.
-
-   A victim is compiled once, as BASTION compiles a binary once: the
-   built program and its code image, its protected bundle's deployment,
-   the bundle's syscall-flow spec and that spec's graph deployed
-   against the deployment are pure functions of (victim, filesystem
-   scope, pre-resolution), so every run of every attack on that victim
-   shares them.  Sharded matrices fill the cache from several domains;
-   the lock makes each key compile exactly once, and nothing compiled
-   is written afterwards. *)
-
-type compiled = {
-  c_prog : Sil.Prog.t;
-  c_layout : Machine.Layout.t;  (** [c_prog]'s, for the undefended runs *)
-  c_deployment : Bastion.Api.deployment;
-  c_flow : Defenses.Flow_prefilter.spec;
-  c_graph : Kernel.Seccomp.flow_graph;  (** [c_flow] deployed on [c_deployment] *)
-}
-
-let compiled_lock = Mutex.create ()
-let compiled_cache : (string * bool * bool, compiled) Hashtbl.t = Hashtbl.create 16
-
-let compile (attack : Attack.t) ~pre_resolve =
-  let prog = attack.a_victim.v_build () in
-  let p = Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope prog in
-  let p = if pre_resolve then Bastion_analysis.Preresolve.enrich p else p in
-  let d = Bastion.Api.deploy p and flow = Bastion_analysis.Flowgraph.extract p in
-  { c_prog = prog; c_layout = Machine.Layout.build prog; c_deployment = d; c_flow = flow;
-    c_graph = Bastion_analysis.Flowgraph.deploy flow d }
-
-let compiled (attack : Attack.t) ~pre_resolve =
-  let key = (attack.a_victim.v_name, attack.a_fs_scope, pre_resolve) in
-  Mutex.protect compiled_lock (fun () ->
-      match Hashtbl.find_opt compiled_cache key with
-      | Some c -> c
-      | None ->
-        let c = compile attack ~pre_resolve in
-        Hashtbl.replace compiled_cache key c;
-        c)
-
-let compiled_bundle attack ~pre_resolve =
-  (compiled attack ~pre_resolve).c_deployment.bundle
-
 let run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ?bundle ?recorder
     ?on_session (attack : Attack.t) (config : config) : outcome =
   let machine_config = { Machine.default_config with fuel = attack_fuel } in
+  let source = Victims.source attack.a_victim and fs = attack.a_fs_scope in
   let machine, process =
     match config with
     | Undefended ->
-      let c = compiled attack ~pre_resolve in
-      Bastion.Api.launch_unprotected ~machine_config ~layout:c.c_layout c.c_prog
+      let prog, layout = Workloads.Deployments.unprotected source ~fs in
+      Bastion.Api.launch_unprotected ~machine_config ~layout prog
     | _ ->
       let monitor_config =
         {
           Bastion.Monitor.default_config with
           contexts = contexts_of config;
           trap_cache;
-          fs_mode =
-            (if attack.a_fs_scope then Bastion.Monitor.Fs_full
-             else Bastion.Monitor.Fs_off);
+          fs_mode = (if fs then Bastion.Monitor.Fs_full else Bastion.Monitor.Fs_off);
         }
       in
-      (* [bundle] overrides the compile pass: the differential replay
-         engine deploys a restored (possibly edited) metadata bundle,
-         with a graph of its own, through the exact path a recorded
-         attack used. *)
-      let deployment, cached_graph =
-        match bundle with
-        | Some b -> (Bastion.Api.deploy b, None)
-        | None ->
-          let c = compiled attack ~pre_resolve in
-          (c.c_deployment, Some c.c_graph)
-      in
       let session =
-        Bastion.Api.start ~machine_config ~monitor_config ?recorder deployment ()
+        Workloads.Deployments.stage ?bundle ?recorder ?prefilter ~machine_config
+          ~monitor_config source ~fs ~pre_resolve
       in
-      (match prefilter with
-      | Some mode ->
-        let graph =
-          match cached_graph with
-          | Some g -> g
-          | None ->
-            Bastion_analysis.Flowgraph.(deploy (extract deployment.bundle) deployment)
-        in
-        ignore
-          (Bastion_analysis.Flowgraph.attach ~mode graph ~monitor:session.monitor
-             ~process:session.process)
-      | None -> ());
       (* Let the replay engine reach in before execution (swap the trap
          source, wrap the hook); never called for undefended runs. *)
       (match on_session with Some f -> f session | None -> ());
@@ -215,7 +148,7 @@ let evaluate_all ?(trap_cache = true) ?(pre_resolve = false) ?recorder () =
   List.map (fun a -> evaluate ~trap_cache ~pre_resolve ?recorder a) Catalog.all
 
 (* Each attack row is a self-contained tracee (a fresh session per
-   configuration inside [run], over the shared compile cache), so the
+   configuration inside [run], over the shared deployment cache), so the
    matrix shards cleanly: one row per tracee on the monitor pool, merged
    back in catalog order. *)
 let evaluate_all_sharded ?(trap_cache = true) ?(pre_resolve = false) ?policy

@@ -30,28 +30,17 @@ val attack_fuel : int
     [on_session] fires once the session is built, before setup and
     execution — the replay engine's hook for swapping the monitor's
     trap source (never called for undefended runs, which have no
-    session).  Each victim is compiled once per process and filesystem
-    scope and pre-resolution setting: the built program and its code
-    image, its bundle's deployment ({!Bastion.Api.deploy}, check image
-    included), its syscall-flow spec and the spec's automaton graph are
-    cached under that key, and every run starts a fresh session from
-    them.  The cache is safe to fill from several domains at once.
-    [bundle] overrides the compile pass with a restored (possibly
-    edited) metadata bundle, deployed, extracted and its graph built
-    fresh — the differential replay seam; it bypasses the lint gate on
-    purpose. *)
+    session).  Every run starts a fresh session through
+    {!Workloads.Deployments.stage}, from its victim's entry (victim,
+    filesystem scope, pre-resolution) or, with [bundle], from a
+    restored (possibly edited) metadata bundle that gets a deployment
+    and graph of its own — the differential replay seam. *)
 val run :
   ?trap_cache:bool -> ?pre_resolve:bool ->
   ?prefilter:Kernel.Seccomp.flow_mode ->
   ?bundle:Bastion.Api.protected -> ?recorder:Obs.Recorder.t ->
   ?on_session:(Bastion.Api.session -> unit) ->
   Attack.t -> config -> outcome
-
-(** The protected bundle {!run} deploys for [attack] at this
-    pre-resolution setting, from the compile cache (compiling on first
-    use).  The bundle is shared with every later run: read it, never
-    mutate it. *)
-val compiled_bundle : Attack.t -> pre_resolve:bool -> Bastion.Api.protected
 
 (** One evaluated Table 6 row, extended with the tiered deployment's
     two extra configurations. *)
@@ -92,7 +81,7 @@ val evaluate_all :
     for verdict at every shard count and under every scheduler
     [policy] (each run starts a fresh session, so no verification
     state crosses rows or domains, wherever a row executes; the
-    compiled victims they share are never mutated). *)
+    deployments they share are never mutated). *)
 val evaluate_all_sharded :
   ?trap_cache:bool -> ?pre_resolve:bool ->
   ?policy:Bastion_mt.Monitor_pool.policy -> shards:int ->

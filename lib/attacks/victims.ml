@@ -20,6 +20,8 @@ type t = {
   v_setup : Kernel.Process.t -> unit;
 }
 
+let source v = { Workloads.Deployments.id = Victim v.v_name; prog = lazy (v.v_build ()) }
+
 (* ------------------------------------------------------------------ *)
 (* NGINX (shared with the performance workloads, small scale)          *)
 

@@ -10,6 +10,10 @@ type t = {
   v_setup : Kernel.Process.t -> unit;
 }
 
+(** The victim as a {!Workloads.Deployments} source, keyed by its
+    name. *)
+val source : t -> Workloads.Deployments.source
+
 val nginx_params : Workloads.Nginx_model.params
 val nginx : t
 val sqlite : t

@@ -39,8 +39,6 @@ val sensitive_numbers : int list
 val is_sensitive : int -> bool
 
 (** The §11.2 filesystem-related set. *)
-val filesystem_names : string list
-
 val filesystem_numbers : int list
 val is_filesystem : int -> bool
 

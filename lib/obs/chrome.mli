@@ -10,15 +10,13 @@ val schema : string
 (** The full trace document for one recorder. *)
 val document : Recorder.t -> Report.Json.t
 
-(** One merged trace document for a sharded run: per-shard recorders'
-    items interleaved on the shared modelled clock, one Perfetto lane
-    (pid) per shard, over the shards' merged registry. *)
-val pool_document : Recorder.t list -> Report.Json.t
-
 (** [write r path] emits {!document} to [path]. *)
 val write : Recorder.t -> string -> unit
 
-(** [write_pool rs path] emits {!pool_document} to [path]. *)
+(** [write_pool rs path] emits one merged trace document for a sharded
+    run to [path]: per-shard recorders' items interleaved on the shared
+    modelled clock, one Perfetto lane (pid) per shard, over the shards'
+    merged registry. *)
 val write_pool : Recorder.t list -> string -> unit
 
 (** Aggregates recovered from a parsed trace document. *)

@@ -31,7 +31,6 @@ val observe : histogram -> int -> unit
 val histogram_count : histogram -> int
 val histogram_min : histogram -> int
 val histogram_max : histogram -> int
-val histogram_mean : histogram -> float
 
 (** Interpolated percentile of [p] in [0,1]: monotone in [p], bounded
     by the observed [min, max], and interpolated *within* the located
@@ -66,13 +65,10 @@ val register_probe : t -> string -> (unit -> float) -> unit
 (** Find-or-create the named histogram. *)
 val histogram : t -> string -> histogram
 
-(** Add every owned counter and histogram of [src] into [into].
-    Probes are deliberately not merged — they sample process-global
-    accessors, so copying them across registries would double count. *)
-val merge_into : into:t -> t -> unit
-
 (** Merge shard registries into a fresh registry.  Exact and
-    order-independent: integer sums and bucket-wise adds only. *)
+    order-independent: integer sums and bucket-wise adds only.  Probes
+    are deliberately not merged — they sample process-global
+    accessors, so copying them across registries would double count. *)
 val merge : t list -> t
 
 (** Structural equality over owned state (counter values and full

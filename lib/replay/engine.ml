@@ -598,14 +598,16 @@ let diff_ok r =
 (* The in-tree compile pass for the recorded configuration — the base
    whose instrumented program an edited metadata file is restored
    against ([Metadata_io.load (base_bundle tr).inst.iprog]).  Both
-   sides hand out their cached bundle; callers only read it. *)
+   kinds hand out the deployment cache's bundle; callers only read
+   it. *)
 let base_bundle (tr : Trace.t) : Bastion.Api.protected =
-  let pre_resolve = tr.t_header.h_pre_resolve in
-  match resolve tr with
-  | Run (app, defense) ->
-    let fs = match defense with Drivers.Bastion_fs _ -> true | _ -> false in
-    Drivers.protected_of ~pre_resolve app ~fs
-  | Attack (attack, _) -> Runner.compiled_bundle attack ~pre_resolve
+  let source, fs =
+    match resolve tr with
+    | Run (app, defense) ->
+      (Drivers.source app, match defense with Drivers.Bastion_fs _ -> true | _ -> false)
+    | Attack (attack, _) -> (Attacks.Victims.source attack.a_victim, attack.a_fs_scope)
+  in
+  Workloads.Deployments.bundle source ~fs ~pre_resolve:tr.t_header.h_pre_resolve
 
 type dstate = {
   d_cursor : cursor;

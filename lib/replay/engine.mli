@@ -36,14 +36,10 @@
 (** Every defense key with its configuration, in listing order. *)
 val defenses : (string * Workloads.Drivers.defense) list
 
-val defense_key : Workloads.Drivers.defense -> string
 val defense_of_key : string -> Workloads.Drivers.defense option
 
 (** Every attack-configuration key with its configuration. *)
 val configs : (string * Attacks.Runner.config) list
-
-val config_key : Attacks.Runner.config -> string
-val config_of_key : string -> Attacks.Runner.config option
 
 (** Known workload scales: ["default"] (the paper-shaped runs) and
     ["small"] (a few hundred traps — the golden-corpus scale). *)

@@ -40,7 +40,7 @@ let table7_defenses =
 (** An application model packaged for the drivers. *)
 type app = {
   app_name : string;
-  app_key : string;  (** cache key: name + parameter fingerprint *)
+  app_key : Deployments.id;  (** cache key: the model and every parameter field *)
   prog : Sil.Prog.t Lazy.t;
   setup : Kernel.Process.t -> unit;
   metric : Kernel.Process.t -> Machine.t -> float;
@@ -51,7 +51,7 @@ type app = {
 let nginx ?(params = Nginx_model.default) () =
   {
     app_name = "NGINX";
-    app_key = Printf.sprintf "NGINX-%d" (Hashtbl.hash params);
+    app_key = Deployments.Nginx params;
     prog = lazy (Nginx_model.build params);
     setup = Nginx_model.setup params;
     metric = Nginx_model.throughput_mb_s;
@@ -62,7 +62,7 @@ let nginx ?(params = Nginx_model.default) () =
 let sqlite ?(params = Sqlite_model.default) () =
   {
     app_name = "SQLite";
-    app_key = Printf.sprintf "SQLite-%d" (Hashtbl.hash params);
+    app_key = Deployments.Sqlite params;
     prog = lazy (Sqlite_model.build params);
     setup = Sqlite_model.setup params;
     metric = Sqlite_model.notpm;
@@ -73,13 +73,15 @@ let sqlite ?(params = Sqlite_model.default) () =
 let vsftpd ?(params = Vsftpd_model.default) () =
   {
     app_name = "vsftpd";
-    app_key = Printf.sprintf "vsftpd-%d" (Hashtbl.hash params);
+    app_key = Deployments.Vsftpd params;
     prog = lazy (Vsftpd_model.build params);
     setup = Vsftpd_model.setup params;
     metric = Vsftpd_model.seconds_per_download params;
     metric_name = "ms/download";
     higher_is_better = false;
   }
+
+let source (app : app) = { Deployments.id = app.app_key; prog = app.prog }
 
 type measurement = {
   m_app : string;
@@ -95,94 +97,6 @@ type measurement = {
 }
 
 exception Benign_run_died of string
-
-(* Cache of protected programs: the compile pass is shared between the
-   CT / CT+CF / full configurations of the same app. *)
-let protect_cache : (string, Bastion.Api.protected) Hashtbl.t = Hashtbl.create 8
-let protect_fs_cache : (string, Bastion.Api.protected) Hashtbl.t = Hashtbl.create 8
-
-let preresolve_cache : (string, Bastion.Api.protected) Hashtbl.t = Hashtbl.create 8
-
-(* The drivers fail fast on unsound metadata: every protect pass below
-   runs the registered lint validator (ROADMAP "linter as a library
-   gate").  Registration happens here, at module initialisation, so
-   linking the workloads library is enough to arm the gate. *)
-let () = Bastion_analysis.Lint.register_api_validator ()
-
-let protected_of ?(pre_resolve = false) (app : app) ~fs =
-  let cache = if fs then protect_fs_cache else protect_cache in
-  let base =
-    match Hashtbl.find_opt cache app.app_key with
-    | Some p -> p
-    | None ->
-      let p =
-        Bastion.Api.protect ~protect_filesystem:fs ~validate:true
-          (Lazy.force app.prog)
-      in
-      Hashtbl.replace cache app.app_key p;
-      p
-  in
-  if not pre_resolve then base
-  else begin
-    (* Enrichment returns a fresh bundle, so the shared cache entry
-       above is never mutated. *)
-    let key = app.app_key ^ if fs then "+fs" else "" in
-    match Hashtbl.find_opt preresolve_cache key with
-    | Some p -> p
-    | None ->
-      let p = Bastion_analysis.Preresolve.enrich base in
-      Hashtbl.replace preresolve_cache key p;
-      p
-  end
-
-(* Each cached bundle's deployment: its code image, post-layout
-   metadata and check image, built once.  Every monitored [prepare]
-   without a [bundle] override starts its session from it. *)
-let deployment_cache : (string, Bastion.Api.deployment) Hashtbl.t = Hashtbl.create 8
-
-let deployment_key ~pre_resolve (app : app) ~fs =
-  app.app_key ^ (if fs then "+fs" else "") ^ if pre_resolve then "+pre" else ""
-
-let deployment_of ?(pre_resolve = false) (app : app) ~fs =
-  let key = deployment_key ~pre_resolve app ~fs in
-  match Hashtbl.find_opt deployment_cache key with
-  | Some d -> d
-  | None ->
-    let d = Bastion.Api.deploy (protected_of ~pre_resolve app ~fs) in
-    Hashtbl.replace deployment_cache key d;
-    d
-
-(* The syscall-flow digraph is a pure function of the instrumented
-   program, so it is shared across defense configurations (and across
-   pre-resolution, which only changes deploy-time constants). *)
-let flow_spec_cache : (string, Defenses.Flow_prefilter.spec) Hashtbl.t =
-  Hashtbl.create 8
-
-let flow_spec_of (app : app) ~fs =
-  let key = app.app_key ^ if fs then "+fs" else "" in
-  match Hashtbl.find_opt flow_spec_cache key with
-  | Some s -> s
-  | None ->
-    let s = Bastion_analysis.Flowgraph.extract (protected_of app ~fs) in
-    Hashtbl.replace flow_spec_cache key s;
-    s
-
-(* The spec deployed on each cached deployment, under the
-   deployment's key: the graph's pinned constants come from the
-   deployment's metadata, which pre-resolution changes. *)
-let flow_graph_cache : (string, Kernel.Seccomp.flow_graph) Hashtbl.t = Hashtbl.create 8
-
-let flow_graph_of ?(pre_resolve = false) (app : app) ~fs =
-  let key = deployment_key ~pre_resolve app ~fs in
-  match Hashtbl.find_opt flow_graph_cache key with
-  | Some g -> g
-  | None ->
-    let g =
-      Bastion_analysis.Flowgraph.deploy (flow_spec_of app ~fs)
-        (deployment_of ~pre_resolve app ~fs)
-    in
-    Hashtbl.replace flow_graph_cache key g;
-    g
 
 (* A session staged up to the brink of execution: everything [run] does
    before [Machine.run].  Splitting here lets the replay engine reach
@@ -201,42 +115,26 @@ let prepare ?(cost = Machine.Cost.default) ?(trap_cache = true) ?(pre_resolve = 
     ?(taint_cheap_path = true) ?prefilter ?bundle ?recorder (app : app)
     (defense : defense) : prepared =
   let machine_config cet = { Machine.default_config with cet; cost } in
-  (* [bundle] overrides the compile pass entirely: the differential
-     replay engine deploys a restored (possibly hand-edited) metadata
-     bundle through the exact driver path a recording used.  Overridden
-     bundles bypass the protect-time lint gate on purpose — judging
-     what a metadata edit changes requires deploying it. *)
-  let launch ~fs monitor_config =
-    let d =
-      match bundle with
-      | Some b -> Bastion.Api.deploy b
-      | None -> deployment_of ~pre_resolve app ~fs
+  (* The pre-filter knob, like [bundle], acts only on the monitored
+     configurations: the unmonitored baselines have no filter to
+     extend. *)
+  let monitored ~fs monitor_config =
+    let s =
+      Deployments.stage ?bundle ?recorder ?prefilter ~machine_config:(machine_config true)
+        ~monitor_config (source app) ~fs ~pre_resolve
     in
-    let session =
-      Bastion.Api.start ~machine_config:(machine_config true) ~monitor_config ?recorder d ()
-    in
-    (session.machine, session.process, Some (session.monitor, d))
+    (s.machine, s.process, Some s.monitor)
   in
   let machine, process, monitor =
     match defense with
-    | Vanilla ->
+    | Vanilla | Llvm_cfi | Cet_only ->
+      let prog = Deployments.program (source app) in
       let m, p =
-        Bastion.Api.launch_unprotected ~machine_config:(machine_config false)
-          (Lazy.force app.prog)
+        Bastion.Api.launch_unprotected
+          ~machine_config:(machine_config (defense = Cet_only)) prog
       in
-      (m, p, None)
-    | Llvm_cfi ->
-      let prog = Lazy.force app.prog in
-      let m, p =
-        Bastion.Api.launch_unprotected ~machine_config:(machine_config false) prog
-      in
-      Defenses.Llvm_cfi.install (Defenses.Llvm_cfi.build prog) m;
-      (m, p, None)
-    | Cet_only ->
-      let m, p =
-        Bastion.Api.launch_unprotected ~machine_config:(machine_config true)
-          (Lazy.force app.prog)
-      in
+      if defense = Llvm_cfi then
+        Defenses.Llvm_cfi.install (Defenses.Llvm_cfi.build prog) m;
       (m, p, None)
     | Bastion_ct | Bastion_ct_cf | Bastion_full ->
       let contexts =
@@ -245,31 +143,16 @@ let prepare ?(cost = Machine.Cost.default) ?(trap_cache = true) ?(pre_resolve = 
         | Bastion_ct_cf -> { Bastion.Monitor.ct = true; cf = true; ai = false }
         | _ -> Bastion.Monitor.all_contexts
       in
-      launch ~fs:false
+      monitored ~fs:false
         { Bastion.Monitor.default_config with contexts; trap_cache; taint_cheap_path }
     | Bastion_fs mode ->
-      launch ~fs:true
+      monitored ~fs:true
         { Bastion.Monitor.default_config with fs_mode = mode; trap_cache;
           taint_cheap_path }
   in
-  (* Start the syscall-flow pre-filter, if requested, on top of the
-     attached monitor (non-BASTION defenses have no filter to extend:
-     the knob is a no-op there, like on a vanilla run). *)
-  (match (prefilter, monitor) with
-  | Some mode, Some (mon, d) ->
-    let fs = match defense with Bastion_fs _ -> true | _ -> false in
-    (* With an overridden bundle, the graph must be extracted from
-       *that* metadata — the cached one belongs to the in-tree pass. *)
-    let graph =
-      match bundle with
-      | Some b -> Bastion_analysis.Flowgraph.(deploy (extract b) d)
-      | None -> flow_graph_of ~pre_resolve app ~fs
-    in
-    ignore (Bastion_analysis.Flowgraph.attach ~mode graph ~monitor:mon ~process)
-  | _ -> ());
   app.setup process;
   { pr_app = app; pr_defense = defense; pr_machine = machine;
-    pr_process = process; pr_monitor = Option.map fst monitor }
+    pr_process = process; pr_monitor = monitor }
 
 let execute (p : prepared) : measurement =
   let { pr_app = app; pr_defense = defense; pr_machine = machine;
@@ -341,19 +224,6 @@ let run_multi ?cost ?trap_cache ?pre_resolve ?prefilter ?queue_capacity ?batch
     invalid_arg
       "Drivers.run_multi: shard_recorders requires the static scheduler"
   | _ -> ());
-  (* Warm the shared compile-pass, deployment and flow-graph caches on
-     this domain before any worker spawns: afterwards the worker
-     domains only ever *read* the caches and the (already forced) lazy
-     programs. *)
-  let warm ~fs =
-    ignore (deployment_of ?pre_resolve app ~fs);
-    if prefilter <> None then
-      ignore (flow_graph_of ?pre_resolve app ~fs)
-  in
-  (match defense with
-  | Vanilla | Llvm_cfi | Cet_only -> ignore (Lazy.force app.prog)
-  | Bastion_ct | Bastion_ct_cf | Bastion_full -> warm ~fs:false
-  | Bastion_fs _ -> warm ~fs:true);
   let config = Pool.config ?queue_capacity ?batch ~policy:scheduler ~shards () in
   let job tracee () =
     let recorder =

@@ -19,7 +19,7 @@ val table7_defenses : defense list
 (** An application model packaged for the drivers. *)
 type app = {
   app_name : string;
-  app_key : string;   (** cache key: name + parameter fingerprint *)
+  app_key : Deployments.id;  (** cache key: the model and every parameter field *)
   prog : Sil.Prog.t Lazy.t;
   setup : Kernel.Process.t -> unit;
   metric : Kernel.Process.t -> Machine.t -> float;
@@ -30,6 +30,9 @@ type app = {
 val nginx : ?params:Nginx_model.params -> unit -> app
 val sqlite : ?params:Sqlite_model.params -> unit -> app
 val vsftpd : ?params:Vsftpd_model.params -> unit -> app
+
+(** The app as a {!Deployments} source: its key and its program. *)
+val source : app -> Deployments.source
 
 type measurement = {
   m_app : string;
@@ -46,16 +49,6 @@ type measurement = {
 
 (** A benign run died — a reproduction bug, never expected. *)
 exception Benign_run_died of string
-
-(** The (cached) compile-pass output for an app; [pre_resolve] layers
-    constant-argument pre-resolution on top (as a fresh bundle — the
-    cached one is never mutated). *)
-val protected_of : ?pre_resolve:bool -> app -> fs:bool -> Bastion.Api.protected
-
-(** The (cached) syscall-flow digraph for an app — the deployment spec
-    behind the seccomp-stage pre-filter.  Pure function of the
-    instrumented program, shared across defense configurations. *)
-val flow_spec_of : app -> fs:bool -> Defenses.Flow_prefilter.spec
 
 (** A session staged up to the brink of execution: booted, runtime
     installed, monitor attached, workload setup done — everything
@@ -144,8 +137,8 @@ val sum_traps : multi -> int
     cycles.  [scheduler] (default [Static]) picks the pool's placement
     policy; [shard_recorders] requires the static scheduler (lane
     stamping relies on the static pin) and the combination is rejected
-    otherwise.  The shared compile-pass, deployment and flow-graph
-    caches are warmed before any worker spawns.
+    otherwise.  Nothing is warmed before the workers spawn: they fill
+    the {!Deployments} cache on first use, under its lock.
     @raise Benign_run_died if any tracee faults (lowest tracee wins). *)
 val run_multi :
   ?cost:Machine.Cost.t -> ?trap_cache:bool -> ?pre_resolve:bool ->

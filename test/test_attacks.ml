@@ -164,10 +164,10 @@ let suites =
     ]
   | other -> other
 
-(* Appended: the runner's compile cache.  Every run of an attack starts
-   a fresh session from its victim's cached deployment; these cases
-   hold that path to a run over a freshly protected bundle, and check
-   the premises of the cache key. *)
+(* Appended: the deployment cache, from the runner's side.  Every run
+   of an attack starts a fresh session from its victim's cached
+   deployment; these cases hold that path to a run over a freshly
+   protected bundle, and check the premises of the victim key. *)
 module Runner = Attacks.Runner
 
 (* [Runner.evaluate]'s seven configurations. *)
@@ -224,7 +224,7 @@ let test_cached_runs_equal_fresh () =
         Attacks.Catalog.all)
     [ false; true ]
 
-(* The cache keys a compiled victim by its name: attacks naming one
+(* The cache keys a victim by its name: attacks naming one
    victim must carry the one victim value, and building it twice must
    give the same program. *)
 let test_cache_key_premises () =
@@ -249,7 +249,8 @@ let outcomes (r : Runner.row) =
 
 (* Several domains fill the cache at once.  No case that runs before
    this one evaluates attacks with pre-resolution, so the sharded
-   matrix compiles every pre-resolved victim itself, concurrently. *)
+   matrix builds every pre-resolved entry itself (the enrichment, the
+   deployment and the graph), concurrently. *)
 let test_cache_filled_across_domains () =
   let sharded, _ = Runner.evaluate_all_sharded ~pre_resolve:true ~shards:3 () in
   let serial = Runner.evaluate_all ~pre_resolve:true () in

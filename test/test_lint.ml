@@ -369,10 +369,9 @@ let check_clean name p =
 let test_models_lint_clean () =
   List.iter
     (fun (name, app) ->
-      let p = Workloads.Drivers.protected_of app ~fs:false in
-      check_clean name p;
-      check_clean (name ^ "+preresolve")
-        (Workloads.Drivers.protected_of ~pre_resolve:true app ~fs:false))
+      let bundle = Workloads.Deployments.bundle (Workloads.Drivers.source app) ~fs:false in
+      check_clean name (bundle ~pre_resolve:false);
+      check_clean (name ^ "+preresolve") (bundle ~pre_resolve:true))
     [
       ("nginx", Workloads.Drivers.nginx ());
       ("sqlite", Workloads.Drivers.sqlite ());

@@ -439,11 +439,37 @@ let test_table6_sharded_matches_serial () =
   Alcotest.(check bool) "steal-scheduled matrix identical" true
     (List.map row_sig rows_steal = serial)
 
+(* Cold first use from several domains: nothing before the spawn
+   warms the deployment cache, so three workers race into it for a key
+   no other case uses (the bundle, its enrichment, the deployment, the
+   flow spec and graph), and under [Vanilla] for the app's lazy
+   program.  Each defense gets a fresh app, so both start cold. *)
+let test_run_multi_cold_cache () =
+  let tracees = 6 and prefilter = Kernel.Seccomp.Flow_tiered in
+  let fp (m : D.measurement) = ((m.m_cycles, m.m_traps, m.m_syscalls), m.m_metric) in
+  List.iter
+    (fun defense ->
+      let app =
+        D.sqlite ~params:{ Workloads.Sqlite_model.small with txns_per_conn = 7 } ()
+      in
+      let sharded =
+        D.run_multi ~shards:3 ~scheduler:Pool.Steal ~pre_resolve:true ~prefilter ~tracees
+          app defense
+      in
+      let serial =
+        List.init tracees (fun _ -> D.run ~pre_resolve:true ~prefilter app defense)
+      in
+      Alcotest.(check (list (pair (triple int int int) (float 0.0))))
+        (D.defense_name defense ^ ": cold sharded tracees = serial runs")
+        (List.map fp serial)
+        (List.map fp (Array.to_list sharded.D.mm_tracees)))
+    [ D.Bastion_full; D.Vanilla ]
+
 (* --- the Api.protect ~validate lint gate --------------------------- *)
 
 let test_validate_gate () =
-  (* The canonical registration (Drivers arms it at module init; arm it
-     here explicitly so this test stands alone). *)
+  (* The canonical registration (the deployment cache arms it at module
+     init; arm it here explicitly so this test stands alone). *)
   Bastion_analysis.Lint.register_api_validator ();
   let prog = Test_fastpath.chain_program 3 1 in
   (* Sound metadata sails through. *)
@@ -514,6 +540,8 @@ let suites =
         Alcotest.test_case "per-shard recorders" `Quick test_run_multi_recorders;
         Alcotest.test_case "sharded Table 6 matches serial" `Slow
           test_table6_sharded_matches_serial;
+        Alcotest.test_case "run_multi fills a cold cache" `Quick
+          test_run_multi_cold_cache;
       ] );
     ( "mt-gate",
       [ Alcotest.test_case "Api.protect ~validate lint gate" `Quick

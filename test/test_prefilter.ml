@@ -122,7 +122,10 @@ let test_extraction_invariants () =
       List.iter
         (fun fs ->
           let name = Printf.sprintf "%s fs:%b" app.Drivers.app_name fs in
-          let spec = Drivers.flow_spec_of app ~fs in
+          let spec =
+            Bastion_analysis.Flowgraph.extract
+              (Workloads.Deployments.bundle (Drivers.source app) ~fs ~pre_resolve:false)
+          in
           let nodes =
             List.fold_left
               (fun acc (n : Defenses.Flow_prefilter.node_spec) ->
@@ -259,7 +262,7 @@ let attack_per_victim () =
   |> List.rev
 
 (* Run [attack] under full BASTION behind the pre-filter in [mode]
-   (from the compile cache, or from [bundle] deployed fresh): the
+   (from the deployment cache, or from [bundle] deployed fresh): the
    outcome, the session's automaton with its state and counts as the
    session starts, and the run's cycles and traps. *)
 let prefilter_run ?bundle mode attack =
@@ -293,11 +296,44 @@ let test_sessions_share_graph () =
 
 (* One graph walked in standalone and in tiered mode gives the rows
    that a graph deployed for each run gives: outcome, the automaton's
-   counts, cycles and traps. *)
+   counts, cycles and traps.  Attacks stage through [Runner.run], the
+   small app models through [Drivers.run]; both reach the one staging
+   path, from the cached entry or with the cached bundle passed
+   explicitly. *)
 let test_one_graph_both_modes () =
   List.iter
+    (fun (name, app) ->
+      let bundle =
+        Workloads.Deployments.bundle (Drivers.source app) ~fs:false ~pre_resolve:false
+      in
+      (* The metric stands for the outcome: a benign run that dies
+         raises. *)
+      let run ?bundle mode =
+        let m = Drivers.run ?bundle ~prefilter:mode app Drivers.Bastion_full in
+        let fa = Option.get (Bastion.Monitor.prefilter (Option.get m.m_monitor)) in
+        (((m.m_metric, (m.m_cycles, m.m_traps)), S.flow_stats fa), fa.fa_graph)
+      in
+      let graphs =
+        List.map
+          (fun mode ->
+            let shared, graph = run mode and fresh, _ = run ~bundle mode in
+            Alcotest.(check (pair (pair (float 0.0) (pair int int)) (triple int int int)))
+              (Printf.sprintf "%s %s: shared graph = graph of its own" name
+                 (S.flow_mode_name mode))
+              fresh shared;
+            graph)
+          [ S.Flow_standalone; S.Flow_tiered ]
+      in
+      match graphs with
+      | [ g1; g2 ] -> Alcotest.(check bool) (name ^ ": both modes walk one graph") true (g1 == g2)
+      | _ -> assert false)
+    (Workloads.Fleet.small_apps ());
+  List.iter
     (fun (a : Attacks.Attack.t) ->
-      let bundle = Runner.compiled_bundle a ~pre_resolve:false in
+      let bundle =
+        Workloads.Deployments.bundle (Attacks.Victims.source a.a_victim) ~fs:a.a_fs_scope
+          ~pre_resolve:false
+      in
       let graphs =
         List.map
           (fun mode ->
