@@ -37,7 +37,7 @@ let pivot_slot (m : Machine.t) ~func ~var =
       | Some (v, _) -> v
       | None -> invalid_arg (Printf.sprintf "pivot_slot: %s has no %s" func var)
     in
-    Machine.Memory.addr_add frame.frame_base
+    Machine.Memory.addr_add (Int64.of_int frame.frame_base)
       (Machine.Layout.var_offset m.layout func v.vid)
   | [] -> invalid_arg "pivot_slot: no frames"
 

@@ -34,7 +34,7 @@ let plant_string (m : Machine.t) addr s =
     (a code address): the classic stack-smash control transfer. *)
 let overwrite_return (m : Machine.t) target =
   match Machine.frames m with
-  | frame :: _ when not (Int64.equal frame.ret_slot 0L) -> poke m frame.ret_slot target
+  | frame :: _ when frame.ret_slot <> 0 -> poke m (Int64.of_int frame.ret_slot) target
   | _ -> invalid_arg "Primitives.overwrite_return: no overwritable frame"
 
 (** Address of the first instruction of a function's entry block — the

@@ -70,7 +70,8 @@ let run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ?bundle ?recorder
   process.on_syscall_executed <-
     Some
       (fun ~sysno ~args ~path ->
-        if sysno = goal_nr && attack.a_goal_check ~args ~path then begin
+        if sysno = goal_nr && attack.a_goal_check ~args:(Machine.Args.to_array args) ~path
+        then begin
           goal_hit := true;
           (* Attack complete: stop the victim. *)
           raise (Machine.Program_exit 0x600DL)

@@ -111,10 +111,15 @@ type deployment = {
   image : Monitor.image;
 }
 
-(** Build a bundle's code image, its post-layout metadata on a machine
-    of that image that never runs, and the check image. *)
-let deploy (p : protected) : deployment =
-  let layout = Machine.Layout.build p.inst.iprog in
+(** Build (or take) a bundle's code image, its post-layout metadata on
+    a machine of that image that never runs, and the check image. *)
+let deploy ?layout (p : protected) : deployment =
+  let layout =
+    match layout with
+    | None -> Machine.Layout.build p.inst.iprog
+    | Some l when Machine.Layout.program l == p.inst.iprog -> l
+    | Some _ -> invalid_arg "Api.deploy: the layout belongs to another program"
+  in
   let meta =
     Metadata.build ~calltype:p.calltype ~cfg:p.cfg ~analysis:p.analysis ~inst:p.inst
       ~pre_resolved:p.pre_resolved ~pre_resolved_ctx:p.pre_resolved_ctx

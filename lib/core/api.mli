@@ -87,8 +87,13 @@ type deployment = private {
 }
 
 (** Build the bundle's code image, its post-layout metadata on a
-    machine of that image that never runs, and the check image. *)
-val deploy : protected -> deployment
+    machine of that image that never runs, and the check image.
+    [layout], when given, is the code image of the bundle's
+    instrumented program, built once and shared by every deployment of
+    that program.
+    @raise Invalid_argument if [layout] was built from another
+    program. *)
+val deploy : ?layout:Machine.Layout.t -> protected -> deployment
 
 (** Boot a session: a fresh machine on the deployment's code image,
     the kernel process, the ctx_* runtime wired in and its shadow

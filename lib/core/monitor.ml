@@ -524,7 +524,7 @@ let check_callsite_args (t : t) (tracer : Ptrace.t) (site : site)
   for k = 0 to Array.length site.plan - 1 do
     let { pos; check; pointee } = site.plan.(k) in
     charge_check t;
-    let actual = if pos < Array.length frame.fv_args then frame.fv_args.(pos) else 0L in
+    let actual = Machine.Args.get frame.fv_args pos in
     (match check with
     | Const c ->
       if not (Int64.equal actual c) then
@@ -637,7 +637,8 @@ type trap_obs = {
 
 (* Capture the monitor's snapshot inputs into the event, so an audit
    record carries everything needed to re-derive its verdict offline.
-   Arrays are copied: the machine mutates its register file in place.
+   Arguments and spans are copied: the machine overwrites its argument
+   files in place.
    A live snapshot's slot spans are read from the stopped tracee here,
    before any check runs. *)
 let input_of (t : t) (tracer : Ptrace.t) (regs : Ptrace.regs)
@@ -651,7 +652,7 @@ let input_of (t : t) (tracer : Ptrace.t) (regs : Ptrace.regs)
             {
               Obs.Event.f_func = fv.fv_func;
               f_callsite = fv.fv_callsite;
-              f_args = Array.copy fv.fv_args;
+              f_args = Machine.Args.to_array fv.fv_args;
               f_ret = fv.fv_ret_token;
               f_base = fv.fv_base;
             })
@@ -663,7 +664,7 @@ let input_of (t : t) (tracer : Ptrace.t) (regs : Ptrace.regs)
           (Ptrace.slot_spans tracer snap ~lo:t.image.span_lo
              ~span_words:t.image.span_words) )
   in
-  { Obs.Event.in_args = Array.copy regs.args; in_frames = frames;
+  { Obs.Event.in_args = Machine.Args.to_array regs.args; in_frames = frames;
     in_slots = slots }
 
 let cycles_now (t : t) = t.machine.stats.cycles

@@ -33,23 +33,22 @@ let attach_recorder (t : t) (r : Obs.Recorder.t) =
   p "runtime.bind_mem_calls" (fun () -> t.bind_mem_calls);
   p "runtime.bind_const_calls" (fun () -> t.bind_const_calls)
 
-let handle (t : t) (m : Machine.t) ~name ~(args : int64 array) : int64 =
-  let arg i = if i < Array.length args then args.(i) else 0L in
+let handle (t : t) (m : Machine.t) ~name ~(args : Machine.Args.t) : int64 =
   (match t.recorder with
   | Some r -> Obs.Recorder.record_instant r ~name ~at:m.stats.cycles
   | None -> ());
   (match name with
   | "ctx_write_mem" ->
     t.write_mem_calls <- t.write_mem_calls + 1;
-    let addr = arg 0 and size = Int64.to_int (arg 1) in
+    let addr = Machine.Args.get args 0 and size = Machine.Args.get_int args 1 in
     for i = 0 to max 0 (size - 1) do
       let a = Machine.Memory.addr_add addr i in
       Shadow_memory.set_shadow t.shadow ~addr:a ~value:(Machine.peek m a)
     done
   | "ctx_bind_mem" ->
     t.bind_mem_calls <- t.bind_mem_calls + 1;
-    Shadow_memory.set_binding t.shadow ~id:(Int64.to_int (arg 0))
-      ~pos:(Int64.to_int (arg 1)) ~addr:(arg 2)
+    Shadow_memory.set_binding t.shadow ~id:(Machine.Args.get_int args 0)
+      ~pos:(Machine.Args.get_int args 1) ~addr:(Machine.Args.get args 2)
   | "ctx_bind_const" -> t.bind_const_calls <- t.bind_const_calls + 1
   | _ -> ());
   0L

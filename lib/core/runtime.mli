@@ -19,7 +19,7 @@ val create : unit -> t
 val attach_recorder : t -> Obs.Recorder.t -> unit
 
 (** Execute one intrinsic call (exposed for testing). *)
-val handle : t -> Machine.t -> name:string -> args:int64 array -> int64
+val handle : t -> Machine.t -> name:string -> args:Machine.Args.t -> int64
 
 (** Wire the runtime into a machine's intrinsic dispatch. *)
 val install : t -> Machine.t -> unit

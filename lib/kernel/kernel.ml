@@ -22,10 +22,11 @@ let cost (p : Process.t) = p.machine.config.cost
 (* Per-syscall semantics                                               *)
 
 (* Argument [i], or 0 past the last one passed: every stub takes the
-   full six-register kernel ABI. *)
-let[@inline] arg (args : int64 array) i = if i < Array.length args then args.(i) else 0L
+   full six-register kernel ABI.  The handlers read the calling frame's
+   argument file in place. *)
+let[@inline] arg args i = Machine.Args.get args i
 
-let[@inline] int_arg args i = Int64.to_int (arg args i)
+let[@inline] int_arg args i = Machine.Args.get_int args i
 
 (* The path the first argument points to, unless dispatch already read
    it. *)
@@ -197,13 +198,13 @@ let () =
 let[@inline] handle p ~sysno ~args ~path =
   if Syscalls.in_range sysno then handlers.(sysno) p args path else 0L
 
-let execute (p : Process.t) ~sysno ~(args : int64 array) : int64 =
+let execute (p : Process.t) ~sysno ~(args : Machine.Args.t) : int64 =
   handle p ~sysno ~args ~path:None
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 
-let dispatch (p : Process.t) (_m : Machine.t) ~sysno ~(args : int64 array) : int64 =
+let dispatch (p : Process.t) (_m : Machine.t) ~sysno ~(args : Machine.Args.t) : int64 =
   charge p (cost p).syscall_base;
   (match p.filter with
   | None -> ()
@@ -218,7 +219,7 @@ let dispatch (p : Process.t) (_m : Machine.t) ~sysno ~(args : int64 array) : int
          address, register arguments.  A resolved call never traps: no
          context switches, no ptrace, no unwind.  A standalone-mode
          flow violation kills at seccomp stage, like any filter KILL. *)
-      let rip = p.machine.trap_rip in
+      let rip = Int64.of_int p.machine.trap_rip in
       (* Every TRACE-rule syscall goes through the automaton: the spec
          is extracted from exactly the event set that traps (including
          the filesystem syscalls under Bastion+fs), so gating on the
@@ -259,9 +260,9 @@ let dispatch (p : Process.t) (_m : Machine.t) ~sysno ~(args : int64 array) : int
   let path =
     if
       Syscalls.in_range sysno && takes_path.(sysno)
-      && Array.length args > 0
+      && Machine.Args.length args > 0
       && (sensitive || Option.is_some p.on_syscall_executed)
-    then Some (Machine.read_string p.machine args.(0))
+    then Some (Machine.read_string p.machine (arg args 0))
     else None
   in
   if sensitive then Process.log_exec p ~sysno ~args ~path;

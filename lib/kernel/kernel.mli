@@ -12,13 +12,13 @@ module Process = Process
 (** Execute one syscall's semantics (after filtering/tracing): one
     index into a handler table built from {!Syscalls.table}.  A number
     the table does not list returns 0 without effect. *)
-val execute : Process.t -> sysno:int -> args:int64 array -> int64
+val execute : Process.t -> sysno:int -> args:Machine.Args.t -> int64
 
 (** The full dispatch pipeline for one invocation: charge base cost,
     evaluate seccomp (Allow / Kill / Trace-with-verdict), account, then
     {!execute}.
     @raise Machine.Killed on KILL or a tracer denial. *)
-val dispatch : Process.t -> Machine.t -> sysno:int -> args:int64 array -> int64
+val dispatch : Process.t -> Machine.t -> sysno:int -> args:Machine.Args.t -> int64
 
 (** Create a process for a machine and install the dispatcher as its
     syscall handler. *)

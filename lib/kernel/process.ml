@@ -19,7 +19,7 @@ type t = {
   net : Net.t;
   tracer : Ptrace.t;
   mutable filter : Seccomp.filter option;
-  mutable tracer_hook : (t -> sysno:int -> args:int64 array -> verdict) option;
+  mutable tracer_hook : (t -> sysno:int -> args:Machine.Args.t -> verdict) option;
   fds : (int, fd_entry) Hashtbl.t;
   mutable next_fd : int;
   mutable next_pid : int;
@@ -39,7 +39,7 @@ type t = {
           steady-state measurement window (what wrk/DBT2/dkftpbench
           actually measure, excluding server initialisation) *)
   mutable on_syscall_executed :
-    (sysno:int -> args:int64 array -> path:string option -> unit) option;
+    (sysno:int -> args:Machine.Args.t -> path:string option -> unit) option;
       (** observation hook fired whenever a syscall actually executes
           (i.e. passed every deployed defense); the attack runner uses it
           to detect goal completion *)
@@ -121,7 +121,8 @@ let count_syscall t nr =
   else t.other_counts <- (nr, 1 + syscall_count t nr) :: List.remove_assoc nr t.other_counts
 
 let log_exec t ~sysno ~args ~path =
-  t.exec_log <- { ev_sysno = sysno; ev_args = args; ev_path = path } :: t.exec_log
+  t.exec_log <-
+    { ev_sysno = sysno; ev_args = Machine.Args.to_array args; ev_path = path } :: t.exec_log
 
 (** Sensitive syscalls that reached execution (i.e. passed every
     deployed defense), newest first. *)

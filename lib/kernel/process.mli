@@ -20,7 +20,9 @@ type t = {
   net : Net.t;
   tracer : Ptrace.t;
   mutable filter : Seccomp.filter option;
-  mutable tracer_hook : (t -> sysno:int -> args:int64 array -> verdict) option;
+  mutable tracer_hook : (t -> sysno:int -> args:Machine.Args.t -> verdict) option;
+      (** the attached tracer, called at each TRACE stop; [args] is the
+          stopped call's argument file, valid during the call *)
   fds : (int, fd_entry) Hashtbl.t;
   mutable next_fd : int;
   mutable next_pid : int;
@@ -39,7 +41,7 @@ type t = {
       (** cycle count at the first accept: start of the steady-state
           window the load generators measure *)
   mutable on_syscall_executed :
-    (sysno:int -> args:int64 array -> path:string option -> unit) option;
+    (sysno:int -> args:Machine.Args.t -> path:string option -> unit) option;
       (** observation hook fired when a syscall actually executes *)
   mutable children : t list;
       (** processes spawned by fork/clone (policy inheritance, §7.1) *)
@@ -58,7 +60,8 @@ val close_fd : t -> int -> unit
 val count_syscall : t -> int -> unit
 val syscall_count : t -> int -> int
 
-val log_exec : t -> sysno:int -> args:int64 array -> path:string option -> unit
+(** Log an executed sensitive syscall, copying its arguments. *)
+val log_exec : t -> sysno:int -> args:Machine.Args.t -> path:string option -> unit
 
 (** Sensitive syscalls that reached execution, newest first. *)
 val executed_sensitive : t -> exec_event list

@@ -15,7 +15,7 @@
    stopped, so they are the words the call would have copied, and no
    boxed [int64 array] is built for them. *)
 
-type regs = { rip : int64; sysno : int; args : int64 array }
+type regs = { rip : int64; sysno : int; args : Machine.Args.t }
 
 type frame_view = {
   fv_func : string;
@@ -26,7 +26,7 @@ type frame_view = {
           the program has no function for *)
   fv_callsite : int64;
       (** code address of the call this frame has in flight *)
-  fv_args : int64 array;
+  fv_args : Machine.Args.t;
       (** argument registers as spilled at that callsite *)
   fv_ret_token : int64 option;
       (** memory-resident return address (None for the entry frame) —
@@ -67,7 +67,8 @@ let cost (t : t) = t.machine.config.cost
 let getregs (t : t) : regs =
   t.getregs_count <- t.getregs_count + 1;
   Machine.charge t.machine (cost t).ptrace_getregs;
-  { rip = t.machine.trap_rip; sysno = t.cur_sysno; args = t.machine.abi_regs }
+  { rip = Int64.of_int t.machine.trap_rip; sysno = t.cur_sysno;
+    args = Machine.call_args t.machine }
 
 (** Charge and count one batched remote read of [n] words: one call,
     [n] words of transfer. *)
@@ -90,35 +91,25 @@ let charge_string (t : t) addr =
   done;
   charge_read t (!len + 1)
 
+(* A frame as the unwinder sees it.  The arguments are copied: the
+   frame's argument file belongs to its depth, and the next call made
+   there overwrites it. *)
 let view_of_frame (t : t) (frame : Machine.frame) : frame_view =
+  let fidx = Machine.frame_fidx t.machine frame in
   {
-    fv_func = frame.ffunc;
-    fv_fidx = (Machine.Layout.image t.machine.layout).blocks.(frame.fblock).owner;
-    fv_callsite = frame.in_flight_callsite;
-    fv_args = frame.in_flight_args;
+    fv_func = (Machine.Layout.image t.machine.layout).funcs.(fidx).name;
+    fv_fidx = fidx;
+    fv_callsite = Int64.of_int frame.callsite;
+    fv_args = Machine.Args.copy frame.args;
     fv_ret_token = Machine.read_ret_addr t.machine frame;
-    fv_base = frame.frame_base;
+    fv_base = Int64.of_int frame.frame_base;
   }
-
-(** Unwind the tracee's stack, innermost frame first.  Each frame costs
-    one remote read of the frame record (saved frame pointer + return
-    address), as a naive frame-pointer unwind does.  The monitor's fast
-    path uses {!snapshot} instead. *)
-let stack_trace (t : t) : frame_view list =
-  List.map
-    (fun (frame : Machine.frame) ->
-      t.frames_walked <- t.frames_walked + 1;
-      t.calls_made <- t.calls_made + 1;
-      t.words_read <- t.words_read + 2;
-      Machine.charge t.machine ((cost t).ptrace_call + (2 * (cost t).ptrace_read_word));
-      view_of_frame t frame)
-    (Machine.frames t.machine)
 
 (** Coalesced snapshot of the tracee's stack: one batched call for the
     whole stack span (frame records, spilled in-flight arguments,
     return tokens) and, when any frame has sensitive slots, a second
-    batched call for the union of their spans — O(1-2) calls where
-    {!stack_trace} plus per-region reads cost O(frames + regions).
+    batched call for the union of their spans — O(1-2) calls where a
+    per-frame unwind plus per-region reads cost O(frames + regions).
     [span_words.(f)] is the length in words of function [f]'s
     sensitive-slot span (0 when it has none).  The slot words stay in
     the stopped tracee: the checks read them with {!peek_at}. *)

@@ -5,7 +5,9 @@
     {!snapshot} to read the whole stack (and the sensitive-slot spans)
     in one or two coalesced calls instead of one per frame. *)
 
-type regs = { rip : int64; sysno : int; args : int64 array }
+(** [args] is the live register file of the stopped call
+    ({!Machine.call_args}): valid until the tracee resumes. *)
+type regs = { rip : int64; sysno : int; args : Machine.Args.t }
 
 (** One unwound stack frame, innermost first. *)
 type frame_view = {
@@ -18,8 +20,9 @@ type frame_view = {
           no function for *)
   fv_callsite : int64;
       (** code address of the call this frame has in flight *)
-  fv_args : int64 array;
-      (** argument registers as spilled at that callsite *)
+  fv_args : Machine.Args.t;
+      (** argument registers as spilled at that callsite, copied when
+          the snapshot is taken *)
   fv_ret_token : int64 option;
       (** memory-resident return address, read back from the
           corruptible stack ([None] for the entry frame) *)
@@ -74,14 +77,10 @@ val peek_at : t -> int64 -> int -> int64
     call. *)
 val charge_string : t -> int64 -> unit
 
-(** Unwind the tracee's stack, innermost frame first; costs one remote
-    read per frame (the slow path {!snapshot} replaces). *)
-val stack_trace : t -> frame_view list
-
 (** Coalesced stack fetch: the whole stack span in one batched call
     plus, when any frame has sensitive slots, the union of their spans
-    in a second — O(1-2) calls where {!stack_trace} + per-region reads
-    cost O(frames + regions).  [span_words.(f)] is the length in words
+    in a second — O(1-2) calls where a per-frame unwind plus per-region
+    reads cost O(frames + regions).  [span_words.(f)] is the length in words
     of the sensitive-slot span of the function with code-image index
     [f] (0 when it has none).  The result is live: its slot words stay
     in the stopped tracee. *)

@@ -125,10 +125,11 @@ let flow_edge_ok fa rip =
     | Some (_, succs) -> Hashtbl.mem succs rip
     | None -> false)
 
-let flow_checks_ok (node : flow_node) (args : int64 array) =
+let flow_checks_ok (node : flow_node) (args : Machine.Args.t) =
   List.for_all
     (fun (pos, allowed) ->
-      pos < Array.length args && List.exists (Int64.equal args.(pos)) allowed)
+      pos < Machine.Args.length args
+      && List.exists (Int64.equal (Machine.Args.get args pos)) allowed)
     node.fn_checks
 
 type flow_decision = Flow_resolve | Flow_fallthrough | Flow_kill
@@ -139,7 +140,7 @@ type flow_decision = Flow_resolve | Flow_fallthrough | Flow_kill
     touched.  In tiered mode a miss is always [Flow_fallthrough] (the
     pre-filter never decides an attack); in standalone mode a miss is
     [Flow_kill]. *)
-let flow_eval fa ~sysno ~rip ~(args : int64 array) : flow_decision =
+let flow_eval fa ~sysno ~rip ~(args : Machine.Args.t) : flow_decision =
   let miss () =
     match fa.fa_mode with
     | Flow_tiered ->

@@ -79,7 +79,7 @@ type flow_decision = Flow_resolve | Flow_fallthrough | Flow_kill
 (** One automaton step for a sensitive syscall about to trap (the
     kernel charges [Cost.prefilter_eval] per step). *)
 val flow_eval :
-  flow_automaton -> sysno:int -> rip:int64 -> args:int64 array -> flow_decision
+  flow_automaton -> sysno:int -> rip:int64 -> args:Machine.Args.t -> flow_decision
 
 (** The full monitor allowed a trap the automaton did not resolve:
     re-synchronise on its callsite. *)

@@ -104,11 +104,13 @@ type t = {
   image : image;
   globals : (int64 * int) Smap.t;  (** address, words *)
   literals : int;                  (** distinct string literals *)
+  max_args : int;                  (** the most arguments one call passes *)
 }
 
 let image t = t.image
 let program t = t.program
 let literals t = t.literals
+let max_args t = t.max_args
 
 let var_missing fname vid = Printf.sprintf "Layout.var_offset: %s has no var #%d" fname vid
 let func_missing fname = "Layout.func_entry: unknown function " ^ fname
@@ -345,19 +347,28 @@ let build (prog : Sil.Prog.t) : t =
          (Array.to_list defs))
   in
   let blocks = Array.of_list (decoded @ List.rev !missing) in
+  let max_args =
+    Array.fold_left
+      (fun acc (b : block) ->
+        Array.fold_left
+          (fun acc -> function Call c -> max acc (Array.length c.args) | Assign _ | Store _ -> acc)
+          acc b.instrs)
+      0 blocks
+  in
   { program = prog; image = { funcs; blocks; point_block }; globals;
-    literals = Hashtbl.length literals }
+    literals = Hashtbl.length literals; max_args }
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-(** The code point number of an address, or -1 if it is none. *)
-let point_index t addr =
+(** The code point number of an address, or -1 if it is none.  Inlined,
+    like [entry_func], so the interpreter's address stays unboxed. *)
+let[@inline] point_index t addr =
   let n = Array.length t.image.point_block in
-  if Int64.compare addr code_base < 0 then -1
+  if addr < code_base then -1
   else
     let rel = Int64.sub addr code_base in
-    if Int64.compare rel (Int64.of_int (8 * n)) >= 0 || Int64.logand rel 7L <> 0L then -1
+    if rel >= Int64.of_int (8 * n) || Int64.logand rel 7L <> 0L then -1
     else Int64.to_int rel lsr 3
 
 let block_of_point t p = t.image.blocks.(t.image.point_block.(p))
@@ -430,12 +441,12 @@ let func_of_addr t addr =
 
 (** The function whose entry is [addr], as an index, or -1: a call
     target must be a function entry address. *)
-let entry_func t addr =
+let[@inline] entry_func t addr =
   match point_index t addr with
   | -1 -> -1
   | p ->
     let fi = (block_of_point t p).owner in
-    if Int64.equal t.image.funcs.(fi).entry addr then fi else -1
+    if t.image.funcs.(fi).entry = addr then fi else -1
 
 let func_of_entry_addr t addr =
   match entry_func t addr with -1 -> None | fi -> Some t.image.funcs.(fi).name

@@ -142,6 +142,10 @@ val image : t -> image
     [literals t - 1]. *)
 val literals : t -> int
 
+(** The most arguments any call instruction of the program passes: the
+    size of a machine's per-depth argument file. *)
+val max_args : t -> int
+
 (** The location of an instruction of a block, by index. *)
 val loc_at : t -> block -> int -> Sil.Loc.t
 

@@ -48,18 +48,46 @@ let fault_to_string = function
 
 type outcome = Exited of int64 | Faulted of fault
 
+(* The argument registers of one call: [len] words, unboxed, in
+   [words].  Each call depth owns one file, sized for the program's
+   widest call, which the calls made at that depth overwrite. *)
+module Args = struct
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+  type t = { mutable len : int; words : Bytes.t }
+
+  let create capacity = { len = 0; words = Bytes.create (8 * capacity) }
+  let length a = a.len
+
+  let[@inline] get a i = if i >= 0 && i < a.len then get64 a.words (i lsl 3) else 0L
+  let[@inline] get_int a i = Int64.to_int (get a i)
+
+  let set a i v =
+    if i < 0 || i >= a.len then invalid_arg "Machine.Args.set: no such argument";
+    set64 a.words (i lsl 3) v
+
+  let of_array arr =
+    let a = create (Array.length arr) in
+    a.len <- Array.length arr;
+    Array.iteri (fun i v -> set64 a.words (i lsl 3) v) arr;
+    a
+
+  let to_array a = Array.init a.len (fun i -> get64 a.words (i lsl 3))
+  let copy a = { len = a.len; words = Bytes.sub a.words 0 (8 * a.len) }
+end
+
 type frame = {
-  mutable ffunc : string;
   mutable fblock : int;  (** cursor: block index in the code image *)
   mutable findex : int;  (** cursor: instruction index; the block's
                              instruction count denotes its terminator *)
-  frame_base : int64;
-  ret_slot : int64;  (** address of this frame's return-address word; 0 for entry *)
-  fdst : int;  (** offset of the caller slot receiving the return value, or -1 *)
-  mutable in_flight_args : int64 array;
-      (** evaluated arguments of the call this frame currently has in
-          flight (the "argument registers" at that callsite) *)
-  mutable in_flight_callsite : int64;  (** code address of that call instr *)
+  mutable frame_base : int;
+  mutable ret_slot : int;  (** address of this frame's return-address word; 0 for entry *)
+  mutable fdst : int;  (** offset of the caller slot receiving the return value, or -1 *)
+  mutable callsite : int;
+      (** code address of the call this frame has in flight, 0 before
+          its first call *)
+  args : Args.t;  (** that call's arguments: this depth's argument file *)
 }
 
 type stats = {
@@ -88,13 +116,13 @@ type t = {
   rodata : (string, int64) Hashtbl.t;  (** interned strings *)
   mutable rodata_next : int64;
   literal_addrs : int array;  (** literal id -> rodata address, 0 until first evaluated *)
-  mutable sp : int64;
+  mutable sp : int;
   mutable brk : int64;
-  mutable frames : frame list;  (** top of stack first *)
-  mutable abi_regs : int64 array;  (** args of the most recent call *)
-  mutable trap_rip : int64;  (** code address of the most recent call instr *)
-  mutable on_syscall : (t -> sysno:int -> args:int64 array -> int64) option;
-  mutable on_intrinsic : (t -> name:string -> args:int64 array -> int64) option;
+  mutable stack : frame array;  (** frame records by depth, outermost first *)
+  mutable depth : int;  (** live frames: [stack.(depth - 1)] is the innermost *)
+  mutable trap_rip : int;  (** code address of the most recent call instr *)
+  mutable on_syscall : (t -> sysno:int -> args:Args.t -> int64) option;
+  mutable on_intrinsic : (t -> name:string -> args:Args.t -> int64) option;
   mutable on_indirect_call :
     (t -> callsite:Sil.Loc.t -> target:int64 -> resolved:string option -> unit) option;
   mutable on_instr : (t -> Sil.Loc.t -> unit) option;
@@ -147,11 +175,11 @@ let create ?(config = default_config) ?layout (prog : Sil.Prog.t) : t =
       rodata = Hashtbl.create 64;
       rodata_next = Layout.rodata_base;
       literal_addrs = Array.make (Layout.literals layout) 0;
-      sp = Layout.stack_base;
+      sp = Int64.to_int Layout.stack_base;
       brk = Layout.heap_base;
-      frames = [];
-      abi_regs = [||];
-      trap_rip = 0L;
+      stack = [||];
+      depth = 0;
+      trap_rip = 0;
       on_syscall = None;
       on_intrinsic = None;
       on_indirect_call = None;
@@ -176,7 +204,7 @@ let create ?(config = default_config) ?layout (prog : Sil.Prog.t) : t =
    recomputes one) or calls a function that is not inlined keeps the
    whole match boxed. *)
 
-let[@inline] slot_addr (frame : frame) off = Memory.addr_add frame.frame_base off
+let[@inline] slot_addr (frame : frame) off = Int64.of_int (frame.frame_base + (8 * off))
 
 (* [n], computed afresh rather than returned as the box it came in. *)
 let[@inline] fresh (n : int64) = Int64.add n 0L
@@ -222,80 +250,92 @@ let[@inline] eval_rvalue (t : t) (frame : frame) (rv : Layout.rvalue) : int64 =
     Sil.Instr.eval_binop op (eval t frame a) vb
 
 (* ------------------------------------------------------------------ *)
-(* Frames                                                              *)
+(* Frames
+
+   The record at depth [d] serves every call that runs at that depth, so
+   a call and its return write only integer fields and unboxed words:
+   no frame, list cell or argument array is allocated per call.  A
+   depth's record and argument file are made when the stack first
+   reaches it. *)
+
+let grow_stack (t : t) =
+  let n = Array.length t.stack in
+  let capacity = Layout.max_args t.layout in
+  t.stack <-
+    Array.init (max 16 (2 * n)) (fun d ->
+        if d < n then t.stack.(d)
+        else
+          { fblock = 0; findex = 0; frame_base = 0; ret_slot = 0; fdst = -1; callsite = 0;
+            args = Args.create capacity })
 
 (* Reserve a frame for [callee] below [t.sp] and make it current. *)
 let enter (t : t) (callee : Layout.func) ~ret_slot ~fdst =
   if callee.entry_block < 0 then
     invalid_arg (Printf.sprintf "Func.entry_block: %s has no blocks" callee.name);
-  t.sp <- Int64.sub t.sp (Int64.of_int (8 * callee.frame_words));
-  let frame =
-    {
-      ffunc = callee.name;
-      fblock = callee.entry_block;
-      findex = 0;
-      frame_base = t.sp;
-      ret_slot;
-      fdst;
-      in_flight_args = [||];
-      in_flight_callsite = 0L;
-    }
-  in
-  t.frames <- frame :: t.frames;
+  t.sp <- t.sp - (8 * callee.frame_words);
+  if t.depth = Array.length t.stack then grow_stack t;
+  let frame = t.stack.(t.depth) in
+  frame.fblock <- callee.entry_block;
+  frame.findex <- 0;
+  frame.frame_base <- t.sp;
+  frame.ret_slot <- ret_slot;
+  frame.fdst <- fdst;
+  frame.callsite <- 0;
+  frame.args.len <- 0;
+  t.depth <- t.depth + 1;
   frame
 
-let push_frame (t : t) ~(callee : Layout.func) ~(args : int64 array) ~(ret_token : int64)
-    ~fdst =
-  t.sp <- Int64.sub t.sp 8L;
+(* Push the return token, enter [callee] and copy the caller's
+   argument file into its parameter slots. *)
+let push_frame (t : t) ~(callee : Layout.func) ~(args : Args.t) ~ret_token ~fdst =
+  t.sp <- t.sp - 8;
   let ret_slot = t.sp in
-  Memory.write t.mem ret_slot ret_token;
+  let token = Int64.of_int ret_token in
+  Memory.write t.mem (Int64.of_int ret_slot) token;
   (* The CET push rides the call micro-ops for free; only the
      return-side compare costs a cycle. *)
-  if t.config.cet then Cet.Shadow_stack.push t.shadow_stack ret_token;
+  if t.config.cet then Cet.Shadow_stack.push t.shadow_stack token;
   let frame = enter t callee ~ret_slot ~fdst in
-  (* Copy arguments into parameter slots. *)
-  for i = 0 to min (Array.length callee.params) (Array.length args) - 1 do
-    Memory.write t.mem (slot_addr frame callee.params.(i)) args.(i)
+  for i = 0 to min (Array.length callee.params) args.len - 1 do
+    Memory.write t.mem (slot_addr frame callee.params.(i)) (Args.get64 args.words (i lsl 3))
   done
 
 exception Program_exit of int64
 
-let pop_frame (t : t) (ret_val : int64) =
-  match t.frames with
-  | [] -> raise (Program_exit ret_val)
-  | frame :: rest ->
-    t.stats.rets <- t.stats.rets + 1;
-    charge t t.config.cost.ret;
-    if Int64.equal frame.ret_slot 0L then raise (Program_exit ret_val);
-    let token = Memory.read t.mem frame.ret_slot in
-    if t.config.cet then begin
-      charge t t.config.cost.cet_op;
-      Cet.Shadow_stack.pop_check t.shadow_stack ~actual:token
-    end;
-    t.frames <- rest;
-    t.sp <- Int64.add frame.ret_slot 8L;
-    (* Deliver the return value into the caller's destination slot,
-       resolved against the function that made the call (which the
-       caller frame is still running: only this return can pivot it). *)
-    (match rest with
-    | caller :: _ when frame.fdst >= 0 -> Memory.write t.mem (slot_addr caller frame.fdst) ret_val
-    | _ -> ());
-    (* Transfer control to the (possibly corrupted) return token. *)
+(* Inlined into [exec_terminator], so the return value is never boxed. *)
+let[@inline] pop_frame (t : t) (ret_val : int64) =
+  if t.depth = 0 then raise (Program_exit ret_val);
+  let frame = t.stack.(t.depth - 1) in
+  t.stats.rets <- t.stats.rets + 1;
+  charge t t.config.cost.ret;
+  if frame.ret_slot = 0 then raise (Program_exit ret_val);
+  let token = Memory.read t.mem (Int64.of_int frame.ret_slot) in
+  if t.config.cet then begin
+    charge t t.config.cost.cet_op;
+    Cet.Shadow_stack.pop_check t.shadow_stack ~actual:token
+  end;
+  t.depth <- t.depth - 1;
+  t.sp <- frame.ret_slot + 8;
+  (* Only the entry frame has no return slot, so a caller is live. *)
+  let caller = t.stack.(t.depth - 1) in
+  (* Deliver the return value into the caller's destination slot,
+     resolved against the function that made the call (which the
+     caller frame is still running: only this return can pivot it). *)
+  if frame.fdst >= 0 then Memory.write t.mem (slot_addr caller frame.fdst) ret_val;
+  (* Transfer control to the (possibly corrupted) return token.  The
+     caller's own resume point is where its cursor already stands: the
+     call advanced it past the call instruction. *)
+  if token <> Int64.of_int (caller.callsite + 8) then
     match Layout.point_index t.layout token with
     | -1 -> raise (Killed (Bad_return_target { target = token }))
-    | p -> (
-      match rest with
-      | caller :: _ ->
-        (* A token pointing into another function models a ROP pivot:
-           the gadget executes with the attacker-controlled stack.  A
-           terminator's point resumes at that terminator. *)
-        let image = Layout.image t.layout in
-        let b = image.point_block.(p) in
-        let blk = image.blocks.(b) in
-        caller.ffunc <- image.funcs.(blk.owner).name;
-        caller.fblock <- b;
-        caller.findex <- p - blk.first_point
-      | [] -> raise (Program_exit ret_val))
+    | p ->
+      (* A token pointing into another function models a ROP pivot:
+         the gadget executes with the attacker-controlled stack.  A
+         terminator's point resumes at that terminator. *)
+      let image = Layout.image t.layout in
+      let b = image.point_block.(p) in
+      caller.fblock <- b;
+      caller.findex <- p - image.blocks.(b).first_point
 
 (* ------------------------------------------------------------------ *)
 (* Built-in intrinsics                                                 *)
@@ -307,10 +347,10 @@ let alloc_heap (t : t) words =
   t.brk <- Int64.add t.brk (Int64.of_int (8 * max 1 words));
   addr
 
-let run_intrinsic (t : t) name (args : int64 array) : int64 =
+let run_intrinsic (t : t) name (args : Args.t) : int64 =
   match name with
   | "malloc" ->
-    let words = if Array.length args > 0 then Int64.to_int args.(0) else 1 in
+    let words = if args.len > 0 then Args.get_int args 0 else 1 in
     alloc_heap t words
   | _ -> (
     match t.on_intrinsic with
@@ -323,16 +363,17 @@ let run_intrinsic (t : t) name (args : int64 array) : int64 =
 let write_dst (t : t) frame dst result =
   match dst with Some p -> Memory.write t.mem (place_addr t frame p) result | None -> ()
 
+(* The arguments go into the calling frame's argument file, where the
+   hooks read them and a callee's parameters are copied from. *)
 let exec_call (t : t) (frame : frame) (blk : Layout.block) idx (c : Layout.call) =
-  let argv = Array.make (Array.length c.args) 0L in
-  for i = 0 to Array.length argv - 1 do
-    argv.(i) <- eval t frame c.args.(i)
+  let args = frame.args in
+  for i = 0 to Array.length c.args - 1 do
+    Args.set64 args.words (i lsl 3) (eval t frame c.args.(i))
   done;
-  let callsite_addr = Int64.add blk.base (Int64.of_int (8 * idx)) in
-  t.abi_regs <- argv;
-  t.trap_rip <- callsite_addr;
-  frame.in_flight_args <- argv;
-  frame.in_flight_callsite <- callsite_addr;
+  args.len <- Array.length c.args;
+  let callsite = Int64.to_int blk.base + (8 * idx) in
+  t.trap_rip <- callsite;
+  frame.callsite <- callsite;
   t.stats.calls <- t.stats.calls + 1;
   let fi =
     match c.target with
@@ -362,14 +403,14 @@ let exec_call (t : t) (frame : frame) (blk : Layout.block) idx (c : Layout.call)
     t.stats.syscalls <- t.stats.syscalls + 1;
     let result =
       match t.on_syscall with
-      | Some h -> h t ~sysno ~args:argv
+      | Some h -> h t ~sysno ~args
       | None -> 0L
     in
     write_dst t frame c.dst result;
     frame.findex <- frame.findex + 1
   | Intrinsic name ->
     charge t t.config.cost.intrinsic;
-    let result = run_intrinsic t name argv in
+    let result = run_intrinsic t name args in
     write_dst t frame c.dst result;
     frame.findex <- frame.findex + 1
   | App_code ->
@@ -378,10 +419,9 @@ let exec_call (t : t) (frame : frame) (blk : Layout.block) idx (c : Layout.call)
        instruction, or the block's terminator after the last one.
        Advance the caller before pushing, so the cursor is correct if
        the callee is re-entered recursively. *)
-    let token = Int64.add callsite_addr 8L in
     frame.findex <- idx + 1;
     let fdst = match c.dst with Some (Pslot off) -> off | Some _ | None -> -1 in
-    push_frame t ~callee ~args:argv ~ret_token:token ~fdst
+    push_frame t ~callee ~args ~ret_token:(callsite + 8) ~fdst
 
 let exec_terminator (t : t) (frame : frame) (term : Layout.term) =
   match term with
@@ -391,7 +431,7 @@ let exec_terminator (t : t) (frame : frame) (term : Layout.term) =
   | Branch (cond, b1, b2) ->
     let c = eval t frame cond in
     charge t t.config.cost.instr;
-    frame.fblock <- (if not (Int64.equal c 0L) then b1 else b2);
+    frame.fblock <- (if c <> 0L then b1 else b2);
     frame.findex <- 0
   | Ret op ->
     let v = match op with Some op -> eval t frame op | None -> 0L in
@@ -400,7 +440,8 @@ let exec_terminator (t : t) (frame : frame) (term : Layout.term) =
   | Missing_block msg -> invalid_arg msg
 
 let step (t : t) (blocks : Layout.block array) =
-  let frame = match t.frames with f :: _ -> f | [] -> invalid_arg "Machine.top_frame: no frames" in
+  if t.depth = 0 then invalid_arg "Machine.top_frame: no frames";
+  let frame = t.stack.(t.depth - 1) in
   let blk = blocks.(frame.fblock) in
   let idx = frame.findex in
   if idx >= Array.length blk.instrs then exec_terminator t frame blk.term
@@ -428,9 +469,9 @@ let run (t : t) : outcome =
     | Some fi -> (Layout.image t.layout).funcs.(fi)
     | None -> invalid_arg ("Prog.find_func: unknown function " ^ t.prog.entry)
   in
-  t.sp <- Layout.stack_base;
-  t.frames <- [];
-  ignore (enter t entry ~ret_slot:0L ~fdst:(-1));
+  t.sp <- Int64.to_int Layout.stack_base;
+  t.depth <- 0;
+  ignore (enter t entry ~ret_slot:0 ~fdst:(-1));
   let blocks = (Layout.image t.layout).blocks in
   let budget = ref t.config.fuel in
   try
@@ -451,13 +492,20 @@ let run (t : t) : outcome =
 (* ------------------------------------------------------------------ *)
 (* Introspection used by the kernel's ptrace layer and by attacks      *)
 
-(** Stack frames, innermost first, with the *memory-resident* return
-    address of each (reading it reflects any corruption). *)
-let frames (t : t) = t.frames
+(* The [i]-th live frame, innermost first. *)
+let frame_at (t : t) i = t.stack.(t.depth - 1 - i)
 
+(** Live frames, innermost first. *)
+let frames (t : t) = List.init t.depth (frame_at t)
+
+let frame_fidx (t : t) (frame : frame) = (Layout.image t.layout).blocks.(frame.fblock).owner
+
+let call_args (t : t) = if t.depth = 0 then Args.create 0 else t.stack.(t.depth - 1).args
+
+(** The frame's *memory-resident* return address (reading it reflects
+    any corruption). *)
 let read_ret_addr (t : t) (frame : frame) =
-  if Int64.equal frame.ret_slot 0L then None
-  else Some (Memory.read t.mem frame.ret_slot)
+  if frame.ret_slot = 0 then None else Some (Memory.read t.mem (Int64.of_int frame.ret_slot))
 
 let peek (t : t) addr = Memory.read t.mem addr
 let poke (t : t) addr v = Memory.write t.mem addr v
@@ -470,10 +518,12 @@ let instr_address (t : t) loc = Layout.addr_of_loc t.layout loc
 (** Address of a local variable of a live frame, searching innermost
     frames first.  Used by attack scripts to corrupt specific variables. *)
 let local_address (t : t) ~func ~var =
-  let rec find = function
-    | [] -> None
-    | (f : frame) :: rest ->
-      if String.equal f.ffunc func then
+  let rec find i =
+    if i >= t.depth then None
+    else
+      let f = frame_at t i in
+      let fi = frame_fidx t f in
+      if String.equal (Layout.image t.layout).funcs.(fi).name func then
         let fn = Sil.Prog.find_func t.prog func in
         let v =
           List.find_opt
@@ -482,8 +532,8 @@ let local_address (t : t) ~func ~var =
         in
         match v with
         | Some (v, _) ->
-          Some (Memory.addr_add f.frame_base (Layout.var_offset t.layout f.ffunc v.vid))
-        | None -> find rest
-      else find rest
+          Some (Int64.of_int (f.frame_base + (8 * Layout.var_offset t.layout func v.vid)))
+        | None -> find (i + 1)
+      else find (i + 1)
   in
-  find t.frames
+  find 0

@@ -33,21 +33,56 @@ val fault_to_string : fault -> string
 
 type outcome = Exited of int64 | Faulted of fault
 
+(** The argument registers of a call: an unboxed vector of words.
+    The machine keeps one per call depth (its {e argument file}) and
+    evaluates each call's arguments into the calling frame's file,
+    where the call's hooks read them.  A file is overwritten by the
+    next call made at its depth, so a hook reads it during the call,
+    and whatever keeps arguments past the call copies them
+    ({!Args.copy}, {!Args.to_array}). *)
+module Args : sig
+  type t
+
+  val length : t -> int
+
+  (** Argument [i], or 0 past the last one passed (an unset register).
+      Inlined in a release build, so the word reaches the caller's
+      arithmetic unboxed. *)
+  val get : t -> int -> int64
+
+  (** [get] as an [int], which no profile boxes. *)
+  val get_int : t -> int -> int
+
+  (** Overwrite argument [i] (a tracer editing the register file).
+      @raise Invalid_argument past the last argument. *)
+  val set : t -> int -> int64 -> unit
+
+  val of_array : int64 array -> t
+  val to_array : t -> int64 array
+  val copy : t -> t
+end
+
 (** A live stack frame.  Its cursor is ([fblock], [findex]): a block of
     the layout's code image and an instruction index, where the block's
-    instruction count denotes its terminator.  [ffunc] names the
-    function that block belongs to; both change when a corrupted return
-    token pivots the frame to another function (ROP semantics). *)
+    instruction count denotes its terminator.  The function it runs is
+    that block's owner ({!frame_fidx}); a corrupted return token that
+    pivots the frame moves its cursor into another function (ROP
+    semantics).
+
+    Frames are reused by call depth: the record at depth [d] describes
+    whichever call runs at that depth now, so a frame read after its
+    call returned describes the next call made at its depth.  Addresses
+    are [int]s, which a call writes without allocating. *)
 type frame = private {
-  mutable ffunc : string;
   mutable fblock : int;
   mutable findex : int;
-  frame_base : int64;
-  ret_slot : int64;  (** address of the return-address word; 0 for entry *)
-  fdst : int;  (** offset of the caller's slot receiving the return value, or -1 *)
-  mutable in_flight_args : int64 array;
-      (** evaluated arguments of the call this frame has in flight *)
-  mutable in_flight_callsite : int64;
+  mutable frame_base : int;
+  mutable ret_slot : int;  (** address of the return-address word; 0 for entry *)
+  mutable fdst : int;  (** offset of the caller's slot receiving the return value, or -1 *)
+  mutable callsite : int;
+      (** code address of the call this frame has in flight, 0 before
+          its first call *)
+  args : Args.t;  (** that call's arguments: this depth's argument file *)
 }
 
 type stats = {
@@ -77,13 +112,15 @@ type t = {
   literal_addrs : int array;
       (** literal id -> this machine's rodata address for it, 0 until
           the machine first evaluates a literal of that text *)
-  mutable sp : int64;
+  mutable sp : int;
   mutable brk : int64;
-  mutable frames : frame list;  (** innermost first *)
-  mutable abi_regs : int64 array;  (** args of the most recent call *)
-  mutable trap_rip : int64;        (** code address of the most recent call *)
-  mutable on_syscall : (t -> sysno:int -> args:int64 array -> int64) option;
-  mutable on_intrinsic : (t -> name:string -> args:int64 array -> int64) option;
+  mutable stack : frame array;
+      (** frame records by depth, outermost first; read through
+          {!frames} *)
+  mutable depth : int;  (** live frames *)
+  mutable trap_rip : int;  (** code address of the most recent call *)
+  mutable on_syscall : (t -> sysno:int -> args:Args.t -> int64) option;
+  mutable on_intrinsic : (t -> name:string -> args:Args.t -> int64) option;
   mutable on_indirect_call :
     (t -> callsite:Sil.Loc.t -> target:int64 -> resolved:string option -> unit)
     option;
@@ -114,6 +151,15 @@ val run : t -> outcome
 
 (** Live frames, innermost first. *)
 val frames : t -> frame list
+
+(** The code-image index of the function the frame runs: its cursor
+    block's owner. *)
+val frame_fidx : t -> frame -> int
+
+(** The arguments of the innermost frame's call in flight: at a system
+    call, its argument registers.  The live file, valid during the
+    call. *)
+val call_args : t -> Args.t
 
 (** The frame's memory-resident return address (reflects corruption);
     [None] for the entry frame. *)

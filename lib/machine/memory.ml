@@ -46,10 +46,11 @@ let[@inline] addr_add addr words = Int64.add addr (Int64.mul word (Int64.of_int 
 
 (* The slot holding [a], or the empty slot that ends its probe
    sequence.  Inlined into [read] and [write], so the address is never
-   boxed to cross a call. *)
-let[@inline] probe cells mask a =
+   boxed to cross a call.  Words are compared with [=] at type [int64],
+   one machine compare, where [Int64.equal] is a three-way [compare]. *)
+let[@inline] probe cells mask (a : int64) =
   let i = ref (home mask a) in
-  while not (Int64.equal (value cells !i) 0L || Int64.equal (key cells !i) a) do
+  while not (value cells !i = 0L || key cells !i = a) do
     i := (!i + 1) land mask
   done;
   !i
@@ -67,7 +68,7 @@ let grow t =
   t.mask <- (2 * slots) - 1;
   for i = 0 to slots - 1 do
     let v = value old i in
-    if not (Int64.equal v 0L) then
+    if v <> 0L then
       let a = key old i in
       set t.cells (probe t.cells t.mask a) a v
   done
@@ -78,7 +79,7 @@ let grow t =
 let rec unmap t hole j =
   let j = (j + 1) land t.mask in
   let v = value t.cells j in
-  if Int64.equal v 0L then set_value t.cells hole 0L
+  if v = 0L then set_value t.cells hole 0L
   else
     let k = home t.mask (key t.cells j) in
     let stays = if hole <= j then hole < k && k <= j else hole < k || k <= j in
@@ -89,17 +90,17 @@ let rec unmap t hole j =
     end
 
 (* Inlined, like [read]; growth and unmapping stay out of line. *)
-let[@inline] write t addr v =
+let[@inline] write t addr (v : int64) =
   let cells = t.cells in
   let i = probe cells t.mask addr in
-  if Int64.equal (value cells i) 0L then begin
-    if not (Int64.equal v 0L) then begin
+  if value cells i = 0L then begin
+    if v <> 0L then begin
       set cells i addr v;
       t.count <- t.count + 1;
       if 2 * t.count > t.mask then grow t
     end
   end
-  else if Int64.equal v 0L then begin
+  else if v = 0L then begin
     unmap t i i;
     t.count <- t.count - 1
   end

@@ -241,7 +241,7 @@ let snapshot_of_input (tracer : Ptrace.t) (i : Event.input) : Ptrace.snapshot =
             Ptrace.fv_func = f.f_func;
             fv_fidx = Option.value ~default:(-1) (Machine.Layout.find_func layout f.f_func);
             fv_callsite = f.f_callsite;
-            fv_args = Array.copy f.f_args;
+            fv_args = Machine.Args.of_array f.f_args;
             fv_ret_token = f.f_ret;
             fv_base = f.f_base;
           })
@@ -263,9 +263,10 @@ let snapshot_of_input (tracer : Ptrace.t) (i : Event.input) : Ptrace.snapshot =
    rule refuses. *)
 let trap_source c (matches : rule) : Bastion.Monitor.trap_source =
   let input (tracer : Ptrace.t) =
+    let rip = Int64.of_int tracer.machine.Machine.trap_rip in
     match peek c with
     | Some (_, ({ Event.ev_input = Some i; _ } as ev))
-      when matches ~sysno:tracer.cur_sysno ~rip:tracer.machine.Machine.trap_rip ev ->
+      when matches ~sysno:tracer.cur_sysno ~rip ev ->
       Some (ev, i)
     | _ -> None
   in
@@ -275,7 +276,8 @@ let trap_source c (matches : rule) : Bastion.Monitor.trap_source =
         match input tracer with
         | Some (ev, i) ->
           Ptrace.inject_regs tracer
-            { Ptrace.rip = ev.ev_rip; sysno = ev.ev_sysno; args = Array.copy i.in_args }
+            { Ptrace.rip = ev.ev_rip; sysno = ev.ev_sysno;
+              args = Machine.Args.of_array i.in_args }
         | None -> Ptrace.getregs tracer);
     ts_snapshot =
       (fun tracer ~span_words ->

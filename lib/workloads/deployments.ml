@@ -14,6 +14,7 @@ type source = { id : id; prog : Sil.Prog.t Lazy.t }
    is never written again. *)
 type entry = {
   bundle : Bastion.Api.protected Lazy.t;
+  layout : Machine.Layout.t Lazy.t;  (* the plain entry's: [bundle]'s program's image *)
   deployment : Bastion.Api.deployment Lazy.t;
   spec : Defenses.Flow_prefilter.spec Lazy.t;  (* the plain entry's *)
   graph : Kernel.Seccomp.flow_graph Lazy.t;    (* [spec] on [deployment] *)
@@ -37,11 +38,11 @@ let rec entry src ~fs ~pre_resolve =
   match Hashtbl.find_opt table key with
   | Some e -> e
   | None ->
-    let bundle, spec, unprotected =
+    let bundle, layout, spec, unprotected =
       if pre_resolve then
         let plain = entry src ~fs ~pre_resolve:false in
         ( lazy (Bastion_analysis.Preresolve.enrich (Lazy.force plain.bundle)),
-          plain.spec, plain.unprotected )
+          plain.layout, plain.spec, plain.unprotected )
       else
         let bundle =
           lazy
@@ -49,14 +50,17 @@ let rec entry src ~fs ~pre_resolve =
                (Lazy.force src.prog))
         in
         ( bundle,
+          lazy (Machine.Layout.build (Lazy.force bundle).inst.iprog),
           lazy (Bastion_analysis.Flowgraph.extract (Lazy.force bundle)),
           lazy (let p = Lazy.force src.prog in (p, Machine.Layout.build p)) )
     in
-    let deployment = lazy (Bastion.Api.deploy (Lazy.force bundle)) in
+    let deployment =
+      lazy (Bastion.Api.deploy ~layout:(Lazy.force layout) (Lazy.force bundle))
+    in
     let graph =
       lazy (Bastion_analysis.Flowgraph.deploy (Lazy.force spec) (Lazy.force deployment))
     in
-    let e = { bundle; deployment; spec; graph; unprotected } in
+    let e = { bundle; layout; deployment; spec; graph; unprotected } in
     Hashtbl.replace table key e;
     e
 

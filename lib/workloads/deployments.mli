@@ -10,8 +10,11 @@
       entry enriches the plain entry's bundle into a fresh one, so the
       compile pass runs once per program and scope and the plain
       bundle is never mutated;
-    - its deployment ({!Bastion.Api.deploy}: code image, post-layout
-      metadata and check image);
+    - the code image of the bundle's instrumented program, built once
+      per program and scope and shared across pre-resolution
+      (enrichment keeps the instrumented program);
+    - its deployment ({!Bastion.Api.deploy} over that image:
+      post-layout metadata and check image);
     - the syscall-flow spec, extracted once per program and scope and
       shared across pre-resolution (extraction reads only fields that
       enrichment keeps);

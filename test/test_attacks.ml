@@ -272,3 +272,79 @@ let suites =
           ] );
     ]
   | other -> other
+
+(* Appended: a program's plain and pre-resolved deployments share the
+   code image of its instrumented program, which enrichment keeps. *)
+module Deployments = Workloads.Deployments
+
+let session_layout src ~fs ~pre_resolve =
+  (Deployments.stage ~machine_config:Machine.default_config
+     ~monitor_config:Bastion.Monitor.default_config src ~fs ~pre_resolve)
+    .machine.layout
+
+(* Every (victim, scope) the catalog deploys, and the three small
+   models. *)
+let test_preresolved_shares_image () =
+  let victims =
+    List.sort_uniq compare
+      (List.map (fun (a : Attacks.Attack.t) -> (a.a_victim.v_name, a.a_fs_scope)) Attacks.Catalog.all)
+  in
+  let sources =
+    List.map
+      (fun (name, fs) ->
+        let a =
+          List.find
+            (fun (a : Attacks.Attack.t) -> String.equal a.a_victim.v_name name)
+            Attacks.Catalog.all
+        in
+        (Printf.sprintf "%s (fs %b)" name fs, Attacks.Victims.source a.a_victim, fs))
+      victims
+    @ List.map
+        (fun (name, app) -> (name, Workloads.Drivers.source app, false))
+        (Workloads.Fleet.small_apps ())
+  in
+  List.iter
+    (fun (name, src, fs) ->
+      let plain = session_layout src ~fs ~pre_resolve:false in
+      Alcotest.(check bool) (name ^ ": one image") true
+        (plain == session_layout src ~fs ~pre_resolve:true))
+    sources
+
+(* A pre-resolved run of each small model from the cache equals a run
+   of a freshly enriched bundle, deployed on its own image. *)
+let test_preresolved_run_equals_fresh () =
+  List.iter
+    (fun (name, (app : Workloads.Drivers.app)) ->
+      let signature (m : Workloads.Drivers.measurement) = (m.m_cycles, m.m_traps, m.m_syscalls) in
+      let fresh =
+        Bastion_analysis.Preresolve.enrich
+          (Bastion.Api.protect ~validate:true (Lazy.force app.prog))
+      in
+      Alcotest.(check (triple int int int)) (name ^ ": cycles, traps, syscalls")
+        (signature (Workloads.Drivers.run ~bundle:fresh app Workloads.Drivers.Bastion_full))
+        (signature (Workloads.Drivers.run ~pre_resolve:true app Workloads.Drivers.Bastion_full)))
+    (Workloads.Fleet.small_apps ())
+
+let test_deploy_refuses_another_image () =
+  let p = Bastion.Api.protect (Testlib.exec_program ()) in
+  let other = Machine.Layout.build (Testlib.exec_program ()) in
+  Alcotest.check_raises "another program's image"
+    (Invalid_argument "Api.deploy: the layout belongs to another program") (fun () ->
+      ignore (Bastion.Api.deploy ~layout:other p))
+
+let suites =
+  match suites with
+  | [ (name, cases) ] ->
+    [
+      ( name,
+        cases
+        @ [
+            Alcotest.test_case "plain and pre-resolved deployments share one image" `Quick
+              test_preresolved_shares_image;
+            Alcotest.test_case "pre-resolved model runs equal fresh ones" `Quick
+              test_preresolved_run_equals_fresh;
+            Alcotest.test_case "deploy refuses another program's image" `Quick
+              test_deploy_refuses_another_image;
+          ] );
+    ]
+  | other -> other

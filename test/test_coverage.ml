@@ -67,7 +67,7 @@ let test_intrinsic_declaration () =
   machine.on_intrinsic <-
     Some
       (fun _ ~name ~args ->
-        seen := Some (name, args);
+        seen := Some (name, Machine.Args.to_array args);
         99L);
   Testlib.check_exit (Machine.run machine);
   match !seen with

@@ -220,7 +220,7 @@ let test_trap_flow_kill_and_verdict () =
       (fun _proc ~sysno ~args ->
         incr trapped;
         Alcotest.(check int) "sysno" (Kernel.Syscalls.number "mprotect") sysno;
-        Alcotest.(check int64) "arg1" 4096L args.(1);
+        Alcotest.(check int64) "arg1" 4096L (Machine.Args.get args 1);
         Kernel.Process.Deny { context = "test"; detail = "nope" });
   Testlib.check_fault (Machine.run machine)
     (Testlib.is_monitor_kill ~context:"test")
@@ -257,8 +257,11 @@ let test_ptrace_tracer () =
         let tracer = proc.tracer in
         let regs = Kernel.Ptrace.getregs tracer in
         Alcotest.(check int) "sysno via regs" (Kernel.Syscalls.number "mmap") regs.sysno;
-        Alcotest.(check int64) "size arg" 8192L regs.args.(1);
-        let frames = Kernel.Ptrace.stack_trace tracer in
+        Alcotest.(check int64) "size arg" 8192L (Machine.Args.get regs.args 1);
+        let nfuncs = Array.length (Machine.Layout.image machine.layout).funcs in
+        let frames =
+          (Kernel.Ptrace.snapshot tracer ~span_words:(Array.make nfuncs 0)).sn_frames
+        in
         Alcotest.(check (list string)) "stack funcs" [ "leaf"; "mid"; "main" ]
           (List.map (fun (fv : Kernel.Ptrace.frame_view) -> fv.fv_func) frames);
         (* Unwound tokens map back to the correct caller callsites. *)
@@ -353,7 +356,8 @@ let test_read_negative_count_on_connection () =
   in
   let before = machine.stats.cycles in
   let n =
-    Kernel.dispatch proc machine ~sysno:(sys "read") ~args:[| Int64.of_int conn; 0L; -1000L |]
+    Kernel.dispatch proc machine ~sysno:(sys "read")
+      ~args:(Machine.Args.of_array [| Int64.of_int conn; 0L; -1000L |])
   in
   Alcotest.(check int64) "reads nothing" 0L n;
   Alcotest.(check int) "charges only kernel entry" machine.config.cost.syscall_base
@@ -369,17 +373,17 @@ let test_lseek_negative_offset () =
     | None -> Alcotest.fail "no file"
   in
   Alcotest.(check int64) "-EINVAL" (-22L)
-    (Kernel.dispatch proc machine ~sysno:(sys "lseek") ~args:[| fd; -100L; 0L |]);
+    (Kernel.dispatch proc machine ~sysno:(sys "lseek") ~args:(Machine.Args.of_array [| fd; -100L; 0L |]));
   let before = machine.stats.cycles in
   Alcotest.(check int64) "offset unchanged: the whole file" 250L
-    (Kernel.dispatch proc machine ~sysno:(sys "read") ~args:[| fd; 0L; 1000L |]);
+    (Kernel.dispatch proc machine ~sysno:(sys "read") ~args:(Machine.Args.of_array [| fd; 0L; 1000L |]));
   Alcotest.(check int) "I/O charged for the words read"
     (machine.config.cost.syscall_base + (250 * machine.config.cost.io_per_word))
     (machine.stats.cycles - before);
   Alcotest.(check int64) "a non-negative offset still seeks" 200L
-    (Kernel.dispatch proc machine ~sysno:(sys "lseek") ~args:[| fd; 200L; 0L |]);
+    (Kernel.dispatch proc machine ~sysno:(sys "lseek") ~args:(Machine.Args.of_array [| fd; 200L; 0L |]));
   Alcotest.(check int64) "reads from there" 50L
-    (Kernel.dispatch proc machine ~sysno:(sys "read") ~args:[| fd; 0L; 1000L |])
+    (Kernel.dispatch proc machine ~sysno:(sys "read") ~args:(Machine.Args.of_array [| fd; 0L; 1000L |]))
 
 (* An allowed call that touches no fd goes through seccomp, the count
    and its handler without allocating. *)
@@ -388,7 +392,7 @@ let test_allowed_dispatch_allocates_nothing () =
   let f = Kernel.Seccomp.create () in
   Kernel.Seccomp.set_rule f (sys "mprotect") Kernel.Seccomp.Trace;
   proc.filter <- Some f;
-  let args = [| 77L; 0L; 0L; 0L; 0L; 0L |] in
+  let args = Machine.Args.of_array [| 77L; 0L; 0L; 0L; 0L; 0L |] in
   List.iter
     (fun name ->
       let sysno = sys name in

@@ -289,7 +289,7 @@ let test_ret_token_semantics () =
             fired := true;
             match Machine.frames m with
             | frame :: _ ->
-              Machine.poke m frame.ret_slot
+              Machine.poke m (Int64.of_int frame.ret_slot)
                 (Machine.instr_address m (Sil.Loc.make "target" "entry" 0))
             | [] -> ()
           end);
@@ -323,8 +323,8 @@ let hijack_victim build token =
         if String.equal loc.func "victim" && Int64.equal !caller_base 0L then
           match Machine.frames m with
           | frame :: caller :: _ ->
-            caller_base := caller.frame_base;
-            Machine.poke m frame.ret_slot (token m)
+            caller_base := Int64.of_int caller.frame_base;
+            Machine.poke m (Int64.of_int frame.ret_slot) (token m)
           | _ -> ());
   let outcome = Machine.run machine in
   (machine, outcome, List.rev !seen, !caller_base)
@@ -500,3 +500,205 @@ let suites =
         Alcotest.test_case "rodata is per machine" `Quick test_rodata_per_machine;
       ] );
   ]
+
+(* --- the call path ---------------------------------------------------- *)
+
+(* Appended: a call reuses its depth's frame record and argument file,
+   keeps [sp] and [trap_rip] as [int]s and its shadow stack unboxed, so
+   in a release build it allocates nothing. *)
+
+type call_kind = No_call | Direct0 | Direct3 | Indirect3 | Syscall3 | Ctx3
+
+(* [n] iterations of a counted loop of two assignments and a branch,
+   each making one call of [kind]: to a leaf of no or three parameters,
+   to the three-parameter leaf through a function pointer, to a syscall
+   stub or to a ctx_* intrinsic, the last four with three arguments. *)
+let call_loop kind n =
+  let pb = B.program () in
+  Kernel.Syscalls.declare_stubs pb;
+  B.intrinsic pb "ctx_bind_mem" ~arity:3;
+  let fb = B.func pb "leaf0" ~params:[] in
+  B.ret fb None;
+  B.seal fb;
+  let fb = B.func pb "leaf3" ~params:[ ("a", i64); ("b", i64); ("c", i64) ] in
+  B.ret fb None;
+  B.seal fb;
+  B.global pb "g_fp" ptr (Sil.Prog.Fptr "leaf3");
+  let fb = B.func pb "main" ~params:[] in
+  let i = B.local fb "i" i64 and c = B.local fb "c" i64 in
+  B.set fb i (const 0);
+  B.jump fb "loop";
+  B.block fb "loop";
+  B.binop fb i Sil.Instr.Add (Var i) (const 1);
+  B.binop fb c Sil.Instr.Lt (Var i) (const n);
+  let args = [ Var i; const 4096; Var c ] in
+  (match kind with
+  | No_call -> ()
+  | Direct0 -> B.call fb "leaf0" []
+  | Direct3 -> B.call fb "leaf3" args
+  | Indirect3 -> B.call_indirect fb (Global "g_fp") args
+  | Syscall3 -> B.call fb "mprotect" args
+  | Ctx3 -> B.call fb "ctx_bind_mem" args);
+  B.branch fb (Var c) "loop" "done";
+  B.block fb "done";
+  B.halt fb;
+  B.seal fb;
+  B.build pb ~entry:"main"
+
+(* Minor words one more iteration allocates, under CET with no-op
+   hooks: the difference of two loop lengths, so set-up cancels. *)
+let words_per_iteration kind =
+  let words n =
+    let m =
+      Machine.create ~config:{ Machine.default_config with cet = true } (call_loop kind n)
+    in
+    m.on_syscall <- Some (fun _ ~sysno:_ ~args:_ -> 0L);
+    m.on_intrinsic <- Some (fun _ ~name:_ ~args:_ -> 0L);
+    let before = Gc.minor_words () in
+    let outcome = Machine.run m in
+    let words = Gc.minor_words () -. before in
+    Testlib.check_exit outcome;
+    words
+  in
+  (words 2000 -. words 1000) /. 1000.
+
+(* In release, where [@inline] crosses modules, a call allocates
+   nothing the call-free loop does not.  The dev profile passes
+   -opaque, so each memory, shadow-stack and argument-file access that
+   crosses a module boxes its word; the budget there is what those
+   boxes come to per call. *)
+let test_calls_allocate_nothing () =
+  let loop = words_per_iteration No_call in
+  List.iter
+    (fun (name, kind, dev_budget) ->
+      let budget = if String.equal Build_profile.name "release" then 0. else dev_budget in
+      let extra = words_per_iteration kind -. loop in
+      if extra > budget then
+        Alcotest.failf "%s: %.2f minor words per call over the call-free loop (budget %.0f, %s)"
+          name extra budget Build_profile.name)
+    [ ("direct, no arguments", Direct0, 15.); ("direct, three arguments", Direct3, 45.);
+      ("indirect", Indirect3, 51.); ("syscall stub", Syscall3, 12.); ("ctx_* intrinsic", Ctx3, 12.) ]
+
+(* A frame record reused at its depth by another callee shows
+   [Ptrace.snapshot] only that callee's callsite, arguments and return
+   token.  [a] and its leaf run at depths 1 and 2 first, with three
+   arguments each; [b] and its leaf reuse those depths. *)
+let test_reused_frame_snapshot () =
+  let pb = B.program () in
+  Kernel.Syscalls.declare_stubs pb;
+  let fb = B.func pb "leaf_a" ~params:[ ("x", i64); ("y", i64); ("z", i64) ] in
+  B.call fb "getpid" [ Var (B.param fb 0); Var (B.param fb 1); Var (B.param fb 2) ];
+  B.ret fb None;
+  B.seal fb;
+  let fb = B.func pb "a" ~params:[ ("p", i64); ("q", i64); ("r", i64) ] in
+  B.call fb "leaf_a" [ Var (B.param fb 0); Var (B.param fb 1); Var (B.param fb 2) ];
+  B.ret fb None;
+  B.seal fb;
+  let fb = B.func pb "leaf_b" ~params:[ ("x", i64) ] in
+  let y = B.local fb "y" i64 in
+  B.binop fb y Sil.Instr.Add (Var (B.param fb 0)) (const 1);
+  B.ret fb None;
+  B.seal fb;
+  let fb = B.func pb "b" ~params:[] in
+  B.call fb "leaf_b" [ const 4 ];
+  B.ret fb None;
+  B.seal fb;
+  let fb = B.func pb "main" ~params:[] in
+  B.call fb "a" [ const 7; const 8; const 9 ];
+  B.call fb "b" [];
+  B.halt fb;
+  B.seal fb;
+  let machine = Machine.create (B.build pb ~entry:"main") in
+  let proc = Kernel.boot machine in
+  let span_words = Array.make (Array.length (Machine.Layout.image machine.layout).funcs) 0 in
+  let seen = ref [] in
+  machine.on_instr <-
+    Some
+      (fun m (loc : Sil.Loc.t) ->
+        if loc.index = 0 && String.equal loc.block "entry" && List.mem loc.func [ "b"; "leaf_b" ]
+        then
+          let snap = Kernel.Ptrace.snapshot proc.tracer ~span_words in
+          let call loc = Machine.instr_address m (Sil.Loc.make (fst loc) "entry" (snd loc)) in
+          seen :=
+            ( loc.func,
+              List.map
+                (fun (fv : Kernel.Ptrace.frame_view) ->
+                  ( fv.fv_func,
+                    (fv.fv_callsite, Machine.Args.to_array fv.fv_args),
+                    Option.map (fun t -> Int64.sub t 8L) fv.fv_ret_token ))
+                snap.sn_frames,
+              call )
+            :: !seen);
+  Testlib.check_exit (Machine.run machine);
+  let frame =
+    Alcotest.(triple string (pair int64 (array int64)) (option int64))
+  in
+  match List.rev !seen with
+  | [ ("b", at_b, call); ("leaf_b", at_leaf_b, _) ] ->
+    let main = ("main", (call ("main", 1), [||]), None) in
+    Alcotest.(check (list frame)) "entering b at a's depth"
+      [ ("b", (0L, [||]), Some (call ("main", 1))); main ]
+      at_b;
+    Alcotest.(check (list frame)) "entering leaf_b at leaf_a's depth"
+      [
+        ("leaf_b", (0L, [||]), Some (call ("b", 0)));
+        ("b", (call ("b", 0), [| 4L |]), Some (call ("main", 1)));
+        main;
+      ]
+      at_leaf_b
+  | _ -> Alcotest.fail "expected one snapshot at b and one at leaf_b"
+
+(* Recursion 10,000 frames deep runs and unwinds, with and without CET,
+   at the cycle and instruction counts the list-of-frames interpreter
+   had. *)
+let test_deep_recursion () =
+  let run cet =
+    let pb = B.program () in
+    Kernel.Syscalls.declare_stubs pb;
+    B.global pb "g_out" i64 Sil.Prog.Zero;
+    let fb = B.func pb "depth" ~params:[ ("n", i64) ] in
+    let c = B.local fb "c" i64 and r = B.local fb "r" i64 in
+    B.binop fb c Sil.Instr.Eq (Var (B.param fb 0)) (const 0);
+    B.branch fb (Var c) "base" "rec";
+    B.block fb "base";
+    B.ret fb (Some (const 0));
+    B.block fb "rec";
+    B.binop fb r Sil.Instr.Sub (Var (B.param fb 0)) (const 1);
+    B.call fb ~dst:r "depth" [ Var r ];
+    B.binop fb r Sil.Instr.Add (Var r) (const 1);
+    B.ret fb (Some (Var r));
+    B.seal fb;
+    let fb = B.func pb "main" ~params:[] in
+    let r = B.local fb "r" i64 in
+    B.call fb ~dst:r "depth" [ const 10_000 ];
+    B.store fb (Sil.Place.Lglobal "g_out") (Var r);
+    B.halt fb;
+    B.seal fb;
+    let machine =
+      Machine.create ~config:{ Machine.default_config with cet } (B.build pb ~entry:"main")
+    in
+    ignore (Kernel.boot machine);
+    Testlib.check_exit (Machine.run machine);
+    Alcotest.(check int64) "returned depth" 10_000L
+      (Machine.peek machine (Machine.global_address machine "g_out"));
+    (machine.stats.cycles, machine.stats.instrs, machine.stats.rets)
+  in
+  Alcotest.(check (triple int int int)) "without CET: cycles, instructions, returns"
+    (100_009, 40_003, 10_001) (run false);
+  Alcotest.(check (triple int int int)) "with CET: cycles, instructions, returns"
+    (110_010, 40_003, 10_001) (run true)
+
+let suites =
+  match suites with
+  | [ (name, cases) ] ->
+    [
+      ( name,
+        cases
+        @ [
+            Alcotest.test_case "calls allocate nothing" `Quick test_calls_allocate_nothing;
+            Alcotest.test_case "a reused frame shows only its own call" `Quick
+              test_reused_frame_snapshot;
+            Alcotest.test_case "recursion 10,000 frames deep" `Quick test_deep_recursion;
+          ] );
+    ]
+  | other -> other

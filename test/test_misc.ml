@@ -122,13 +122,15 @@ let test_runtime_intrinsics_direct () =
   let rt = Bastion.Runtime.create () in
   Machine.poke machine 0x9000L 42L;
   Machine.poke machine 0x9008L 43L;
-  ignore (Bastion.Runtime.handle rt machine ~name:"ctx_write_mem" ~args:[| 0x9000L; 2L |]);
+  ignore (Bastion.Runtime.handle rt machine ~name:"ctx_write_mem"
+       ~args:(Machine.Args.of_array [| 0x9000L; 2L |]));
   Alcotest.(check (option int64)) "word 0 shadowed" (Some 42L)
     (Bastion.Shadow_memory.shadow rt.shadow ~addr:0x9000L);
   Alcotest.(check (option int64)) "word 1 shadowed" (Some 43L)
     (Bastion.Shadow_memory.shadow rt.shadow ~addr:0x9008L);
   ignore
-    (Bastion.Runtime.handle rt machine ~name:"ctx_bind_mem" ~args:[| 7L; 2L; 0x9000L |]);
+    (Bastion.Runtime.handle rt machine ~name:"ctx_bind_mem"
+       ~args:(Machine.Args.of_array [| 7L; 2L; 0x9000L |]));
   Alcotest.(check (option int64)) "binding recorded" (Some 0x9000L)
     (Bastion.Shadow_memory.binding rt.shadow ~id:7 ~pos:2);
   Alcotest.(check int) "counters" 1 rt.bind_mem_calls

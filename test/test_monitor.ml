@@ -128,7 +128,7 @@ let test_cf_blocks_invalid_pair () =
   poke_at m "helper" (fun m ->
       match Machine.frames m with
       | frame :: _ ->
-        Machine.poke m frame.ret_slot
+        Machine.poke m (Int64.of_int frame.ret_slot)
           (Machine.instr_address m (Sil.Loc.make "do_exec" "entry" 0))
       | [] -> ());
   Testlib.check_fault (Machine.run m)
@@ -256,7 +256,7 @@ let rop_into_execve (p : Bastion.Api.protected) (s : Bastion.Api.session) =
   in
   poke_at s.machine "helper" (fun m ->
       match Machine.frames m with
-      | frame :: _ -> Machine.poke m frame.ret_slot execve
+      | frame :: _ -> Machine.poke m (Int64.of_int frame.ret_slot) execve
       | [] -> ())
 
 let no_meta (_ : Bastion.Api.protected) = ()
@@ -283,7 +283,7 @@ let ai_cases =
         (fun _ s ->
           before_first_trap s (fun m ->
               match Machine.frames m with
-              | frame :: _ -> frame.in_flight_args.(0) <- 0x1000L
+              | frame :: _ -> Machine.Args.set frame.args 0 0x1000L
               | [] -> ()));
       ac_detail = "constant argument 0 of mprotect corrupted"; ac_cycles = 7257 };
     { ac_name = "corrupted, pre-resolved path"; ac_contexts = all;
@@ -451,7 +451,7 @@ let return_to (s : Bastion.Api.session) loc = Int64.add (Machine.instr_address s
 let smash_return (s : Bastion.Api.session) func token =
   poke_at s.machine func (fun m ->
       match Machine.frames m with
-      | frame :: _ -> Machine.poke m frame.ret_slot token
+      | frame :: _ -> Machine.poke m (Int64.of_int frame.ret_slot) token
       | [] -> ())
 
 (* Judge every trap on forged inputs derived from the live ones. *)

@@ -17,6 +17,9 @@ let mk_node ?(checks = []) ?(resolvable = true) ~rip ~sysno () : S.flow_node =
 (* A: start, unconstrained.  B: follows A, arg0 must be 1 or 2.
    C: follows B, unresolvable (a checked pointer).  D: follows C,
    indirect callsite (any indirectly-callable number, here 59). *)
+(* A register file for [S.flow_eval]. *)
+let args = Machine.Args.of_array
+
 let mk_automaton mode =
   S.flow_create ~mode
     (S.flow_graph
@@ -44,21 +47,21 @@ let test_engine_basics () =
   Alcotest.(check int) "edge count" 3 (S.flow_edge_count fa.fa_graph);
   (* Start node resolves; its successor with an in-set argument too. *)
   Alcotest.check decision "start resolves" S.Flow_resolve
-    (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:[||]);
+    (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:(args [||]));
   Alcotest.check decision "edge + in-set arg resolves" S.Flow_resolve
-    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:[| 2L |]);
+    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:(args [| 2L |]));
   (* Unresolvable node: edge is fine but tiered mode must hand the
      trap to the full monitor. *)
   Alcotest.check decision "unresolvable node falls through" S.Flow_fallthrough
-    (S.flow_eval fa ~sysno:11 ~rip:0x300L ~args:[||]);
+    (S.flow_eval fa ~sysno:11 ~rip:0x300L ~args:(args [||]));
   (* The monitor allowed it: resync, then the indirect node takes any
      indirectly-callable number. *)
   S.flow_note_allowed fa ~rip:0x300L;
   Alcotest.check decision "indirect node takes 59" S.Flow_resolve
-    (S.flow_eval fa ~sysno:59 ~rip:0x400L ~args:[||]);
+    (S.flow_eval fa ~sysno:59 ~rip:0x400L ~args:(args [||]));
   Alcotest.check decision "indirect node rejects other numbers"
     S.Flow_fallthrough
-    (S.flow_eval fa ~sysno:10 ~rip:0x400L ~args:[||]);
+    (S.flow_eval fa ~sysno:10 ~rip:0x400L ~args:(args [||]));
   let resolved, fallthroughs, kills = S.flow_stats fa in
   Alcotest.(check (triple int int int))
     "stats account for every step" (3, 2, 0)
@@ -68,45 +71,45 @@ let test_engine_misses () =
   (* Tiered: every miss is a fallthrough, never a verdict. *)
   let fa = mk_automaton S.Flow_tiered in
   Alcotest.check decision "non-start first trap" S.Flow_fallthrough
-    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:[| 1L |]);
+    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:(args [| 1L |]));
   Alcotest.check decision "unknown rip" S.Flow_fallthrough
-    (S.flow_eval fa ~sysno:9 ~rip:0x999L ~args:[||]);
-  ignore (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:[||]);
+    (S.flow_eval fa ~sysno:9 ~rip:0x999L ~args:(args [||]));
+  ignore (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:(args [||]));
   Alcotest.check decision "wrong sysno at a known node" S.Flow_fallthrough
-    (S.flow_eval fa ~sysno:11 ~rip:0x200L ~args:[| 1L |]);
+    (S.flow_eval fa ~sysno:11 ~rip:0x200L ~args:(args [| 1L |]));
   Alcotest.check decision "out-of-set argument" S.Flow_fallthrough
-    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:[| 3L |]);
+    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:(args [| 3L |]));
   Alcotest.check decision "non-edge transition" S.Flow_fallthrough
-    (S.flow_eval fa ~sysno:11 ~rip:0x300L ~args:[||]);
+    (S.flow_eval fa ~sysno:11 ~rip:0x300L ~args:(args [||]));
   (* Standalone: the same misses kill. *)
   let fa = mk_automaton S.Flow_standalone in
   Alcotest.check decision "standalone non-start kills" S.Flow_kill
-    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:[| 1L |]);
-  ignore (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:[||]);
+    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:(args [| 1L |]));
+  ignore (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:(args [||]));
   Alcotest.check decision "standalone out-of-set kills" S.Flow_kill
-    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:[| 3L |]);
+    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:(args [| 3L |]));
   (* Standalone has no fall-through tier, so [fn_resolvable] does not
      apply: edge-consistent calls at an unresolvable node are allowed
      (the checks are all the defense there is). *)
-  ignore (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:[| 1L |]);
+  ignore (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:(args [| 1L |]));
   Alcotest.check decision "standalone resolves an unresolvable node"
     S.Flow_resolve
-    (S.flow_eval fa ~sysno:11 ~rip:0x300L ~args:[||])
+    (S.flow_eval fa ~sysno:11 ~rip:0x300L ~args:(args [||]))
 
 let test_engine_resync () =
   let fa = mk_automaton S.Flow_tiered in
-  ignore (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:[||]);
+  ignore (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:(args [||]));
   (* A fallthrough does not advance the state: B is still the expected
      successor of A afterwards. *)
   Alcotest.check decision "miss leaves the state" S.Flow_fallthrough
-    (S.flow_eval fa ~sysno:9 ~rip:0x999L ~args:[||]);
+    (S.flow_eval fa ~sysno:9 ~rip:0x999L ~args:(args [||]));
   Alcotest.check decision "state survived the miss" S.Flow_resolve
-    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:[| 1L |]);
+    (S.flow_eval fa ~sysno:10 ~rip:0x200L ~args:(args [| 1L |]));
   (* An allowed trap at an unknown callsite desynchronises: any node
      may resolve next (over-approximation, never a false kill). *)
   S.flow_note_allowed fa ~rip:0x999L;
   Alcotest.check decision "desync accepts any node" S.Flow_resolve
-    (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:[||])
+    (S.flow_eval fa ~sysno:9 ~rip:0x100L ~args:(args [||]))
 
 (* --- static extraction ------------------------------------------------- *)
 

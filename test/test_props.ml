@@ -855,7 +855,8 @@ let dispatch_fixture c =
   let seen = ref [] in
   if c.dc_observed then
     p.on_syscall_executed <-
-      Some (fun ~sysno ~args ~path -> seen := (sysno, Array.copy args, path) :: !seen);
+      Some
+        (fun ~sysno ~args ~path -> seen := (sysno, Machine.Args.to_array args, path) :: !seen);
   (p, seen)
 
 let dispatch_outcome f =
@@ -886,7 +887,10 @@ let prop_dispatch_reference =
       let r = Testlib.Dispatch_ref.create q in
       List.iteri
         (fun i (sysno, args) ->
-          let got = dispatch_outcome (fun () -> Kernel.dispatch p p.machine ~sysno ~args) in
+          let got =
+            dispatch_outcome (fun () ->
+                Kernel.dispatch p p.machine ~sysno ~args:(Machine.Args.of_array args))
+          in
           let want = dispatch_outcome (fun () -> Testlib.Dispatch_ref.dispatch r ~sysno ~args) in
           if got <> want then QCheck.Test.fail_reportf "call %d: %s, reference %s" i got want;
           if p.machine.stats.cycles <> q.machine.stats.cycles then
@@ -925,7 +929,9 @@ let prop_dispatch_cycles_nonnegative =
       List.iteri
         (fun i (sysno, args) ->
           let before = p.machine.stats.cycles in
-          ignore (dispatch_outcome (fun () -> Kernel.dispatch p p.machine ~sysno ~args));
+          ignore
+            (dispatch_outcome (fun () ->
+                 Kernel.dispatch p p.machine ~sysno ~args:(Machine.Args.of_array args)));
           if p.machine.stats.cycles < before then
             QCheck.Test.fail_reportf "call %d (%s) charged %d cycles" i (Kernel.Syscalls.name sysno)
               (p.machine.stats.cycles - before))

@@ -95,7 +95,7 @@ let test_rop_blocked () =
           match Machine.frames m with
           | frame :: _ ->
             let gadget = Machine.instr_address m (Sil.Loc.make "do_exec" "entry" 0) in
-            Machine.poke m frame.ret_slot gadget
+            Machine.poke m (Int64.of_int frame.ret_slot) gadget
           | [] -> ()
         end);
   let outcome = Machine.run m in
@@ -124,7 +124,7 @@ let test_rop_cet () =
           match Machine.frames m with
           | frame :: _ ->
             let gadget = Machine.instr_address m (Sil.Loc.make "do_exec" "entry" 0) in
-            Machine.poke m frame.ret_slot gadget
+            Machine.poke m (Int64.of_int frame.ret_slot) gadget
           | [] -> ()
         end);
   check_fault (Machine.run m) is_cet_violation "cet-violation"

@@ -377,8 +377,8 @@ end
 (** A snapshot frame for key tests: only the function (by name and
     code-image index) and the return token matter to a cache key. *)
 let frame_view ?(fidx = -1) func token : Kernel.Ptrace.frame_view =
-  { fv_func = func; fv_fidx = fidx; fv_callsite = 0L; fv_args = [||]; fv_ret_token = token;
-    fv_base = 0L }
+  { fv_func = func; fv_fidx = fidx; fv_callsite = 0L; fv_args = Machine.Args.of_array [||];
+    fv_ret_token = token; fv_base = 0L }
 
 (** The fleet's per-trap host path as it stood before each registry
     resolved its instruments once and the schedule indexed one SWRR
@@ -1110,6 +1110,7 @@ module Dispatch_ref = struct
 
   let dispatch t ~sysno ~(args : int64 array) : int64 =
     let p = t.proc in
+    let file = Machine.Args.of_array args in
     charge p (cost p).syscall_base;
     (match p.filter with
     | None -> ()
@@ -1119,14 +1120,14 @@ module Dispatch_ref = struct
       | Seccomp.Allow -> ()
       | Seccomp.Kill -> raise (Machine.Killed (Machine.Seccomp_kill { sysno }))
       | Seccomp.Trace ->
-        let rip = p.machine.trap_rip in
+        let rip = Int64.of_int p.machine.trap_rip in
         let prefilter = Seccomp.flow filter in
         let resolved =
           match prefilter with
           | None -> false
           | Some fa -> (
             charge p (cost p).prefilter_eval;
-            match Seccomp.flow_eval fa ~sysno ~rip ~args with
+            match Seccomp.flow_eval fa ~sysno ~rip ~args:file with
             | Seccomp.Flow_resolve -> true
             | Seccomp.Flow_kill -> raise (Machine.Killed (Machine.Seccomp_kill { sysno }))
             | Seccomp.Flow_fallthrough -> false)
@@ -1138,7 +1139,7 @@ module Dispatch_ref = struct
           | None -> ()
           | Some hook -> (
             p.tracer.cur_sysno <- sysno;
-            match hook p ~sysno ~args with
+            match hook p ~sysno ~args:file with
             | Process.Continue -> ()
             | Process.Deny { context; detail } ->
               raise (Machine.Killed (Machine.Monitor_kill { context; detail }))));
@@ -1154,9 +1155,9 @@ module Dispatch_ref = struct
         Some (Machine.read_string p.machine args.(0))
       | _ -> None
     in
-    if is_sensitive sysno then Process.log_exec p ~sysno ~args ~path;
+    if is_sensitive sysno then Process.log_exec p ~sysno ~args:file ~path;
     (match p.on_syscall_executed with
-    | Some hook -> hook ~sysno ~args ~path
+    | Some hook -> hook ~sysno ~args:file ~path
     | None -> ());
     execute p ~sysno ~args
 end
